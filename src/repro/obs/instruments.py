@@ -116,6 +116,11 @@ def attach_cache_collector(registry: MetricsRegistry, service) -> None:
     legacy_hits = registry.counter(
         "repro_fetch_cache_legacy_hits_total",
         "fetch cache hits served as decoded row lists")
+    # Lookups a starved fetch cache sent straight to storage (its
+    # self-tuning bypass); they are also counted as misses.
+    bypassed = registry.counter(
+        "repro_fetch_cache_bypassed_lookups_total",
+        "fetch cache lookups read straight from storage by the bypass")
     # Incremental-maintenance outcomes: deltas applied in place vs
     # deltas that fell back to invalidation.  A healthy write-heavy
     # workload shows maintained ≫ fallbacks; fallbacks climbing means
@@ -152,6 +157,7 @@ def attach_cache_collector(registry: MetricsRegistry, service) -> None:
         fetch_cache = service.fetch_cache
         encoded_hits.set_total(getattr(fetch_cache, "encoded_hits", 0))
         legacy_hits.set_total(getattr(fetch_cache, "legacy_hits", 0))
+        bypassed.set_total(getattr(fetch_cache, "bypassed_lookups", 0))
         maintained_deltas.set_total(
             getattr(fetch_cache, "maintained_deltas", 0))
         maintained_entries.set_total(

@@ -37,6 +37,16 @@ design.
 hook and keeps the access accounting honest: cold lookups count toward
 ``tuples_fetched`` (the empirical ``|D_Q|``), cache hits are tallied
 separately as ``fetch_cache_hits`` / ``tuples_from_cache``.
+
+A cache must never cost more than the backend it fronts.  When
+``capacity`` consecutive fills were made with no hit served in between
+— the LRU turned over completely and served nothing — the cache tells
+the executor to *bypass* it: the next fetch steps read straight from
+storage, with no probe and no fill.  The run length starts at one step
+and doubles, up to :data:`_BYPASS_CEILING`, while the probe steps in
+between keep serving nothing; any hit ends it.  The rule reads only
+observed hits, never capacity or workload identity, so a hot pool
+never triggers it.
 """
 
 from __future__ import annotations
@@ -53,11 +63,18 @@ from ..storage.encoding import extend_column, int_column, readonly_view
 from .lru import LruDict
 from .plancache import CacheInfo
 
-#: Key marker for maintained *encoded* entries: ``(constraint, code
-#: key, _ENCODED)``.  A unique object, so the key can never collide
-#: with a generation-keyed 3-tuple ``(constraint, x_value, int)`` even
-#: when a code tuple equals a value tuple under ``==``.
+#: Key marker for maintained *encoded* entries: ``(slot, code key,
+#: _ENCODED)``.  A unique object, so it can never equal the generation
+#: int at the same position of a generation-keyed key, and
+#: ``_is_maintained_key`` can tell the families apart by identity.
 _ENCODED = object()
+
+#: Longest bypass run, in fetch steps.  A starved cache probes once per
+#: run, and a probe fills (and, starved, evicts) a whole step's keys:
+#: the ceiling keeps that below one eviction per request on the
+#: fan-out workloads, and bounds how long a shift back to a hot pool
+#: waits to be noticed.
+_BYPASS_CEILING = 1024
 
 
 def _encoded_plus(entry, row_codes):
@@ -103,17 +120,20 @@ class FetchCache:
     Four key shapes share the LRU and can never collide:
 
     * maintained legacy — ``(constraint, x_value)`` → row-tuple list;
-    * maintained encoded — ``(constraint, code key, _ENCODED)`` →
+    * maintained encoded — ``(slot, code key, _ENCODED)`` →
       ``(readonly column views, length)``;
     * generation-keyed legacy — ``(constraint, x_value, generation)``;
-    * generation-keyed encoded — ``(constraint, code key, generation,
-      0)``.
+    * generation-keyed encoded — ``(slot, code key, generation, 0)``.
 
-    Encoded entries are what the columnar executor consumes: a warm hit
-    hands back zero-copy views that flow straight into a batch — no
-    re-encoding, no row materialization.  Maintenance rebuilds an
-    entry's arrays copy-on-write, so views already handed out stay
-    frozen at the content they were served with.
+    A *slot* is a small int the cache gives each constraint value the
+    first time it sees it, so an encoded probe hashes the constraint
+    once per fetch step instead of twice per key (frozen-dataclass
+    hashing runs in Python).  Encoded entries are what the columnar
+    executor consumes: a warm hit hands back zero-copy views that flow
+    straight into a batch — no re-encoding, no row materialization.
+    Maintenance rebuilds an entry's arrays copy-on-write, so views
+    already handed out stay frozen at the content they were served
+    with.
 
     >>> cache = FetchCache(capacity=128)
     >>> cache.info().size
@@ -132,6 +152,20 @@ class FetchCache:
         #: (advisory counters; the obs layer exports both).
         self.encoded_hits = 0
         self.legacy_hits = 0
+        # constraint value -> slot, and slot -> constraint.  Slots are
+        # assigned under the maintenance lock and never reused.
+        self._slots: dict[AccessConstraint, int] = {}
+        self._constraints: list[AccessConstraint] = []
+        # -- the self-tuning bypass (advisory and lock-free, like
+        # max_entry_rows: a race can only mis-time a probe) -------------
+        #: Entries filled since the last hit was served.
+        self._unread_fills = 0
+        #: Current bypass run length in fetch steps (0: not starved).
+        self._bypass_run = 0
+        #: Steps left to bypass before the next probe.
+        self._bypass_left = 0
+        #: Index lookups that skipped the cache because it was starved.
+        self.bypassed_lookups = 0
         # -- incremental maintenance state ---------------------------------
         # Serializes delta application, epoch reads/writes and the
         # store-a-fill decision.  Never held while calling into the
@@ -142,9 +176,9 @@ class FetchCache:
         #: a relation with no epoch has no maintained entries.
         self._epochs: dict[str, int] = {}
         self._backend = None
-        # Maintainability verdicts, memoized per constraint *value*
-        # against the identity of the backend's attached schema.
-        self._verdicts: dict[AccessConstraint, bool] = {}
+        # Maintainability verdicts, memoized per slot (constraint
+        # *value*) against the identity of the backend's attached schema.
+        self._verdicts: dict[int, bool] = {}
         self._verdict_schema = None
         #: Deltas applied to maintained entries in place.
         self.maintained_deltas = 0
@@ -195,15 +229,35 @@ class FetchCache:
     def _is_maintained_key(key) -> bool:
         return len(key) == 2 or key[2] is _ENCODED
 
-    def _maintainable(self, constraint: AccessConstraint) -> bool:
+    def _slot(self, constraint: AccessConstraint) -> int:
+        """The constraint value's slot, assigned on first sight (the
+        one hash of the constraint a probe pays)."""
+        slot = self._slots.get(constraint)
+        if slot is None:
+            with self._maintenance_lock:
+                slot = self._slots.get(constraint)
+                if slot is None:
+                    slot = len(self._constraints)
+                    # Mapped back before it is published: whoever sees
+                    # the slot can resolve it.
+                    self._constraints.append(constraint)
+                    self._slots[constraint] = slot
+        return slot
+
+    def _key_constraint(self, key) -> AccessConstraint:
+        """The constraint an entry's key belongs to, in either family."""
+        owner = key[0]
+        return self._constraints[owner] if type(owner) is int else owner
+
+    def _maintainable(self, constraint: AccessConstraint, slot: int) -> bool:
         """Can this constraint's entries be maintained by deltas?
 
         Yes exactly when some attached constraint *equals* it (same
         relation, X, Y and bound): deltas are keyed by the attached
         constraint objects, and frozen-dataclass equality makes the
-        requested constraint address the same entries.  Anything that
-        resolves through a key permutation, row projection or a
-        different bound stays generation-keyed.
+        requested constraint address the same entries (and the same
+        slot).  Anything that resolves through a key permutation, row
+        projection or a different bound stays generation-keyed.
         """
         backend = self._backend
         if backend is None:
@@ -214,12 +268,59 @@ class FetchCache:
             # verdicts (either way) are meaningless against it.
             self._verdicts = {}
             self._verdict_schema = schema
-        verdict = self._verdicts.get(constraint)
+        verdict = self._verdicts.get(slot)
         if verdict is None:
             verdict = schema is not None and any(
                 attached == constraint for attached in schema)
-            self._verdicts[constraint] = verdict
+            self._verdicts[slot] = verdict
         return verdict
+
+    def _live_get_many(self, relation: str, generation: int,
+                       keys: list) -> list:
+        """Probe maintained entries: served only while the relation's
+        epoch equals the generation the lookup read."""
+        with self._maintenance_lock:
+            live = self._epochs.get(relation) == generation
+        if live:
+            return self._entries.get_many(keys)
+        # The epoch lags (a delta is in flight) or leads (entries were
+        # purged): treat the whole batch as misses, but never purge
+        # here — an in-flight delta may be about to repair the entries.
+        self._entries.record_misses(len(keys))
+        return [None] * len(keys)
+
+    # -- the self-tuning bypass --------------------------------------------
+
+    def bypass_step(self, keys: int) -> bool:
+        """Should the caller's next fetch step skip this cache?
+
+        True while a starved cache is inside a bypass run; the step's
+        ``keys`` lookups are then counted as misses here (and must be
+        counted as misses in the caller's ``AccessStats``) and read
+        straight from storage, with no probe and no fill.
+        """
+        if self._bypass_left <= 0:
+            return False
+        self._bypass_left -= 1
+        self.bypassed_lookups += keys
+        self._entries.record_misses(keys)
+        return True
+
+    def _observe(self, served: int, filled: int) -> None:
+        """Feed one probe's outcome to the bypass rule."""
+        if served:
+            self._unread_fills = self._bypass_run = self._bypass_left = 0
+        elif filled:
+            run = self._bypass_run
+            if run:
+                # A probe after a bypass run served nothing again.
+                run = min(2 * run, _BYPASS_CEILING)
+            else:
+                self._unread_fills += filled
+                if self._unread_fills < self.capacity:
+                    return
+                run = 1  # the LRU turned over without serving a hit
+            self._bypass_run = self._bypass_left = run
 
     # -- lookups -----------------------------------------------------------
 
@@ -266,51 +367,17 @@ class FetchCache:
         rows under a newer one, because generations bump only after the
         backend's index updates.
         """
-        generation = db.generation(constraint.relation_name)
-        if self._maintainable(constraint):
-            return self._lookup_many_maintained(db, constraint, x_values,
-                                                generation)
-        keys = [(constraint, x_value, generation) for x_value in x_values]
-        cached = self._entries.get_many(keys)
-        rows_per_x: list = list(cached)
-        hits = [value is not None for value in cached]
-        miss_positions = [i for i, value in enumerate(cached)
-                          if value is None]
-        self.legacy_hits += len(x_values) - len(miss_positions)
-        if miss_positions:
-            fetched = db.fetch_many(
-                constraint, [x_values[i] for i in miss_positions])
-            largest = self.max_entry_rows
-            for position, rows in zip(miss_positions, fetched):
-                rows_per_x[position] = rows
-                if len(rows) > largest:
-                    largest = len(rows)
-            self.max_entry_rows = largest
-            self._entries.put_many(
-                (keys[i], rows)
-                for i, rows in zip(miss_positions, fetched))
-        return rows_per_x, hits
-
-    def _lookup_many_maintained(self, db: Database,
-                                constraint: AccessConstraint,
-                                x_values: Sequence[tuple],
-                                generation: int):
-        """The maintained-family twin of :meth:`lookup_many`."""
         relation = constraint.relation_name
-        backend = self._backend
-        schema = backend.access_schema if backend is not None else None
-        with self._maintenance_lock:
-            live = self._epochs.get(relation) == generation
-        keys = [(constraint, x_value) for x_value in x_values]
-        if live:
-            cached = self._entries.get_many(keys)
+        generation = db.generation(relation)
+        maintained = self._maintainable(constraint, self._slot(constraint))
+        if maintained:
+            schema = getattr(self._backend, "access_schema", None)
+            keys = [(constraint, x_value) for x_value in x_values]
+            cached = self._live_get_many(relation, generation, keys)
         else:
-            # The epoch lags (a delta is in flight) or leads (entries
-            # were purged): treat the whole batch as misses, but never
-            # purge here — an in-flight delta may be about to repair
-            # the entries.
-            cached = [None] * len(keys)
-            self._entries.record_misses(len(keys))
+            keys = [(constraint, x_value, generation)
+                    for x_value in x_values]
+            cached = self._entries.get_many(keys)
         rows_per_x: list = list(cached)
         hits = [value is not None for value in cached]
         miss_positions = [i for i, value in enumerate(cached)
@@ -325,10 +392,12 @@ class FetchCache:
                 if len(rows) > largest:
                     largest = len(rows)
             self.max_entry_rows = largest
-            self._store_maintained(
-                relation, generation, schema,
-                [(keys[i], rows)
-                 for i, rows in zip(miss_positions, fetched)])
+            puts = [(keys[i], rows)
+                    for i, rows in zip(miss_positions, fetched)]
+            if maintained:
+                self._store_maintained(relation, generation, schema, puts)
+            else:
+                self._entries.put_many(puts)
         return rows_per_x, hits
 
     def lookup_many_encoded(self, db: Database,
@@ -343,57 +412,26 @@ class FetchCache:
         bookkeeping (entry sizing included) runs on code columns and
         plain lengths; no decoded row is ever materialized here.
         Maintenance replaces an updated entry's arrays wholesale, so
-        views handed to in-flight batches stay frozen.
+        views handed to in-flight batches stay frozen.  Every call is
+        a probe for the bypass rule (:meth:`bypass_step`).
         """
-        generation = db.generation(constraint.relation_name)
-        if self._maintainable(constraint):
-            return self._lookup_many_encoded_maintained(db, constraint,
-                                                        keys, generation)
-        # 4-tuple keys: legacy keys are 3-tuples, so a code key can
-        # never alias a value key (the code tuple (3,) IS the value
-        # tuple (3,) under ==).
-        cache_keys = [(constraint, key, generation, 0) for key in keys]
-        cached = self._entries.get_many(cache_keys)
-        entries: list = list(cached)
-        hits = [value is not None for value in cached]
-        miss_positions = [i for i, value in enumerate(cached)
-                          if value is None]
-        self.encoded_hits += len(keys) - len(miss_positions)
-        if miss_positions:
-            fetched = db.fetch_many_encoded(
-                constraint, [keys[i] for i in miss_positions])
-            largest = self.max_entry_rows
-            puts = []
-            for position, (cols, length) in zip(miss_positions, fetched):
-                entry = (tuple(readonly_view(column) for column in cols),
-                         length)
-                entries[position] = entry
-                if length > largest:
-                    largest = length
-                puts.append((cache_keys[position], entry))
-            self.max_entry_rows = largest
-            self._entries.put_many(puts)
-        return entries, hits
-
-    def _lookup_many_encoded_maintained(self, db: Database,
-                                        constraint: AccessConstraint,
-                                        keys: Sequence, generation: int):
         relation = constraint.relation_name
-        backend = self._backend
-        schema = backend.access_schema if backend is not None else None
-        with self._maintenance_lock:
-            live = self._epochs.get(relation) == generation
-        cache_keys = [(constraint, key, _ENCODED) for key in keys]
-        if live:
-            cached = self._entries.get_many(cache_keys)
+        generation = db.generation(relation)
+        slot = self._slot(constraint)
+        maintained = self._maintainable(constraint, slot)
+        if maintained:
+            schema = getattr(self._backend, "access_schema", None)
+            cache_keys = [(slot, key, _ENCODED) for key in keys]
+            cached = self._live_get_many(relation, generation, cache_keys)
         else:
-            cached = [None] * len(cache_keys)
-            self._entries.record_misses(len(cache_keys))
+            cache_keys = [(slot, key, generation, 0) for key in keys]
+            cached = self._entries.get_many(cache_keys)
         entries: list = list(cached)
         hits = [value is not None for value in cached]
         miss_positions = [i for i, value in enumerate(cached)
                           if value is None]
-        self.encoded_hits += len(keys) - len(miss_positions)
+        served = len(keys) - len(miss_positions)
+        self.encoded_hits += served
         if miss_positions:
             fetched = db.fetch_many_encoded(
                 constraint, [keys[i] for i in miss_positions])
@@ -407,7 +445,11 @@ class FetchCache:
                     largest = length
                 puts.append((cache_keys[position], entry))
             self.max_entry_rows = largest
-            self._store_maintained(relation, generation, schema, puts)
+            if maintained:
+                self._store_maintained(relation, generation, schema, puts)
+            else:
+                self._entries.put_many(puts)
+        self._observe(served, len(miss_positions))
         return entries, hits
 
     def _store_maintained(self, relation: str, stamp: int, schema,
@@ -489,6 +531,9 @@ class FetchCache:
         entries are cached (absent entries are simply not maintained).
         Returns the number of entries updated."""
         entries = self._entries
+        # Encoded entries live under the constraint value's slot; no
+        # slot means none were ever cached.
+        slot = self._slots.get(constraint)
         touched = 0
         largest = self.max_entry_rows
         for x_value, row_value, key_code, row_codes in changes.removed:
@@ -497,7 +542,9 @@ class FetchCache:
             if rows is not None and row_value in rows:
                 entries.put(key, [r for r in rows if r != row_value])
                 touched += 1
-            ekey = (constraint, key_code, _ENCODED)
+            if slot is None:
+                continue
+            ekey = (slot, key_code, _ENCODED)
             entry = entries.get(ekey, count=False)
             if entry is not None:
                 updated = _encoded_minus(entry, row_codes)
@@ -512,7 +559,9 @@ class FetchCache:
                 touched += 1
                 if len(rows) + 1 > largest:
                     largest = len(rows) + 1
-            ekey = (constraint, key_code, _ENCODED)
+            if slot is None:
+                continue
+            ekey = (slot, key_code, _ENCODED)
             entry = entries.get(ekey, count=False)
             if entry is not None:
                 updated = _encoded_plus(entry, row_codes)
@@ -530,7 +579,7 @@ class FetchCache:
         out as before."""
         def doomed(key) -> bool:
             return (self._is_maintained_key(key)
-                    and key[0].relation_name == relation)
+                    and self._key_constraint(key).relation_name == relation)
         return self._entries.prune(doomed)
 
     # -- housekeeping ------------------------------------------------------
@@ -552,9 +601,8 @@ class FetchCache:
         def stale(key) -> bool:
             if self._is_maintained_key(key):
                 return False
-            constraint = key[0]
             generation = key[2]
-            relation = constraint.relation_name
+            relation = self._key_constraint(key).relation_name
             latest = current.get(relation)
             if latest is None:
                 latest = current[relation] = db.generation(relation)
@@ -586,7 +634,9 @@ class CachingExecutor(Executor):
     With ``fetch_cache=None`` it behaves exactly like the base executor.
     Results are identical either way — the cache only ever returns what
     ``db.fetch`` returned for the same (constraint, X-value) at the same
-    write epoch, maintained forward by the exact per-write deltas.
+    write epoch, maintained forward by the exact per-write deltas.  A
+    step the cache asks to bypass is the base executor's plain storage
+    read, its lookups counted as cache misses.
     """
 
     def __init__(self, db: Database, fetch_cache: FetchCache | None = None):
@@ -616,13 +666,17 @@ class CachingExecutor(Executor):
 
     def _fetch_flat_encoded(self, constraint, keys: Sequence,
                             stats: AccessStats):
-        if self.fetch_cache is None:
+        cache = self.fetch_cache
+        if cache is None:
+            return super()._fetch_flat_encoded(constraint, keys, stats)
+        if cache.bypass_step(len(keys)):
+            # A starved cache: a plain storage read, counted as misses.
+            stats.fetch_cache_misses += len(keys)
             return super()._fetch_flat_encoded(constraint, keys, stats)
         deadline = current_deadline()
         if deadline is not None:
             deadline.check("fetch_flat_encoded")
-        entries, hits = self.fetch_cache.lookup_many_encoded(
-            self.db, constraint, keys)
+        entries, hits = cache.lookup_many_encoded(self.db, constraint, keys)
         stats.index_lookups += len(keys)
         if len(entries) == 1:
             # Single-key fast path: the cached views flow into the

@@ -234,27 +234,17 @@ class Database:
     def fetch_many(self, constraint: AccessConstraint,
                    x_values: Sequence[Row]) -> list[list[Row]]:
         """Batched index lookups, aligned with ``x_values`` — the only
-        data-access primitive bounded plans use.  Hot callers pass
-        tuples already; anything else is normalized once here."""
-        if x_values and not isinstance(x_values[0], tuple):
-            x_values = [tuple(x) for x in x_values]
-        try:
-            return self._backend.fetch_many(constraint, x_values)
-        except TypeError:  # mixed batch: a non-tuple past position 0
-            return self._backend.fetch_many(
-                constraint, self._normalized_keys(x_values))
+        data-access primitive bounded plans use.  Keys are normalized
+        to tuples once, here."""
+        return self._backend.fetch_many(constraint,
+                                        self._normalized_keys(x_values))
 
     def fetch_flat(self, constraint: AccessConstraint,
                    x_values: Sequence[Row]) -> list[Row]:
         """All rows for a batch of X-values in one unordered list —
         the executor's fast path when nothing needs per-X alignment."""
-        if x_values and not isinstance(x_values[0], tuple):
-            x_values = [tuple(x) for x in x_values]
-        try:
-            return self._backend.fetch_flat(constraint, x_values)
-        except TypeError:  # mixed batch: a non-tuple past position 0
-            return self._backend.fetch_flat(
-                constraint, self._normalized_keys(x_values))
+        return self._backend.fetch_flat(constraint,
+                                        self._normalized_keys(x_values))
 
     def fetch_many_encoded(self, constraint: AccessConstraint,
                            keys: Sequence) -> list:
@@ -272,10 +262,10 @@ class Database:
 
     @staticmethod
     def _normalized_keys(x_values: Sequence[Row]) -> list[Row]:
-        """Per-element tuple coercion, for mixed batches only: the
-        first-element sniff above keeps the hot all-tuple path free of
-        a per-key isinstance scan, and a non-tuple later in the batch
-        surfaces as the backends' unhashable-key TypeError."""
+        """Per-element tuple coercion, one pass before the backend
+        call: a ``TypeError`` from the backend is then a real error,
+        never a reason to run the call (on procshard, an RPC fan-out)
+        a second time."""
         return [x if isinstance(x, tuple) else tuple(x) for x in x_values]
 
     def __contains__(self, pair) -> bool:

@@ -306,6 +306,11 @@ class DiskBackend(MemoryBackend):
     def _log(self, record) -> None:
         """Append one record durably *before* the in-memory mutation it
         describes (callers hold ``self._lock``)."""
+        if self._wal.closed:
+            raise StorageError(
+                f"{self.data_dir}: write to a closed backend — its WAL "
+                "is closed and the write was not applied; reopen the "
+                "directory with a fresh DiskBackend")
         try:
             data = _frame(record)
         except TypeError as error:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro import (AccessConstraint, AccessSchema, ConstraintViolation,
-                   Database, ExecutionError, LogCardinality, Schema,
-                   SchemaError)
+                   Database, ExecutionError, LogCardinality, MemoryBackend,
+                   Schema, SchemaError)
 from repro.storage.indexes import AccessIndex
 
 
@@ -162,6 +162,34 @@ class TestFetch:
         db = Database(schema, aschema)
         db.insert("R", (5, "z"))
         assert db.fetch(aschema.constraints[0], (5,)) == [(5, "z")]
+
+    def test_mixed_key_batches_are_normalized(self, schema, aschema):
+        db = Database(schema, aschema)
+        db.insert_many("R", [(1, "a"), (2, "b")])
+        constraint = aschema.constraints[0]
+        assert db.fetch_many(constraint, [(1,), [2]]) == [[(1, "a")],
+                                                          [(2, "b")]]
+        assert sorted(db.fetch_flat(constraint, [[1], (2,)])) == \
+            [(1, "a"), (2, "b")]
+
+    @pytest.mark.parametrize("method", ["fetch_many", "fetch_flat"])
+    def test_backend_type_error_is_not_retried(self, schema, aschema,
+                                               method):
+        """A backend's TypeError is a real error: the whole backend
+        call (on procshard, an RPC fan-out) runs exactly once."""
+        calls = []
+
+        class Failing(MemoryBackend):
+            def fetch_many(self, constraint, x_values):
+                calls.append(list(x_values))
+                raise TypeError("boom")
+
+            fetch_flat = fetch_many
+
+        db = Database(schema, aschema, backend=Failing(schema))
+        with pytest.raises(TypeError, match="boom"):
+            getattr(db, method)(aschema.constraints[0], [(1,), [2]])
+        assert calls == [[(1,), (2,)]]
 
 
 class TestWriteGenerations:

@@ -388,6 +388,25 @@ class TestDurabilityContract:
         assert set(reopened.scan("R")) == {(1, "a", 1)}
         reopened.close()
 
+    def test_write_on_closed_backend_refuses(self, schema, aschema,
+                                             tmp_path):
+        db = open_db(schema, aschema, tmp_path)
+        db.insert("R", (1, "a", 1))
+        generation = db.generation("R")
+        db.backend.close()
+        for write in (lambda: db.insert("R", (2, "b", 2)),
+                      lambda: db.delete("R", (1, "a", 1)),
+                      db.backend.clear):
+            with pytest.raises(StorageError,
+                               match="closed backend.*reopen the directory"):
+                write()
+        # Rows and generations are exactly as they were at close.
+        assert state_of(db.backend, schema)["R"] == {(1, "a", 1)}
+        assert db.generation("R") == generation
+        reopened = open_db(schema, aschema, tmp_path)
+        assert state_of(reopened.backend, schema)["R"] == {(1, "a", 1)}
+        reopened.backend.close()
+
     def test_mismatched_schema_directory_is_actionable(self, schema,
                                                        tmp_path):
         backend = DiskBackend(schema, tmp_path)
