@@ -15,8 +15,8 @@ without giving the guarantee back.  Claims checked:
   snapshot plus a WAL tail, and write generations are preserved;
 * cold-open time (WAL replay vs. snapshot segments) and the disk
   engine's read-path overhead vs. memory are **reported** — wall-clock
-  on shared runners is noise, so per the EXP-10 policy these numbers
-  carry no hard assertions.
+  on shared runners is noise, so these numbers carry no hard
+  assertions.
 
 Run with ``python -m pytest benchmarks/bench_exp11_durability.py -x -q``.
 """
@@ -55,7 +55,7 @@ def log():
 
 class RecordingExecutor(LegacyTupleExecutor):
     """Harvests the (constraint, x-value batch) pairs a plan issues so
-    the overhead comparison replays *real* traffic (as in EXP-10).
+    the overhead comparison replays *real* traffic.
     Based on the tuple executor because the columnar ``execute`` never
     crosses the ``_fetch_flat`` hook; the batches are the same either
     way (the accounting identity EXP-9 enforces)."""

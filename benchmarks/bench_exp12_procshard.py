@@ -13,9 +13,9 @@ column, not a pickled value tuple.  Claims checked:
   ``MemoryBackend`` per-x-value boundary** producing the same
   deliverable — one ``db.fetch`` call per X-value plus the
   encode-and-transpose into the flat code columns the columnar
-  executor consumes (the baseline EXP-10's encoded gate replays),
-  now held across a process hop (hard ``min_value`` trajectory
-  gate); the raw tuple-fetch ratio rides along warn-only;
+  executor consumes, now held across a process hop (hard
+  ``min_value`` trajectory gate); the raw tuple-fetch ratio rides
+  along warn-only;
 * the IPC toll is reported honestly: procshard vs the same encoded
   replay on an in-process ``MemoryBackend``
   (``procshard_ipc_overhead_ratio``, warn-only wall-clock — on one
@@ -78,7 +78,7 @@ def log():
 class PerValueExecutor(LegacyTupleExecutor):
     """The PR 2 stack, preserved as the baseline: one ``db.fetch``
     round-trip (and its accounting) per distinct X-value, on the tuple
-    executor — same baseline EXP-10 replays."""
+    executor."""
 
     def _fetch_flat(self, constraint, x_values, stats):
         out_rows = []
@@ -126,7 +126,7 @@ def point_queries(rng: random.Random):
             for key in rng.sample(range(N_KEYS), N_QUERIES)]
 
 
-# -- replay helpers (the EXP-10 boundary idiom) -------------------------------
+# -- replay helpers -----------------------------------------------------------
 
 
 def replay_per_value(executor, batches):
@@ -140,8 +140,8 @@ def replay_per_value_columns(executor, batches):
     """The PR 2 boundary made to produce what the columnar executor
     actually consumes: one ``db.fetch`` per X-value, then
     dictionary-encode and transpose the value tuples into flat code
-    columns — the same deliverable-matched baseline EXP-10's encoded
-    gate replays (``replay_columnarized``), on the per-value loop."""
+    columns — a deliverable-matched baseline on the per-value
+    loop."""
     stats = AccessStats()
     encode_row = executor.db.dictionary.encode_row
     out = []
@@ -252,7 +252,7 @@ def run_boundary(db, proc, batches, log, failures):
     # The gated claim is deliverable-matched: since PR 7 the executor
     # consumes flat code columns, so the single-process per-value
     # boundary must encode and transpose what it fetched before a plan
-    # can run on it — the exact baseline EXP-10's encoded gate uses.
+    # can run on it.
     speedup = columns_s / max(proc_s, 1e-9)
     tuple_ratio = per_value_s / max(proc_s, 1e-9)
     ipc_ratio = proc_s / max(encoded_s, 1e-9)

@@ -5,9 +5,9 @@ Usage (after ``pip install -e .`` the ``repro`` entry point is on PATH;
 
     repro analyze  --db DIR "Q(x) :- R(x, y), y = 1"
     repro explain  --db DIR "Q(x) :- R(x, y), y = 1"
-    repro run      --db DIR [--backend sharded --shards S] "Q(x) :- ..."
+    repro run      --db DIR [--backend procshard --shard-workers W] "Q(x) :- ..."
     repro discover --db DIR [--max-bound N]
-    repro batch    --db DIR [--workers K] [--backend sharded] requests.json
+    repro batch    --db DIR [--workers K] [--backend disk --data-dir D] requests.json
     repro bench-service --db DIR [--requests N] [--write-fraction F] "Q(x) :- ..."
     repro stats    --db DIR [--backend disk --data-dir D]
     repro serve    --db DIR [--port P] [--workers K] [--budget B]
@@ -21,10 +21,9 @@ exposition of the run's counters, gauges and latency histograms.
 ``stats`` prints the storage-level snapshot for a database directory.
 
 ``run``, ``batch`` and ``bench-service`` accept ``--backend
-{memory,sharded,disk,procshard}`` (plus ``--shards S`` /
-``--shard-threads T`` for the sharded engine, ``--data-dir DIR`` /
-``--fsync`` for the durable one, and ``--shard-workers N`` /
-``--replicas R`` for the process-sharded one) to re-home the loaded
+{memory,disk,procshard}`` (plus ``--data-dir DIR`` / ``--fsync`` for
+the durable engine and ``--shard-workers N`` / ``--replicas R`` for
+the process-sharded one) to re-home the loaded
 instance onto a different storage engine; answers are identical on
 every backend.  ``--backend disk`` recovers whatever the data
 directory already holds (latest snapshot + WAL replay) before loading.
@@ -90,17 +89,10 @@ def _load(args):
     factory = None
     if backend_name != "memory":
         # Load straight onto the target engine: rows and indexes are
-        # built once, not built in memory and re-homed.  ``workers``
-        # means pool threads for the sharded engine and shard worker
-        # *processes* for procshard (see make_backend).
-        workers = (getattr(args, "shard_workers", 0)
-                   if backend_name == "procshard"
-                   else getattr(args, "shard_threads", 0))
-
+        # built once, not built in memory and re-homed.
         def factory(schema):
             return make_backend(backend_name, schema,
-                                shards=getattr(args, "shards", 8),
-                                workers=workers,
+                                workers=getattr(args, "shard_workers", 4),
                                 replicas=getattr(args, "replicas", 0),
                                 data_dir=getattr(args, "data_dir", None),
                                 fsync=getattr(args, "fsync", False),
@@ -163,13 +155,6 @@ def _add_backend_flags(parser) -> None:
     parser.add_argument("--backend", choices=BACKENDS, default="memory",
                         help="storage engine to serve reads from "
                              "(default: memory)")
-    parser.add_argument("--shards", type=int, default=8,
-                        help="shard count for --backend sharded")
-    parser.add_argument("--shard-threads", dest="shard_threads", type=int,
-                        default=0,
-                        help="thread-pool size for --backend sharded "
-                             "(0 = sequential; fan-out only kicks in "
-                             "above the per-shard key threshold)")
     parser.add_argument("--shard-workers", dest="shard_workers", type=int,
                         default=4,
                         help="shard worker processes for "

@@ -247,7 +247,7 @@ class LegacyTupleExecutor(Executor):
     """The pre-columnar batch executor: value tuples end to end.
 
     Kept as the wall-clock baseline the columnar path is benchmarked
-    against (EXP-9/EXP-10) and as the harness base class for recorders
+    against (EXP-9) and as the harness base class for recorders
     that interpose on the unencoded ``_fetch_flat`` boundary.  Answers
     and :class:`AccessStats` are identical to the columnar path's by
     construction — property tests enforce it.

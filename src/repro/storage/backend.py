@@ -17,15 +17,13 @@ protocol:
   ordering read-side caches rely on;
 * ``generation(relation)`` — the write epoch keying those caches.
 
-Two engines ship:
-
-* :class:`MemoryBackend` — one dict of rows plus one
-  :class:`~repro.storage.indexes.AccessIndex` per constraint (the
-  original ``Database`` internals, extracted);
-* :class:`ShardedBackend` — rows hash-partitioned across ``S`` shards
-  and every constraint's index groups partitioned by the constraint's
-  X-key, so a ``fetch_many`` batch fans out per shard (optionally over
-  a thread pool) and each shard lock covers only its slice.
+This module ships :class:`MemoryBackend` — one dict of rows plus one
+:class:`~repro.storage.indexes.AccessIndex` per constraint (the
+original ``Database`` internals, extracted) — and :func:`make_backend`,
+the by-name factory over it and the two other engines:
+:class:`~repro.storage.disk.DiskBackend` (WAL plus snapshots) and
+:class:`~repro.storage.procshard.ProcessShardedBackend` (one worker
+process per shard).
 
 :class:`~repro.storage.database.Database` is a thin facade over a
 backend; everything above storage (executor, caches, service, CLI)
@@ -36,8 +34,7 @@ from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..errors import ExecutionError, StorageError
 from ..obs.trace import span
@@ -208,8 +205,8 @@ class StorageBackend(ABC):
 
     @abstractmethod
     def indexes_for(self, relation_name: str) -> list[AccessIndex]:
-        """The live index objects over one relation (all shards for a
-        sharded engine) — a white-box hook for tests and diagnostics."""
+        """The live index objects over one relation — a white-box hook
+        for tests and diagnostics."""
 
     @abstractmethod
     def describe(self) -> str:
@@ -583,492 +580,25 @@ class MemoryBackend(StorageBackend):
         return "memory"
 
 
-class ShardedBackend(StorageBackend):
-    """A hash-partitioned engine: ``S`` shards per relation.
-
-    Rows are partitioned by full-row hash; every constraint's index
-    groups are partitioned by the constraint's *X-key* hash, so all
-    rows for one X-value live in exactly one index shard and a
-    ``fetch_many`` batch decomposes into disjoint per-shard lookups.
-    With ``workers > 0`` those per-shard lookups run on a thread pool
-    (a structural stand-in for per-shard processes/hosts; under the GIL
-    it buys overlap only when lookups block).
-
-    Locking is per shard: readers take one shard lock at a time,
-    writers take the affected shard locks in ascending order (so two
-    bulk writers can never deadlock).
-    """
-
-    #: Pool fan-out pays a submit/wake/result round trip per shard; for
-    #: small per-shard batches the sequential loop wins outright (the
-    #: EXP-10 regression this bound fixes).  Fan out only when every
-    #: touched shard has at least this many keys to look up.
-    FANOUT_THRESHOLD = 32
-
-    def __init__(self, schema: Schema, shards: int = 8, workers: int = 0,
-                 fanout_threshold: int | None = None):
-        if shards < 1:
-            raise StorageError(f"shard count must be >= 1, got {shards}")
-        if workers < 0:
-            raise StorageError(f"worker count must be >= 0, got {workers}")
-        super().__init__(schema)
-        self.shards = shards
-        self.workers = workers
-        self.fanout_threshold = (self.FANOUT_THRESHOLD
-                                 if fanout_threshold is None
-                                 else max(0, fanout_threshold))
-        self._rows: dict[str, list[dict[Row, None]]] = {
-            name: [{} for _ in range(shards)]
-            for name in schema.relation_names()}
-        # id(attached constraint) -> one AccessIndex per shard.
-        self._indexes: dict[int, list[AccessIndex]] = {}
-        self._locks = [threading.RLock() for _ in range(shards)]
-        # Generation bumps are read-modify-writes shared by writers
-        # that may hold *disjoint* shard-lock sets; they serialize on
-        # this dedicated lock so no bump is ever lost.
-        self._generation_lock = threading.Lock()
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-
-    # -- shard plumbing ----------------------------------------------------
-
-    # Shard placement is fixed as ``hash(key) % shards`` and inlined on
-    # the hot read paths below — readers and writers must always agree
-    # on it, so it is deliberately NOT an override hook (implement the
-    # StorageBackend protocol for a different partitioning scheme).
-    def _shard_of(self, key: Hashable) -> int:
-        return hash(key) % self.shards
-
-    def _indexes_by_relation(self, relation_name: str
-                             ) -> list[list[AccessIndex]]:
-        return [shard_indexes
-                for shard_indexes in self._indexes.values()
-                if shard_indexes[0].constraint.relation_name
-                == relation_name]
-
-    def _use_pool(self, key_count: int, touched: int) -> bool:
-        """Fan out to the thread pool only when the batch is big enough
-        to amortize the per-shard submit/result round trips."""
-        return (self.workers > 0 and touched > 1
-                and key_count >= self.fanout_threshold * touched)
-
-    def _pool_instance(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="repro-shard")
-            return self._pool
-
-    # -- writes ------------------------------------------------------------
-
-    def attach_access_schema(self, access_schema: AccessSchema) -> None:
-        with self._all_locks(), span("encode"):
-            # Build fully, then publish with single assignments, as in
-            # MemoryBackend: lock-free readers never see a partial map.
-            indexes: dict[int, list[AccessIndex]] = {}
-            encode_row = self.dictionary.encode_row
-            for constraint in access_schema:
-                relation = constraint.validate_against(self.schema)
-                shard_indexes = [AccessIndex(constraint, relation,
-                                             self.dictionary)
-                                 for _ in range(self.shards)]
-                x_positions = shard_indexes[0].x_positions
-                for shard in self._rows[constraint.relation_name]:
-                    for row in shard:
-                        x_value = tuple(row[i] for i in x_positions)
-                        shard_indexes[self._shard_of(x_value)].add(
-                            row, encode_row(row))
-                indexes[id(constraint)] = shard_indexes
-            self._indexes = indexes
-            self.access_schema = access_schema
-            self._reset_resolutions()
-            # As in MemoryBackend: maintained entries predate this
-            # constraint->index mapping; listeners must invalidate.
-            with self._generation_lock:
-                self._notify_wipes()
-
-    def _all_locks(self):
-        class _Held:
-            def __init__(self, locks):
-                self.locks = locks
-
-            def __enter__(self):
-                for lock in self.locks:
-                    lock.acquire()
-
-            def __exit__(self, *exc):
-                for lock in reversed(self.locks):
-                    lock.release()
-        return _Held(self._locks)
-
-    def _apply_rows(self, relation_name: str, rows: Iterable[Row],
-                    deleting: bool) -> int:
-        """Shared insert/delete body: group the batch by the shard
-        locks it needs, mutate under them in ascending order, bump the
-        generation last."""
-        shards = self._rows[relation_name]
-        batch = [tuple(row) for row in rows]
-        if not batch:
-            return 0
-        while True:
-            index_families = self._indexes_by_relation(relation_name)
-            changed = self._apply_planned(relation_name, shards, batch,
-                                          index_families, deleting)
-            if changed is not None:
-                return changed
-            # attach_access_schema swapped the indexes between planning
-            # and locking; replan against the fresh ones.
-
-    def _apply_planned(self, relation_name: str,
-                       shards: list[dict[Row, None]], batch: list[Row],
-                       index_families: list[list[AccessIndex]],
-                       deleting: bool) -> int | None:
-        """One planned write attempt; returns None when the planned
-        index generation went stale before the locks were acquired."""
-        changed = 0
-        # Plan each row's touched shards first so locks are taken in
-        # ascending order exactly once per batch.
-        touched: set[int] = set()
-        placements = []  # (row, row_shard, [(shard_indexes, index_shard)])
-        for row in batch:
-            row_shard = self._shard_of(row)
-            index_targets = []
-            for shard_indexes in index_families:
-                x_positions = shard_indexes[0].x_positions
-                x_value = tuple(row[i] for i in x_positions)
-                index_shard = self._shard_of(x_value)
-                index_targets.append((shard_indexes, index_shard))
-                touched.add(index_shard)
-            touched.add(row_shard)
-            placements.append((row, row_shard, index_targets))
-        ordered = sorted(touched)
-        for shard_id in ordered:
-            self._locks[shard_id].acquire()
-        try:
-            # attach_access_schema rebuilds under ALL shard locks, so
-            # holding any lock means it is not mid-flight — but it may
-            # have completed between planning and here, orphaning the
-            # planned index objects.  Verify and replan if so.
-            if self._indexes_by_relation(relation_name) != index_families:
-                return None
-            encode_row = self.dictionary.encode_row
-            recorder = self._recorder(relation_name)
-            for row, row_shard, index_targets in placements:
-                store = shards[row_shard]
-                if deleting:
-                    if row not in store:
-                        continue
-                    del store[row]
-                    coded = (encode_row(row) if index_targets
-                             and recorder is not None else None)
-                    for shard_indexes, index_shard in index_targets:
-                        if (shard_indexes[index_shard].remove(row, coded)
-                                and recorder is not None):
-                            recorder.removed(shard_indexes[index_shard],
-                                             row, coded)
-                else:
-                    if row in store:
-                        continue
-                    store[row] = None
-                    if index_targets:
-                        coded = encode_row(row)  # once per row, all indexes
-                        for shard_indexes, index_shard in index_targets:
-                            if (shard_indexes[index_shard].add(row, coded)
-                                    and recorder is not None):
-                                recorder.added(shard_indexes[index_shard],
-                                               row, coded)
-                changed += 1
-            if changed:
-                # Post-index bump, same contract as MemoryBackend; the
-                # dedicated lock keeps concurrent disjoint-shard
-                # writers from losing a bump, and orders the delta
-                # notifications with the bumps they describe.
-                with self._generation_lock:
-                    old = self._generations[relation_name]
-                    self._generations[relation_name] = old + 1
-                    if recorder is not None:
-                        self._notify(recorder.finish(old, old + 1))
-        finally:
-            for shard_id in reversed(ordered):
-                self._locks[shard_id].release()
-        return changed
-
-    def insert_rows(self, relation_name: str, rows: Iterable[Row]) -> int:
-        return self._apply_rows(relation_name, rows, deleting=False)
-
-    def delete_rows(self, relation_name: str, rows: Iterable[Row]) -> int:
-        return self._apply_rows(relation_name, rows, deleting=True)
-
-    def clear(self) -> None:
-        with self._all_locks():
-            for shards in self._rows.values():
-                for shard in shards:
-                    shard.clear()
-            for shard_indexes in self._indexes.values():
-                for index in shard_indexes:
-                    index.remove_all()
-            with self._generation_lock:
-                for name in self._generations:
-                    self._generations[name] += 1
-                self._notify_wipes()
-
-    # -- reads -------------------------------------------------------------
-
-    def scan(self, relation_name: str) -> list[Row]:
-        rows: list[Row] = []
-        for shard_id, shard in enumerate(self._rows[relation_name]):
-            with self._locks[shard_id]:
-                rows.extend(shard)
-        return rows
-
-    def relation_size(self, relation_name: str) -> int:
-        return sum(len(shard) for shard in self._rows[relation_name])
-
-    def contains(self, relation_name: str, row: Row) -> bool:
-        return row in self._rows[relation_name][self._shard_of(row)]
-
-    def fetch_many(self, constraint: AccessConstraint,
-                   x_values: Sequence[Row]) -> list[list[Row]]:
-        (_, _, key_perm, row_proj, dedup), shard_indexes = \
-            self._resolved_indexes(constraint)
-        keys = self._permute_keys(x_values, key_perm)
-        shards = self.shards
-        count = len(keys)
-        if count == 1:
-            # Singleton batches skip the scatter machinery entirely.
-            shard_id = hash(keys[0]) % shards
-            with self._locks[shard_id]:
-                results = shard_indexes[shard_id].lookup_many(keys)
-        else:
-            buckets: list[list[int]] = [[] for _ in range(shards)]
-            for position, key in enumerate(keys):
-                buckets[hash(key) % shards].append(position)
-            touched = [shard_id for shard_id in range(shards)
-                       if buckets[shard_id]]
-            results = [()] * count  # type: ignore[list-item]
-            if len(touched) == 1:
-                shard_id = touched[0]
-                with self._locks[shard_id]:
-                    results = shard_indexes[shard_id].lookup_many(keys)
-            elif self._use_pool(count, len(touched)):
-                pool = self._pool_instance()
-                futures = [
-                    pool.submit(self._lookup_shard, shard_indexes,
-                                shard_id, keys, buckets[shard_id], results)
-                    for shard_id in touched]
-                for future in futures:
-                    future.result()
-            else:
-                for shard_id in touched:
-                    self._lookup_shard(shard_indexes, shard_id, keys,
-                                       buckets[shard_id], results)
-        if row_proj is not None:
-            return [self._project(rows, row_proj, dedup)
-                    for rows in results]
-        return results
-
-    def _lookup_shard(self, shard_indexes: list[AccessIndex],
-                      shard_id: int, keys: Sequence[Row],
-                      positions: list[int], out: list) -> None:
-        with self._locks[shard_id]:
-            shard_indexes[shard_id].lookup_scatter(keys, positions, out)
-
-    def fetch_flat(self, constraint: AccessConstraint,
-                   x_values: Sequence[Row]) -> list[Row]:
-        (_, _, key_perm, row_proj, _), shard_indexes = \
-            self._resolved_indexes(constraint)
-        if row_proj is not None:  # projection needs per-X deduplication
-            return StorageBackend.fetch_flat(self, constraint, x_values)
-        keys = self._permute_keys(x_values, key_perm)
-        shards = self.shards
-        if len(keys) == 1:
-            shard_id = hash(keys[0]) % shards
-            with self._locks[shard_id]:
-                return shard_indexes[shard_id].lookup_flat(keys)
-        buckets: list[list[Row]] = [[] for _ in range(shards)]
-        for key in keys:
-            buckets[hash(key) % shards].append(key)
-        touched = [shard_id for shard_id in range(shards)
-                   if buckets[shard_id]]
-        if self._use_pool(len(keys), len(touched)):
-            pool = self._pool_instance()
-            futures = [pool.submit(self._lookup_shard_flat, shard_indexes,
-                                   shard_id, buckets[shard_id])
-                       for shard_id in touched]
-            rows: list[Row] = []
-            for future in futures:
-                rows.extend(future.result())
-            return rows
-        rows = []
-        for shard_id in touched:
-            with self._locks[shard_id]:
-                rows.extend(
-                    shard_indexes[shard_id].lookup_flat(buckets[shard_id]))
-        return rows
-
-    def _lookup_shard_flat(self, shard_indexes: list[AccessIndex],
-                           shard_id: int, keys: list[Row]) -> list[Row]:
-        with self._locks[shard_id]:
-            return shard_indexes[shard_id].lookup_flat(keys)
-
-    # -- the encoded fetch surface -----------------------------------------
-
-    def _shard_of_code_key(self, key, scalar: bool) -> int:
-        """Shard placement for a *code* key.  Writers place groups by
-        X-*value* hash, so readers decode the (few, distinct) keys back
-        to values purely for placement — group data itself stays
-        encoded end to end."""
-        decode = self.dictionary.decode
-        x_value = ((decode(key),) if scalar
-                   else tuple(decode(code) for code in key))
-        return hash(x_value) % self.shards
-
-    def fetch_many_encoded(self, constraint: AccessConstraint,
-                           keys: Sequence) -> list[tuple[tuple, int]]:
-        (_, _, key_perm, row_proj, dedup), shard_indexes = \
-            self._resolved_indexes(constraint)
-        keys = self._permute_keys(keys, key_perm)
-        scalar = shard_indexes[0].scalar_key
-        count = len(keys)
-        if count == 1:
-            shard_id = self._shard_of_code_key(keys[0], scalar)
-            with self._locks[shard_id]:
-                return shard_indexes[shard_id].lookup_many_encoded(
-                    keys, row_proj, dedup)
-        buckets: list[list[int]] = [[] for _ in range(self.shards)]
-        for position, key in enumerate(keys):
-            buckets[self._shard_of_code_key(key, scalar)].append(position)
-        touched = [shard_id for shard_id in range(self.shards)
-                   if buckets[shard_id]]
-        out: list = [None] * count
-        if len(touched) == 1:
-            shard_id = touched[0]
-            with self._locks[shard_id]:
-                return shard_indexes[shard_id].lookup_many_encoded(
-                    keys, row_proj, dedup)
-        if self._use_pool(count, len(touched)):
-            pool = self._pool_instance()
-            futures = [
-                pool.submit(self._lookup_shard_encoded, shard_indexes,
-                            shard_id, keys, buckets[shard_id], out,
-                            row_proj, dedup)
-                for shard_id in touched]
-            for future in futures:
-                future.result()
-        else:
-            for shard_id in touched:
-                self._lookup_shard_encoded(shard_indexes, shard_id, keys,
-                                           buckets[shard_id], out,
-                                           row_proj, dedup)
-        return out
-
-    def _lookup_shard_encoded(self, shard_indexes: list[AccessIndex],
-                              shard_id: int, keys: Sequence,
-                              positions: list[int], out: list,
-                              row_proj, dedup) -> None:
-        with self._locks[shard_id]:
-            shard_indexes[shard_id].lookup_scatter_encoded(
-                keys, positions, out, row_proj, dedup)
-
-    def fetch_flat_encoded(self, constraint: AccessConstraint,
-                           keys: Sequence) -> tuple[list, int]:
-        (_, _, key_perm, row_proj, dedup), shard_indexes = \
-            self._resolved_indexes(constraint)
-        keys = self._permute_keys(keys, key_perm)
-        scalar = shard_indexes[0].scalar_key
-        if len(keys) == 1:
-            shard_id = self._shard_of_code_key(keys[0], scalar)
-            with self._locks[shard_id]:
-                return shard_indexes[shard_id].lookup_flat_encoded(
-                    keys, row_proj, dedup)
-        buckets: list[list] = [[] for _ in range(self.shards)]
-        for key in keys:
-            buckets[self._shard_of_code_key(key, scalar)].append(key)
-        touched = [shard_id for shard_id in range(self.shards)
-                   if buckets[shard_id]]
-        if self._use_pool(len(keys), len(touched)):
-            pool = self._pool_instance()
-            futures = [
-                pool.submit(self._lookup_shard_flat_encoded, shard_indexes,
-                            shard_id, buckets[shard_id], row_proj, dedup)
-                for shard_id in touched]
-            parts = [future.result() for future in futures]
-        else:
-            parts = [self._lookup_shard_flat_encoded(
-                shard_indexes, shard_id, buckets[shard_id], row_proj, dedup)
-                for shard_id in touched]
-        width = (shard_indexes[0].width if row_proj is None
-                 else len(row_proj))
-        out = [int_column() for _ in range(width)]
-        total = 0
-        for cols, length in parts:
-            if not length:
-                continue
-            if not total:
-                out = cols  # adopt the first non-empty shard's arrays
-            else:
-                for i in range(width):
-                    out[i].extend(cols[i])
-            total += length
-        return out, total
-
-    def _lookup_shard_flat_encoded(self, shard_indexes: list[AccessIndex],
-                                   shard_id: int, keys: list,
-                                   row_proj, dedup) -> tuple[list, int]:
-        with self._locks[shard_id]:
-            return shard_indexes[shard_id].lookup_flat_encoded(
-                keys, row_proj, dedup)
-
-    def constraint_groups(self, constraint: AccessConstraint
-                          ) -> Iterator[tuple[Row, int]]:
-        _, shard_indexes = self._resolved_indexes(constraint)
-        snapshot: list[tuple[Row, int]] = []
-        for shard_id, index in enumerate(shard_indexes):
-            with self._locks[shard_id]:
-                snapshot.extend((x, index.group_size(x))
-                                for x in index.x_values())
-        return iter(snapshot)
-
-    def indexes_for(self, relation_name: str) -> list[AccessIndex]:
-        return [index
-                for shard_indexes in self._indexes_by_relation(relation_name)
-                for index in shard_indexes]
-
-    def describe(self) -> str:
-        suffix = f", workers={self.workers}" if self.workers else ""
-        return f"sharded(shards={self.shards}{suffix})"
-
-    def close(self) -> None:
-        """Shut down the lazily created lookup pool (idempotent)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False)
+BACKENDS = ("memory", "disk", "procshard")
 
 
-BACKENDS = ("memory", "sharded", "disk", "procshard")
-
-
-def make_backend(name: str, schema: Schema, *, shards: int = 8,
-                 workers: int = 0, replicas: int = 0, data_dir=None,
-                 fsync: bool = False,
+def make_backend(name: str, schema: Schema, *, workers: int = 4,
+                 replicas: int = 0, data_dir=None, fsync: bool = False,
                  rpc_timeout_s: float | None = None) -> StorageBackend:
     """Build a backend by name — the CLI's ``--backend`` hook.
 
-    ``workers`` means the lookup thread-pool size for ``sharded``
-    (CLI: ``--shard-threads``) and the shard *process* count for
-    ``procshard`` (CLI: ``--shard-workers``); ``replicas`` is the
+    ``workers`` is the shard *process* count, ``replicas`` the
     WAL-shipped read-replica process count and ``rpc_timeout_s`` the
-    per-RPC peer timeout for ``procshard`` (CLI: ``--rpc-timeout``).
+    per-RPC peer timeout for ``procshard`` (CLI: ``--shard-workers``,
+    ``--replicas``, ``--rpc-timeout``); ``data_dir`` and ``fsync``
+    configure ``disk`` and a disk-backed ``procshard`` writer.
 
     Adding an engine means implementing :class:`StorageBackend` and
-    registering it here (see README, "Adding a storage backend").
+    registering it here (see docs/ARCHITECTURE.md, "Adding a backend").
     """
     if name == "memory":
         return MemoryBackend(schema)
-    if name == "sharded":
-        return ShardedBackend(schema, shards=shards, workers=workers)
     if name == "disk":
         if data_dir is None:
             raise StorageError(
@@ -1079,7 +609,7 @@ def make_backend(name: str, schema: Schema, *, shards: int = 8,
     if name == "procshard":
         from .procshard import ProcessShardedBackend  # deferred, as above
         return ProcessShardedBackend(
-            schema, workers=workers or 4, replicas=replicas,
+            schema, workers=workers, replicas=replicas,
             data_dir=data_dir, fsync=fsync, rpc_timeout_s=rpc_timeout_s)
     raise StorageError(
         f"unknown storage backend {name!r}; available: "

@@ -8,7 +8,7 @@ while the actual rows and per-constraint indexes live behind the
 engine at construction time::
 
     Database(schema)                                   # MemoryBackend
-    Database(schema, backend=ShardedBackend(schema, shards=16))
+    Database(schema, backend=DiskBackend(schema, "data/"))
 
 Everything above storage goes through this facade, and the facade goes
 through the backend protocol — there is no other road to the rows, so

@@ -220,18 +220,6 @@ class AccessIndex:
                 out.extend([key + y_value for y_value in group])
         return out
 
-    def lookup_scatter(self, keys: Sequence[Tuple], positions: Sequence[int],
-                       out: list) -> None:
-        """Scatter variant for sharded engines: look up
-        ``keys[p]`` for each ``p`` in ``positions`` and write the rows
-        into ``out[p]`` — no per-shard gather lists, no realignment."""
-        groups = self._groups
-        for position in positions:
-            key = keys[position]
-            group = groups.get(key)
-            out[position] = ([key + y_value for y_value in group]
-                             if group else [])
-
     # -- the encoded fetch surface ----------------------------------------
 
     def lookup_flat_encoded(self, keys: Sequence,
@@ -305,16 +293,6 @@ class AccessIndex:
         """Batched :meth:`lookup_one_encoded`, aligned with ``keys``."""
         return [self.lookup_one_encoded(key, row_proj, dedup)
                 for key in keys]
-
-    def lookup_scatter_encoded(self, keys: Sequence,
-                               positions: Sequence[int], out: list,
-                               row_proj: "tuple[int, ...] | None" = None,
-                               dedup: bool = False) -> None:
-        """Scatter variant of :meth:`lookup_many_encoded` for sharded
-        engines."""
-        for position in positions:
-            out[position] = self.lookup_one_encoded(keys[position],
-                                                    row_proj, dedup)
 
     def lookup_y(self, x_value: Tuple) -> list[Tuple]:
         """Distinct Y-projections only."""

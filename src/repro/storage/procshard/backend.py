@@ -148,9 +148,8 @@ class ProcessShardedBackend(StorageBackend):
     store is in-memory and replicas are unavailable.
     """
 
-    #: Same rationale as :attr:`ShardedBackend.FANOUT_THRESHOLD`, but
-    #: for pipe round trips instead of pool submits: below this many
-    #: keys the coordinator's local index wins outright.
+    #: Every fan-out pays one pipe round trip per touched worker; below
+    #: this many keys the coordinator's local index wins outright.
     FANOUT_THRESHOLD = 32
 
     #: How long a single RPC may take before the peer is declared dead

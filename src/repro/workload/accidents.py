@@ -110,7 +110,7 @@ def simple_accidents(scale: AccidentScale | None = None,
 
     Total size is roughly ``days * max_accidents_per_day / 2 *
     (1 + 2 * mean_casualties)`` tuples.  ``backend_factory`` picks the
-    storage engine, e.g. ``lambda s: ShardedBackend(s, shards=16)``
+    storage engine, e.g. ``disk_backend_factory(data_dir)``
     (default: the in-memory engine).
     """
     scale = scale or AccidentScale()

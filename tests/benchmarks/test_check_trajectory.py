@@ -30,7 +30,7 @@ BASELINE = {
         "fetch_cache_hit_rate": 0.93,
         "warm_speedup": 11.7,
         "cold_ms_per_request": 2.27,
-        "end_to_end_median_ms": {"memory": 14.6, "sharded": 11.2},
+        "end_to_end_median_ms": {"memory": 14.6, "disk": 11.2},
         "rule_firings": {"dead-step": 299, "unit-product": 30},
     },
 }
@@ -89,7 +89,7 @@ class TestGate:
         baseline, fresh = dirs
         write(fresh, fresh_payload(
             warm_speedup=3.0, cold_ms_per_request=9.99,
-            end_to_end_median_ms={"memory": 80.0, "sharded": 60.0}))
+            end_to_end_median_ms={"memory": 80.0, "disk": 60.0}))
         code, out = run(baseline, fresh, capsys)
         assert code == 0
         assert "WARN EXP-T warm_speedup" in out
@@ -130,7 +130,7 @@ class TestGate:
         write(fresh, fresh_payload(end_to_end_median_ms={"memory": 14.6}))
         code, out = run(baseline, fresh, capsys)
         assert code == 1
-        assert "FAIL EXP-T end_to_end_median_ms.sharded: missing" in out
+        assert "FAIL EXP-T end_to_end_median_ms.disk: missing" in out
 
     def test_missing_metric_fails(self, dirs, capsys):
         baseline, fresh = dirs
@@ -298,14 +298,14 @@ class TestHardGates:
         baseline, fresh = tmp_path / "b", tmp_path / "f"
         payload = copy.deepcopy(BASELINE)
         payload["gates"] = {
-            "end_to_end_median_ms.sharded": {"max_increase_pct": 10.0}}
+            "end_to_end_median_ms.disk": {"max_increase_pct": 10.0}}
         write(baseline, payload)
         over = fresh_payload(
-            end_to_end_median_ms={"memory": 14.6, "sharded": 13.0})
+            end_to_end_median_ms={"memory": 14.6, "disk": 13.0})
         write(fresh, over)
         code, out = run(baseline, fresh, capsys)
         assert code == 1
-        assert ("FAIL EXP-T end_to_end_median_ms.sharded: hard gate"
+        assert ("FAIL EXP-T end_to_end_median_ms.disk: hard gate"
                 in out)
 
     def test_lookup_prefers_literal_keys_with_dots(self):

@@ -93,21 +93,6 @@ def test_run_falls_back_to_scan(db_dir, capsys):
     assert "5 answer(s)" in out
 
 
-def test_run_sharded_backend_same_answers(db_dir, capsys):
-    assert main(["run", "--db", db_dir, Q0]) == 0
-    memory_out = capsys.readouterr().out
-    assert "storage: memory" in memory_out
-    assert main(["run", "--db", db_dir, "--backend", "sharded",
-                 "--shards", "4", Q0]) == 0
-    sharded_out = capsys.readouterr().out
-    assert "storage: sharded(shards=4)" in sharded_out
-    # Identical answers and identical access accounting on both engines.
-    assert "(34,)" in sharded_out and "(51,)" in sharded_out
-    assert "2 answer(s)" in sharded_out
-    assert memory_out.split("storage: memory\n")[1].splitlines()[0] == \
-        sharded_out.split("storage: sharded(shards=4)\n")[1].splitlines()[0]
-
-
 def test_run_procshard_backend_same_answers(db_dir, capsys):
     assert main(["run", "--db", db_dir, Q0]) == 0
     memory_out = capsys.readouterr().out
@@ -139,12 +124,24 @@ def test_run_procshard_replicas_without_data_dir_is_actionable(
     assert "--data-dir" in capsys.readouterr().err
 
 
-def test_run_sharded_shard_threads_flag(db_dir, capsys):
-    assert main(["run", "--db", db_dir, "--backend", "sharded",
-                 "--shards", "4", "--shard-threads", "2", Q0]) == 0
-    out = capsys.readouterr().out
-    assert "storage: sharded(shards=4, workers=2)" in out
-    assert "2 answer(s)" in out
+def test_run_procshard_zero_workers_is_rejected(db_dir, capsys):
+    assert main(["run", "--db", db_dir, "--backend", "procshard",
+                 "--shard-workers", "0", Q0]) == 2
+    assert "at least one worker process" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--backend", "sharded"],
+    ["--shards", "4"],
+    ["--shard-threads", "2"],
+], ids=["backend-sharded", "shards", "shard-threads"])
+def test_run_rejects_removed_thread_sharded_options(db_dir, capsys, args):
+    """The thread-sharded engine and its flags are gone: argparse
+    refuses them with its usage error rather than ignoring them."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--db", db_dir, *args, Q0])
+    assert exit_info.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_run_disk_backend_same_answers_and_recovers(db_dir, tmp_path,
@@ -179,14 +176,15 @@ def test_bench_service_disk_backend(db_dir, tmp_path, capsys):
     assert "2 answer(s)" in out
 
 
-def test_batch_sharded_backend(db_dir, tmp_path, capsys):
+def test_batch_disk_backend(db_dir, tmp_path, capsys):
     requests = tmp_path / "requests.json"
     requests.write_text(json.dumps({
         "requests": [
             {"query": "Q(d) :- Accident(aid, d, t), aid = 'a4'"},
         ],
     }))
-    assert main(["batch", "--db", db_dir, "--backend", "sharded",
+    assert main(["batch", "--db", db_dir, "--backend", "disk",
+                 "--data-dir", str(tmp_path / "durable"),
                  str(requests)]) == 0
     out = capsys.readouterr().out
     assert "1 answer(s) [bounded" in out

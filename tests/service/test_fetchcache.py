@@ -234,10 +234,12 @@ class TestServiceNeverServesStaleRows:
         for outcome in report.outcomes:
             assert outcome.result.answers == {(10,), (11,), (99,)}
 
-    @pytest.mark.parametrize("backend_name", ["memory", "sharded"])
-    def test_deletes_interleaved_with_service_traffic(self, backend_name):
+    @pytest.mark.parametrize("backend_name",
+                             ["memory", "disk", "procshard"])
+    def test_deletes_interleaved_with_service_traffic(self, backend_name,
+                                                      tmp_path):
         """Writes *and deletes* between requests are always visible on
-        both storage engines — cached fetches never outlive their
+        every storage engine — cached fetches never outlive their
         generation."""
         from repro.storage.backend import make_backend
         schema = Schema.from_dict({"R": ("A", "B")})
@@ -245,7 +247,8 @@ class TestServiceNeverServesStaleRows:
                               [AccessConstraint("R", ("A",), ("B",), 8)])
         database = Database(
             schema, access,
-            backend=make_backend(backend_name, schema, shards=4))
+            backend=make_backend(backend_name, schema, workers=2,
+                                 data_dir=tmp_path))
         database.insert_many("R", [(1, 10), (1, 11), (2, 20)])
         service = BoundedQueryService(database)
         service.register_template("t", "Q(y) :- R(x, y), x = $a")
@@ -258,8 +261,10 @@ class TestServiceNeverServesStaleRows:
         assert service.execute_template("t", {"a": 1}).answers == {(12,)}
         assert service.execute_template("t", {"a": 2}).answers == {(20,)}
 
-    @pytest.mark.parametrize("backend_name", ["memory", "sharded"])
-    def test_concurrent_writer_and_batches_converge(self, backend_name):
+    @pytest.mark.parametrize("backend_name",
+                             ["memory", "disk", "procshard"])
+    def test_concurrent_writer_and_batches_converge(self, backend_name,
+                                                    tmp_path):
         """A writer racing concurrent service batches: every batch
         answer reflects some prefix-consistent state, and once writes
         stop the service observes the final rows exactly."""
@@ -272,7 +277,8 @@ class TestServiceNeverServesStaleRows:
                               [AccessConstraint("R", ("A",), ("B",), 256)])
         database = Database(
             schema, access,
-            backend=make_backend(backend_name, schema, shards=4))
+            backend=make_backend(backend_name, schema, workers=2,
+                                 data_dir=tmp_path))
         database.insert("R", (1, 0))
         service = BoundedQueryService(database)
         service.register_template("t", "Q(y) :- R(x, y), x = $a")

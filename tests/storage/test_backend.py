@@ -14,8 +14,7 @@ from repro.core import is_boundedly_evaluable
 from repro.engine import Executor
 from repro.query import parse_query
 from repro.service import CachingExecutor, FetchCache
-from repro.storage.backend import (MemoryBackend, ShardedBackend,
-                                   make_backend)
+from repro.storage.backend import MemoryBackend, make_backend
 from repro.storage.disk import DiskBackend
 
 
@@ -28,21 +27,26 @@ def _disk_backend(schema):
     return backend
 
 
-def _procshard_backend(schema):
-    """A one-worker process-sharded backend with RPC forced on (zero
-    fan-out threshold), so every encoded fetch crosses a pipe."""
+def _procshard_backend(schema, workers=1, fanout_threshold=0):
+    """A process-sharded backend.  The default zero fan-out threshold
+    forces RPC on, so every encoded fetch crosses a pipe; with two
+    workers each X-key lives on one of them."""
     from repro.storage.procshard import ProcessShardedBackend
-    return ProcessShardedBackend(schema, workers=1, fanout_threshold=0)
+    return ProcessShardedBackend(schema, workers=workers,
+                                 fanout_threshold=fanout_threshold)
 
 
 BACKEND_FACTORIES = [
     pytest.param(lambda schema: MemoryBackend(schema), id="memory"),
-    pytest.param(lambda schema: ShardedBackend(schema, shards=4),
-                 id="sharded"),
-    pytest.param(lambda schema: ShardedBackend(schema, shards=4, workers=2),
-                 id="sharded-pool"),
     pytest.param(_disk_backend, id="disk"),
     pytest.param(_procshard_backend, id="procshard"),
+    pytest.param(lambda schema: _procshard_backend(schema, workers=2),
+                 id="procshard-2w"),
+    # The shipped default threshold: the small batches here are served
+    # from the coordinator's own store while writes still ship to the
+    # workers.
+    pytest.param(lambda schema: _procshard_backend(
+        schema, workers=2, fanout_threshold=None), id="procshard-local"),
 ]
 
 
@@ -217,85 +221,9 @@ class TestConstraintResolutionProjection:
         assert result.answers == {("x",)}
 
 
-class TestShardedLayout:
-    def test_rows_partition_across_shards(self, schema, aschema):
-        backend = ShardedBackend(schema, shards=4)
-        db = Database(schema, aschema, backend=backend)
-        rows = [(i, f"b{i}", i) for i in range(40)]
-        db.insert_many("R", rows)
-        shard_sizes = [len(shard) for shard in backend._rows["R"]]
-        assert sum(shard_sizes) == 40
-        assert sum(1 for size in shard_sizes if size) > 1
-        # Every index group lives in exactly one shard, keyed by X.
-        seen = {}
-        for index in backend.indexes_for("R"):
-            for x_value in index.x_values():
-                assert x_value not in seen, "X-key split across shards"
-                seen[x_value] = True
-
-    def test_close_shuts_down_lookup_pool(self, schema, aschema):
-        # fanout_threshold=0 forces the pool path even for this small
-        # batch; the default threshold is exercised separately below.
-        backend = ShardedBackend(schema, shards=4, workers=2,
-                                 fanout_threshold=0)
-        db = Database(schema, aschema, backend=backend)
-        db.insert_many("R", [(i, f"b{i}", i) for i in range(20)])
-        constraint = aschema.constraints[0]
-        db.fetch_many(constraint, [(i,) for i in range(20)])
-        assert backend._pool is not None
-        backend.close()
-        backend.close()  # idempotent
-        assert backend._pool is None
-        # The backend keeps answering (a fresh pool spins up lazily).
-        assert db.fetch(constraint, (1,)) == [(1, "b1", 1)]
-
-    def test_invalid_parameters_rejected(self, schema):
-        with pytest.raises(StorageError, match="shard count"):
-            ShardedBackend(schema, shards=0)
-        with pytest.raises(StorageError, match="worker count"):
-            ShardedBackend(schema, workers=-1)
-
-    def test_small_batches_skip_the_pool(self, schema, aschema):
-        """Below ``fanout_threshold`` keys per touched shard, lookups
-        run sequentially: no pool is ever created, so tiny batches pay
-        zero submit/synchronization overhead."""
-        backend = ShardedBackend(schema, shards=4, workers=2)
-        db = Database(schema, aschema, backend=backend)
-        db.insert_many("R", [(i, f"b{i}", i) for i in range(40)])
-        constraint = aschema.constraints[0]
-        small = [(i,) for i in range(8)]
-        assert db.fetch_many(constraint, small) == \
-            [[(i, f"b{i}", i)] for i in range(8)]
-        db.fetch_flat(constraint, small)
-        backend.fetch_flat_encoded(
-            constraint, [backend.dictionary.encode(i) for i in range(8)])
-        assert backend._pool is None
-
-    def test_large_batches_use_the_pool(self, schema, aschema):
-        backend = ShardedBackend(schema, shards=2, workers=2)
-        db = Database(schema, aschema, backend=backend)
-        count = backend.fanout_threshold * 2 + 8  # over both shards
-        db.insert_many("R", [(i, f"b{i}", i) for i in range(count)])
-        constraint = aschema.constraints[0]
-        rows = db.fetch_many(constraint, [(i,) for i in range(count)])
-        assert rows == [[(i, f"b{i}", i)] for i in range(count)]
-        assert backend._pool is not None
-        backend.close()
-
-    def test_fanout_threshold_is_configurable(self, schema):
-        assert ShardedBackend(schema, workers=2).fanout_threshold == \
-            ShardedBackend.FANOUT_THRESHOLD
-        assert ShardedBackend(
-            schema, workers=2, fanout_threshold=7).fanout_threshold == 7
-        # Negative thresholds clamp to "always fan out".
-        assert ShardedBackend(
-            schema, workers=2, fanout_threshold=-3).fanout_threshold == 0
-
+class TestBackendFactoryAndFacade:
     def test_make_backend_factory(self, schema, tmp_path):
         assert isinstance(make_backend("memory", schema), MemoryBackend)
-        sharded = make_backend("sharded", schema, shards=3, workers=1)
-        assert isinstance(sharded, ShardedBackend)
-        assert sharded.shards == 3 and sharded.workers == 1
         disk = make_backend("disk", schema, data_dir=tmp_path / "d")
         assert isinstance(disk, DiskBackend)
         disk.close()
@@ -310,20 +238,25 @@ class TestShardedLayout:
             make_backend("procshard", schema, workers=1, replicas=1)
         with pytest.raises(StorageError, match="worker process"):
             ProcessShardedBackend(schema, workers=0)
+        # Passed through, not silently replaced by the default of 4.
+        with pytest.raises(StorageError,
+                           match="at least one worker process"):
+            make_backend("procshard", schema, workers=0)
         with pytest.raises(StorageError, match="unknown storage backend"):
             make_backend("paper-tape", schema)
 
     def test_with_backend_rehomes_rows_and_schema(self, schema, aschema):
         db = Database(schema, aschema)
         db.insert_many("R", [(i, f"b{i}", i) for i in range(10)])
-        clone = db.with_backend(ShardedBackend(schema, shards=4))
+        clone = db.with_backend(_disk_backend(schema))
         assert sorted(clone.relation_tuples("R")) == \
             sorted(db.relation_tuples("R"))
         assert clone.access_schema is db.access_schema
         constraint = aschema.constraints[0]
         assert sorted(clone.fetch(constraint, (3,))) == \
             sorted(db.fetch(constraint, (3,)))
-        assert clone.backend.describe().startswith("sharded")
+        assert clone.backend.describe().startswith("disk")
+        clone.backend.close()
 
     def test_resolution_memo_is_bounded(self, schema, aschema):
         backend = MemoryBackend(schema)

@@ -3,7 +3,7 @@ durable generations, and service restart round-trips.
 
 Every recovered state is compared against a :class:`MemoryBackend`
 oracle that applied the same effective writes — as *sets*, never
-ordered (sharded/disk iteration order carries no meaning).
+ordered (disk iteration order carries no meaning).
 """
 
 from __future__ import annotations
