@@ -218,13 +218,13 @@ def per_operator_rates(db, queries, repeat=REPEAT):
     executor = Executor(db)
     totals: dict[str, list[float]] = defaultdict(lambda: [0.0, 0])
     for _, physical in compiled_plans(db, queries):
-        spec = specialized_plan(physical, db.dictionary)
+        spec, consts = specialized_plan(physical, db.dictionary)
         for _ in range(repeat):
             stats = AccessStats()
             batches = []
             for step, op_name in zip(spec.steps, spec.labels):
                 start = time.perf_counter()
-                batch = step(batches, executor, stats)
+                batch = step(batches, consts, executor, stats)
                 elapsed = time.perf_counter() - start
                 totals[op_name][0] += elapsed
                 totals[op_name][1] += batch.length

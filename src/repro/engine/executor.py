@@ -8,8 +8,9 @@ from storage as pre-encoded ``array('q')`` columns, joins hash int
 codes instead of value tuples, and the only Python-value work in a
 request is decoding the final batch.  Before its first run a plan is
 *specialized* (:mod:`~repro.engine.optimizer.specialize`): one closure
-per op with positions, key widths and constant codes baked in, so the
-warm path interprets nothing per batch.  Handed a *logical*
+per op with positions and key widths baked in, so the warm path
+interprets nothing per batch; constants arrive per request as a vector
+of codes the steps index by slot.  Handed a *logical*
 :class:`~repro.engine.plan.Plan`, it first runs the one-time optimizer
 (memoized on the plan object).
 
@@ -33,7 +34,7 @@ the optimized pipeline against it bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from ..deadline import current_deadline
@@ -42,8 +43,8 @@ from ..obs.trace import span
 from ..storage.database import Database
 from ..storage.statistics import TableStatistics
 from .columns import Batch, column_index, deduped_batch
-from .optimizer.physical import (BatchFetchOp, ConstCheck, ConstScanOp,
-                                 CrossJoinOp, DifferenceOp,
+from .optimizer.physical import (BatchFetchOp, BoundPlan, ConstCheck,
+                                 ConstScanOp, CrossJoinOp, DifferenceOp,
                                  DistinctUnionOp, EmptyScanOp, FilterOp,
                                  FusedFetchOp, GatherOp, HashJoinOp,
                                  PhysicalOp, PhysicalPlan, UnitScanOp,
@@ -149,32 +150,33 @@ class Executor:
     """Executes plans against one database instance — the columnar path.
 
     Accepts a logical :class:`Plan` (optimized once, memoized on the
-    plan) or a ready :class:`PhysicalPlan` (e.g. from a service's plan
-    cache — no optimizer work at all).  The plan is specialized against
-    the database's value dictionary on first contact; warm executions
-    run pre-built closures over encoded batches and decode only the
-    final result.
+    plan), a ready :class:`PhysicalPlan` (e.g. from a service's plan
+    cache — no optimizer work at all) or a :class:`BoundPlan` (one
+    binding of a template).  The plan is specialized once, on first
+    contact; each execution looks its constants up in the database's
+    value dictionary, runs the pre-built closures over encoded batches
+    and decodes only the final result.
     """
 
     def __init__(self, db: Database):
         self.db = db
 
-    def _resolve(self, plan) -> PhysicalPlan:
+    def _resolve(self, plan) -> BoundPlan:
         if isinstance(plan, Plan):
             if not plan.steps:
                 raise ExecutionError("cannot execute an empty plan")
-            return ensure_physical(
+            plan = ensure_physical(
                 plan, lambda: TableStatistics.from_database(self.db))
-        if isinstance(plan, PhysicalPlan):
-            return plan
+        if isinstance(plan, (PhysicalPlan, BoundPlan)):
+            return BoundPlan.of(plan)
         raise ExecutionError(
             f"cannot execute a {type(plan).__name__}; expected a "
-            "logical Plan or a PhysicalPlan")
+            "logical Plan, a PhysicalPlan or a BoundPlan")
 
     def execute(self, plan) -> ExecutionResult:
-        physical = self._resolve(plan)
+        bound = self._resolve(plan)
         dictionary = self.db.dictionary
-        spec = specialized_plan(physical, dictionary)
+        spec, consts = specialized_plan(bound, dictionary)
         stats = AccessStats()
         op_counts = stats.op_counts
         batches: list[Batch] = []
@@ -189,7 +191,7 @@ class Executor:
                     # storage layer has its own finer-grained checks),
                     # partial pipelines never leak out.
                     deadline.check(f"executor:{label}")
-                batch = step(batches, self, stats)
+                batch = step(batches, consts, self, stats)
                 op_counts[label] = op_counts.get(label, 0) + 1
                 if batch.length > largest:
                     largest = batch.length
@@ -197,8 +199,13 @@ class Executor:
         stats.ops_executed += len(spec.steps)
         stats.max_intermediate = max(stats.max_intermediate, largest)
         final = batches[-1]
+        # A never-stored constant can reach the answer (a const scan
+        # crossed into the output); its sentinel decodes to its value.
+        sentinels = (dict(zip(consts, bound.values))
+                     if consts and min(consts) < 0 else None)
         with span("decode"):
-            rows = dictionary.decode_rows(final.cols, final.length)
+            rows = dictionary.decode_rows(final.cols, final.length,
+                                          sentinels)
         return ExecutionResult(Table(final.columns, rows), stats)
 
     # -- the storage boundary -------------------------------------------------
@@ -243,6 +250,25 @@ class Executor:
         return cols, length
 
 
+def _bound_steps(bound: BoundPlan) -> list[PhysicalOp]:
+    """The template's ops with the binding's values in their constant
+    slots — the value-domain executor reads constants off its ops."""
+    steps = bound.plan.steps
+    if bound.values is bound.plan.constants:
+        return steps
+    values = iter(bound.values)
+    bound_steps = []
+    for op in steps:
+        if isinstance(op, ConstScanOp):
+            op = replace(op, value=next(values))
+        elif isinstance(op, (FilterOp, FusedFetchOp)):
+            op = replace(op, checks=tuple(
+                ConstCheck(c.position, next(values))
+                if isinstance(c, ConstCheck) else c for c in op.checks))
+        bound_steps.append(op)
+    return bound_steps
+
+
 class LegacyTupleExecutor(Executor):
     """The pre-columnar batch executor: value tuples end to end.
 
@@ -254,12 +280,12 @@ class LegacyTupleExecutor(Executor):
     """
 
     def execute(self, plan) -> ExecutionResult:
-        physical = self._resolve(plan)
+        bound = self._resolve(plan)
         stats = AccessStats()
         batches: list[Batch] = []
         op_counts = stats.op_counts
         with span("execute"):
-            for op in physical.steps:
+            for op in _bound_steps(bound):
                 batch = self._run_op(op, batches, stats)
                 stats.ops_executed += 1
                 kind = op_label(type(op))

@@ -25,16 +25,17 @@ Optimization happens *once* per (query, access schema); the physical
 plan is what services cache and executors run.
 """
 
-from .physical import (BatchFetchOp, ColCheck, ConstCheck, ConstScanOp,
-                       CrossJoinOp, DifferenceOp, DistinctUnionOp,
-                       EmptyScanOp, FilterOp, FusedFetchOp, GatherOp,
-                       HashJoinOp, PhysicalOp, PhysicalPlan, UnitScanOp)
+from .physical import (BatchFetchOp, BoundPlan, ColCheck, ConstCheck,
+                       ConstScanOp, CrossJoinOp, DifferenceOp,
+                       DistinctUnionOp, EmptyScanOp, FilterOp, FusedFetchOp,
+                       GatherOp, HashJoinOp, PhysicalOp, PhysicalPlan,
+                       UnitScanOp)
 from .pipeline import (DEFAULT_RULES, OptimizationTrace, RuleFiring,
                        ensure_physical, optimize)
 from .specialize import SpecializedPlan, specialized_plan
 
 __all__ = [
-    "PhysicalPlan", "PhysicalOp", "UnitScanOp", "EmptyScanOp",
+    "PhysicalPlan", "BoundPlan", "PhysicalOp", "UnitScanOp", "EmptyScanOp",
     "ConstScanOp", "BatchFetchOp", "FusedFetchOp", "GatherOp", "FilterOp",
     "HashJoinOp", "CrossJoinOp", "DistinctUnionOp", "DifferenceOp",
     "ConstCheck", "ColCheck",

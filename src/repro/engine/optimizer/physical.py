@@ -9,16 +9,17 @@ optionally carry fused residual checks (:class:`FusedFetchOp`) applied
 to rows as they arrive from storage.
 
 A :class:`PhysicalPlan` is the unit the service's plan cache stores and
-the batch executor runs.  Like the logical plan it supports
-:meth:`PhysicalPlan.map_constants`, so ``$param`` templates bind
-directly into the *optimized* plan — the warm path never re-optimizes.
+the batch executor runs.  A ``$param`` template binds without copying
+it: a :class:`BoundPlan` pairs the shared *optimized* plan with one
+binding's constants, so the warm path never re-optimizes or rebuilds.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from typing import Hashable, Union
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Hashable, Sequence, Union
 
 from ...errors import PlanError
 from ...schema.access import AccessConstraint
@@ -279,55 +280,12 @@ class PhysicalPlan:
         return [op for op in self.steps
                 if isinstance(op, (BatchFetchOp, FusedFetchOp))]
 
-    def map_constants(self, fn) -> "PhysicalPlan":
-        """A structurally shared copy with ``fn`` applied to every
-        constant (const scans and ``ConstCheck`` values).
-
-        The physical-plan analogue of
-        :meth:`repro.engine.plan.Plan.map_constants`: binding a
-        ``$param`` template is one pass over the op list — parsing,
-        coverage, plan building *and optimization* are all skipped on
-        the warm path.  Shape, positions, certificate, trace and
-        estimates are value-independent and carried over unchanged.
-        """
-
-        def map_checks(checks: tuple[Check, ...]) -> tuple[Check, ...]:
-            return tuple(
-                ConstCheck(c.position, fn(c.value))
-                if isinstance(c, ConstCheck) else c
-                for c in checks)
-
-        steps: list[PhysicalOp] = []
-        for op in self.steps:
-            if isinstance(op, ConstScanOp):
-                value = fn(op.value)
-                if value is not op.value:
-                    op = replace(op, value=value)
-            elif isinstance(op, (FilterOp, FusedFetchOp)):
-                checks = map_checks(op.checks)
-                if checks != op.checks:
-                    op = replace(op, checks=checks)
-            steps.append(op)
-        mapped = PhysicalPlan(self.name, steps, logical=self.logical,
-                              certificate=self.certificate, trace=self.trace,
-                              estimates=self.estimates)
-        # Bound copies share the template's specialized program: the
-        # op shapes are identical, only constant values differ, and the
-        # specializer resolves constants per plan (see
-        # ``optimizer.specialize``).  Chains collapse to the root.
-        mapped._spec_template = getattr(self, "_spec_template", None) or self
-        return mapped
-
-    def constant_values(self) -> list[Hashable]:
-        """Every constant the plan mentions, in step order with repeats."""
-        values: list[Hashable] = []
-        for op in self.steps:
-            if isinstance(op, ConstScanOp):
-                values.append(op.value)
-            elif isinstance(op, (FilterOp, FusedFetchOp)):
-                values.extend(c.value for c in op.checks
-                              if isinstance(c, ConstCheck))
-        return values
+    @cached_property
+    def constants(self) -> tuple[Hashable, ...]:
+        """Every constant the plan mentions, in step order with repeats
+        — the slot order of the specialized steps' code vector."""
+        return tuple(value for op in self.steps
+                     for value in op_constants(op))
 
     def explain(self) -> str:
         lines = [f"physical plan {self.name}:"]
@@ -343,3 +301,36 @@ class PhysicalPlan:
 
     def __str__(self) -> str:
         return self.explain()
+
+
+def op_constants(op: PhysicalOp) -> tuple[Hashable, ...]:
+    """The constants ``op`` mentions, in order: a const scan's value,
+    or the values of a filter's or fused fetch's const checks."""
+    if isinstance(op, ConstScanOp):
+        return (op.value,)
+    if isinstance(op, (FilterOp, FusedFetchOp)):
+        return tuple(c.value for c in op.checks if isinstance(c, ConstCheck))
+    return ()
+
+
+class BoundPlan:
+    """One binding of a template: the shared :class:`PhysicalPlan` plus
+    the bound values in :attr:`PhysicalPlan.constants` order.
+
+    Binding copies no op: shape, positions, certificate and specialized
+    steps are value-independent and stay on the template.
+    """
+
+    __slots__ = ("plan", "values")
+
+    def __init__(self, plan: PhysicalPlan, values: Sequence[Hashable]):
+        self.plan = plan
+        self.values = values
+
+    @classmethod
+    def of(cls, plan: "PhysicalPlan | BoundPlan") -> "BoundPlan":
+        """``plan`` as a binding; a physical plan binds its own
+        constants."""
+        if isinstance(plan, BoundPlan):
+            return plan
+        return cls(plan, plan.constants)

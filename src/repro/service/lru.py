@@ -1,7 +1,7 @@
 """One thread-safe bounded LRU map, shared by every service-layer cache.
 
-The plan cache, its source-text front, the fetch cache and the
-bound-plan memo all need the same thing: a lock-guarded
+The plan cache, its source-text front, the answer cache and the
+fetch cache all need the same thing: a lock-guarded
 ``OrderedDict`` with move-to-end on access, eviction past a capacity,
 and hit/miss/eviction counters.  Keeping a single implementation keeps
 their eviction and accounting behaviour identical.

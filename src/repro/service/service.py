@@ -9,8 +9,10 @@ stage across requests:
 * a :class:`~repro.service.plancache.PlanCache` memoizes the whole
   static pipeline per (query, access-schema) fingerprint — sound
   because plans and certificates are functions of Q and A only;
-* :mod:`~repro.service.templates` compile a parameterized query once
-  and bind constants per request with a single pass over the plan;
+* :mod:`~repro.service.templates` compile a parameterized query once,
+  and its specialized steps are built on first run and shared; a
+  binding is just the vector of its constants, which the executor
+  looks up as codes per request without interning them;
 * a :class:`~repro.service.fetchcache.FetchCache` memoizes the (small,
   provably bounded) per-X-value fetch results, invalidated by the
   database's per-relation write generations;
@@ -33,7 +35,6 @@ from typing import Hashable, Mapping, Sequence
 from ..deadline import Deadline, deadline_scope
 from ..engine.executor import AccessStats
 from ..engine.naive import ScanStats, evaluate
-from ..engine.optimizer.specialize import specialized_plan
 from ..errors import DeadlineExceeded, ServiceError
 from ..obs.instruments import (RequestMetrics, attach_admission_collector,
                                attach_cache_collector,
@@ -48,7 +49,6 @@ from ..storage.database import Database
 from ..storage.statistics import TableStatistics
 from .batch import BatchReport, BatchRequest, run_batch
 from .fetchcache import CachingExecutor, FetchCache
-from .lru import LruDict
 from .plancache import (AnswerCache, CacheInfo, CompiledQuery, FetchProfile,
                         PlanCache)
 from .templates import QueryTemplate, bind_physical_plan, bind_query
@@ -196,10 +196,6 @@ class BoundedQueryService:
         self._fetch_profiles: dict[int, FetchProfile] = {}
         self._profile_schema = None
         self._templates: dict[str, QueryTemplate] = {}
-        # Bound-plan memo: repeated identical bindings of one compiled
-        # query skip even the constant-substitution pass.  Plans are
-        # value-independent, so entries never go stale.
-        self._bound_plans: LruDict = LruDict(max(64, plan_cache_size * 4))
         self._lock = threading.Lock()
         self._requests = 0
         self._bounded_requests = 0
@@ -324,11 +320,13 @@ class BoundedQueryService:
         try:
             if entry.bounded:
                 # The hot path runs the *optimized physical* plan
-                # straight from the cache: binding is one constant-
-                # substitution pass, never a re-parse, re-plan or
-                # re-optimize.
+                # straight from the cache: binding pairs it with the
+                # request's values, never a re-parse, re-plan,
+                # re-optimize or re-specialize.
                 with span("bind"):
-                    plan = self._bound_plan(entry, params, where)
+                    plan = bind_physical_plan(entry.physical,
+                                              entry.parameters, params,
+                                              where=where)
                 key = (self._answer_key(entry, params)
                        if self.answer_cache is not None else None)
                 answers = (self.answer_cache.lookup(self.db, key)
@@ -386,14 +384,9 @@ class BoundedQueryService:
 
     def _answer_key(self, entry: CompiledQuery,
                     params: Mapping[str, Hashable]):
-        """The answer-cache key for one bound request, or ``None`` when
-        the binding is unhashable (such requests execute uncached)."""
-        try:
-            key = (entry.serial, tuple(sorted(params.items())))
-            hash(key)
-        except TypeError:
-            return None
-        return key
+        """The answer-cache key for one bound request (the binding was
+        already checked hashable)."""
+        return (entry.serial, tuple(sorted(params.items())))
 
     def _fetch_profile(self, entry: CompiledQuery) -> FetchProfile:
         """``entry``'s fetch profile, memoized per compiled query
@@ -407,37 +400,6 @@ class BoundedQueryService:
             profile = FetchProfile.of(entry.physical, schema)
             self._fetch_profiles[entry.serial] = profile
         return profile
-
-    def _bound_plan(self, entry: CompiledQuery,
-                    params: Mapping[str, Hashable], where: str):
-        """The compiled *physical* plan with ``params`` substituted,
-        memoized per (compiled query, binding).
-
-        Each plan is eagerly *specialized* here (memoized on the plan
-        object, see :mod:`repro.engine.optimizer.specialize`), so the
-        closure compilation and constant encoding happen at bind time —
-        the execute span runs pre-built steps only.
-        """
-        dictionary = self.db.dictionary
-        if not entry.parameters and not params:
-            specialized_plan(entry.physical, dictionary)
-            return entry.physical
-        try:
-            key = (entry.serial, tuple(sorted(params.items())))
-            hash(key)
-        except TypeError:  # unhashable binding value: bind uncached
-            plan = bind_physical_plan(entry.physical, entry.parameters,
-                                      params, where=where)
-            specialized_plan(plan, dictionary)
-            return plan
-        plan = self._bound_plans.get(key, count=False)
-        if plan is not None:
-            return plan
-        plan = bind_physical_plan(entry.physical, entry.parameters, params,
-                                  where=where)
-        specialized_plan(plan, dictionary)
-        self._bound_plans.put(key, plan)
-        return plan
 
     def execute_batch(self, requests: Sequence[BatchRequest],
                       max_workers: int = 4,
@@ -464,10 +426,9 @@ class BoundedQueryService:
 
     def clear_caches(self) -> None:
         """Drop compiled plans, cached fetches and cached answers
-        (templates stay)."""
+        (templates stay; bindings hold no state to drop)."""
         self.plan_cache.clear()
         self.fetch_cache.clear()
-        self._bound_plans.clear()
         if self.answer_cache is not None:
             self.answer_cache.clear()
 

@@ -12,14 +12,16 @@ values inside ``Const``).  That is sound because coverage and plan shape
 are functions of Q and A only, never of a constant's value (paper,
 Section 2): every binding of the template shares one plan skeleton.
 
-Binding is then the per-request hot path: one pass over the compiled
-*physical* plan's op list substituting bound values into const-scan and
-const-check nodes (:meth:`repro.engine.optimizer.physical.PhysicalPlan.
-map_constants`) — no parsing, no fixpoint, no plan building, and no
-re-optimization: rule rewrites depend on plan shape only, so the
-optimized skeleton is shared by every binding.  For templates that are
-*not* boundedly evaluable, :func:`bind_query` substitutes into the AST
-instead so the scan-based fallback still answers correctly.
+Binding is then the per-request hot path, and it copies nothing: a
+:class:`~repro.engine.optimizer.physical.BoundPlan` is the compiled
+*physical* plan plus the bound values in its constant-slot order — no
+parsing, no fixpoint, no plan building, no re-optimization and no
+re-specialization.  Rule rewrites and specialized steps depend on plan
+shape only, so every binding runs the template's own steps; the
+executor turns the values into dictionary codes per request.  For
+templates that are *not* boundedly evaluable, :func:`bind_query`
+substitutes into the AST instead so the scan-based fallback still
+answers correctly.
 
 One caveat: treating placeholders as pairwise-distinct constants is
 unsound exactly where the pipeline concludes *emptiness* from constants
@@ -36,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
-from ..engine.optimizer import PhysicalPlan
+from ..engine.optimizer import BoundPlan, PhysicalPlan
 from ..engine.plan import Plan
 from ..errors import ServiceError
 from ..query.ast import CQ, UCQ, Atom, Equality, PositiveQuery
@@ -62,14 +64,15 @@ def _resolver(values: Mapping[str, Hashable], where: str):
 
 def check_bindings(parameters: frozenset[str],
                    values: Mapping[str, Hashable], where: str) -> None:
-    """Reject missing or undeclared parameter bindings up front."""
-    missing = parameters - set(values)
-    if missing:
-        raise ServiceError(
-            f"{where}: missing bindings for "
-            f"{', '.join('$' + n for n in sorted(missing))}")
-    extra = set(values) - parameters
-    if extra:
+    """Reject missing, undeclared or unhashable parameter bindings up
+    front, before any execution."""
+    if values.keys() != parameters:
+        missing = parameters - set(values)
+        if missing:
+            raise ServiceError(
+                f"{where}: missing bindings for "
+                f"{', '.join('$' + n for n in sorted(missing))}")
+        extra = set(values) - parameters
         raise ServiceError(
             f"{where}: unknown parameters "
             f"{', '.join('$' + n for n in sorted(extra))}; declared "
@@ -102,15 +105,18 @@ def bind_plan(plan: Plan, parameters: frozenset[str],
 
 def bind_physical_plan(plan: PhysicalPlan, parameters: frozenset[str],
                        values: Mapping[str, Hashable],
-                       where: str = "bind") -> PhysicalPlan:
-    """Substitute bound constants into an optimized *physical* plan —
-    the service's warm path.  One pass over the op list; positions,
-    trace, certificate and estimates carry over, so the request skips
-    the optimizer entirely."""
+                       where: str = "bind") -> PhysicalPlan | BoundPlan:
+    """Bind an optimized *physical* plan — the service's warm path.
+
+    Returns a :class:`BoundPlan`: the plan itself plus one value per
+    constant slot, with each ``$param`` replaced by its binding.  No op
+    is copied, so the request skips the optimizer and the specializer
+    entirely.  A plan without parameters is returned as is."""
     check_bindings(parameters, values, where)
     if not parameters:
         return plan
-    return plan.map_constants(_resolver(values, where))
+    return BoundPlan(plan, [values[c.name] if type(c) is Param else c
+                            for c in plan.constants])
 
 
 def bind_query(query, parameters: frozenset[str],
@@ -173,7 +179,8 @@ class QueryTemplate:
         return bind_plan(self.compiled.plan, self.parameters, values,
                          where=f"template {self.name!r}")
 
-    def bind_physical(self, values: Mapping[str, Hashable]) -> PhysicalPlan:
+    def bind_physical(self, values: Mapping[str, Hashable]
+                      ) -> PhysicalPlan | BoundPlan:
         if self.compiled.physical is None:
             raise ServiceError(
                 f"template {self.name!r} has no bounded plan "

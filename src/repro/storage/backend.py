@@ -44,6 +44,10 @@ from .delta import DeltaRecorder, WriteDelta, WriteListener
 from .encoding import ValueDictionary, int_column
 from .indexes import AccessIndex
 
+#: What a sentinel code decodes to on the value-level adapter path: an
+#: object equal to no stored value.
+_NEVER_STORED = object()
+
 Row = tuple
 
 #: A memoized constraint resolution: the requested constraint itself
@@ -148,8 +152,13 @@ class StorageBackend(ABC):
                       keys: Sequence) -> list[Row]:
         """Code keys back to X-value tuples — bare int codes for
         scalar-X constraints, code tuples otherwise (the columnar
-        executor's key convention)."""
-        decode = self.dictionary.decode
+        executor's key convention).  A negative sentinel code (a
+        query constant never stored) decodes to a value equal to no
+        stored one, so its key matches nothing."""
+        decode_stored = self.dictionary.decode
+
+        def decode(code):
+            return decode_stored(code) if code >= 0 else _NEVER_STORED
         if len(constraint.x) == 1:
             return [(decode(key),) for key in keys]
         return [tuple(decode(code) for code in key) for key in keys]

@@ -77,8 +77,8 @@ class ValueDictionary:
     below); only the first encode of a *new* value takes the lock.
     Codes are never reassigned or removed — deletion of rows does not
     shrink the dictionary (values are interned, not refcounted), which
-    keeps every outstanding cache entry and specialized plan valid for
-    the lifetime of the backend.
+    keeps every outstanding cache entry valid for the lifetime of the
+    backend.  Only writes intern; queries use :meth:`lookup_codes`.
     """
 
     __slots__ = ("_codes", "_values", "_lock")
@@ -112,16 +112,54 @@ class ValueDictionary:
         except KeyError:
             return tuple(self.encode(value) for value in row)
 
+    def lookup_codes(self, values: Sequence[Hashable]) -> list[int]:
+        """The codes of ``values`` *without interning* — the read
+        path's lookup, so a query can never grow the dictionary.
+
+        A value never stored gets a negative *sentinel* code, which
+        equals no stored code: a fetch key or equality check on it
+        matches nothing.  Sentinels are ``-1, -2, ...`` per distinct
+        unknown value in ``values``, so equal values still share a
+        code.  They are only meaningful alongside ``values`` (see
+        :meth:`decode_rows`) and must not be kept past the call: once
+        the value is stored it has a real code.
+        """
+        codes = self._codes
+        try:
+            return [codes[value] for value in values]
+        except KeyError:
+            pass
+        out: list[int] = []
+        unknown: list[Hashable] = []
+        for value in values:
+            code = codes.get(value)
+            if code is None:
+                if value in unknown:
+                    code = -1 - unknown.index(value)
+                else:
+                    unknown.append(value)
+                    code = -len(unknown)
+            out.append(code)
+        return out
+
     def decode(self, code: int) -> Hashable:
         return self._values[code]
 
-    def decode_rows(self, cols: Sequence, length: int) -> set[tuple]:
+    def decode_rows(self, cols: Sequence, length: int,
+                    sentinels: dict[int, Hashable] | None = None
+                    ) -> set[tuple]:
         """Decode row-aligned code columns into a set of value tuples —
         the one place the columnar executor rematerializes Python
-        values (the final answer)."""
+        values (the final answer).  ``sentinels`` maps the negative
+        codes of a :meth:`lookup_codes` call back to their values."""
         if not cols:
             return {()} if length else set()
         values = self._values
+        if sentinels:
+            def value_of(code):
+                return values[code] if code >= 0 else sentinels[code]
+            return set(zip(*([value_of(code) for code in col]
+                             for col in cols)))
         return set(zip(*([values[code] for code in col] for col in cols)))
 
     def values_from(self, start: int) -> list:

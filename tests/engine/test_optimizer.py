@@ -8,14 +8,16 @@ import pytest
 from repro import (AccessConstraint, AccessSchema, Database, ExecutionError,
                    Schema)
 from repro.core import analyze_coverage
-from repro.engine import (ColEq, ConstEq, ConstOp, FetchOp, Plan, ProductOp,
-                          ProjectOp, RenameOp, SelectOp, UnionOp,
-                          build_bounded_plan, build_union_plan, execute_plan,
-                          interpret_logical, optimize)
+from repro.engine import (ColEq, ConstEq, ConstOp, FetchOp,
+                          LegacyTupleExecutor, Plan, ProductOp, ProjectOp,
+                          RenameOp, SelectOp, UnionOp, build_bounded_plan,
+                          build_union_plan, execute_plan, interpret_logical,
+                          optimize)
 from repro.engine.optimizer import (CrossJoinOp, FusedFetchOp, HashJoinOp,
                                     PhysicalPlan)
 from repro.query import parse_cq, parse_ucq
 from repro.query.terms import Param
+from repro.service.templates import bind_physical_plan
 from repro.storage.statistics import TableStatistics
 
 
@@ -193,22 +195,18 @@ def test_projection_pushdown_narrows_join_inputs(world):
 # -- physical-plan binding ----------------------------------------------------
 
 
-def test_map_constants_binds_const_scans_and_fused_checks(world):
+def test_binding_fills_constant_slots_without_copying_the_plan(world):
     *_, aschema, _, _, db = world
     template = bounded_plan("Q(y) :- R(x, y), x = $who", aschema)
     physical = optimize(template)
-    values = {"who": 1}
-
-    def resolve(value):
-        if isinstance(value, Param):
-            return values[value.name]
-        return value
-
-    bound = physical.map_constants(resolve)
-    assert not any(isinstance(v, Param) for v in bound.constant_values())
-    assert any(isinstance(v, Param) for v in physical.constant_values())
-    assert bound.trace is physical.trace  # shape metadata is shared
+    assert any(isinstance(v, Param) for v in physical.constants)
+    bound = bind_physical_plan(physical, frozenset({"who"}), {"who": 1})
+    assert bound.plan is physical  # no op is copied
+    assert len(bound.values) == len(physical.constants)
+    assert not any(isinstance(v, Param) for v in bound.values)
     assert execute_plan(bound, db).answers == {(10,), (11,)}
+    # The value-domain baseline reads the same slots.
+    assert LegacyTupleExecutor(db).execute(bound).answers == {(10,), (11,)}
 
 
 # -- executor dispatch --------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Per-plan operator specialization: memoization, template sharing via
-``map_constants``, and invalidation when the plan meets a different
-database (dictionary) or a changed access schema."""
+"""Per-template operator specialization: steps built once per plan and
+shared by every binding and every database, constants read per request
+from a code vector looked up without interning."""
 
 from __future__ import annotations
 
@@ -10,10 +10,11 @@ from repro import AccessConstraint, AccessSchema, Database, Schema
 from repro.core import analyze_coverage
 from repro.engine import (Executor, LegacyTupleExecutor, build_bounded_plan,
                           execute_plan, interpret_logical, optimize)
-from repro.engine.optimizer.specialize import (SpecializedPlan,
+from repro.engine.naive import evaluate
+from repro.engine.optimizer.specialize import (SpecializedPlan, specialize,
                                                specialized_plan)
-from repro.query import parse_cq
-from repro.query.terms import Param
+from repro.query import parse_cq, parse_query
+from repro.service.templates import bind_physical_plan
 
 
 def build_world(rows_r, rows_s):
@@ -38,17 +39,18 @@ def bounded_physical(text, aschema):
     return optimize(build_bounded_plan(coverage))
 
 
-class TestMemoization:
-    def test_same_plan_and_dictionary_hit_the_memo(self, world):
+class TestSharedSteps:
+    def test_steps_are_built_once_per_plan(self, world):
         aschema, db = world
         physical = bounded_physical("Q(z) :- R(x, y), S(y, z), x = 1",
                                     aschema)
-        first = specialized_plan(physical, db.dictionary)
+        first = specialize(physical)
         assert isinstance(first, SpecializedPlan)
-        assert specialized_plan(physical, db.dictionary) is first
+        assert specialize(physical) is first
+        assert specialized_plan(physical, db.dictionary)[0] is first
         assert len(first) == len(physical)
 
-    def test_other_dictionary_respecializes_with_its_codes(self, world):
+    def test_other_dictionary_shares_steps_with_its_own_codes(self, world):
         aschema, db = world
         # Same rows, inserted in a different order: the same values
         # carry *different* codes in the second database.
@@ -56,44 +58,77 @@ class TestMemoization:
                                [(12, "z"), (11, "y"), (10, "x")])
         physical = bounded_physical("Q(z) :- R(x, y), S(y, z), x = 1",
                                     aschema)
-        first = specialized_plan(physical, db.dictionary)
-        second = specialized_plan(physical, other.dictionary)
-        assert second is not first
-        # The memo is a single slot holding the latest pair.
-        assert specialized_plan(physical, other.dictionary) is second
-        assert specialized_plan(physical, db.dictionary) is not second
-        # Both executions are correct — constants were re-encoded into
-        # each database's own code space.
+        spec, codes = specialized_plan(physical, db.dictionary)
+        other_spec, other_codes = specialized_plan(physical,
+                                                   other.dictionary)
+        assert other_spec is spec
+        assert codes != other_codes
         assert execute_plan(physical, db).answers == {("x",), ("y",)}
         assert execute_plan(physical, other).answers == {("x",), ("y",)}
 
-    def test_bound_plans_share_the_template_program(self, world):
+    def test_every_binding_runs_the_same_specialized_plan(self, world):
+        aschema, db = world
+        _, other = build_world([(2, 12), (1, 11), (1, 10), (7, 10)],
+                               [(12, "z"), (11, "y"), (10, "x")])
+        text = "Q(z) :- R(x, y), S(y, z), x = $who"
+        template = bounded_physical(text, aschema)
+        spec = specialize(template)
+        for database in (db, other):
+            for who in (1, 2, 7, 99, "never"):
+                bound = bind_physical_plan(template, frozenset({"who"}),
+                                           {"who": who})
+                assert bound.plan is template
+                assert specialized_plan(bound, database.dictionary)[0] \
+                    is spec
+                oracle = evaluate(parse_query(
+                    text.replace("$who", repr(who))), database)
+                assert execute_plan(bound, database).answers == oracle
+                assert LegacyTupleExecutor(database).execute(
+                    bound).answers == oracle
+        assert specialize(template) is spec
+
+
+class TestNonInterningLookup:
+    def test_never_stored_constants_get_sentinels_not_codes(self, world):
         aschema, db = world
         template = bounded_physical("Q(y) :- R(x, y), x = $who", aschema)
-        program = getattr(template, "_spec_program", None)
-        if program is None:
-            specialized_plan(template.map_constants(
-                lambda v: 1 if isinstance(v, Param) else v),
-                db.dictionary)
-            program = template._spec_program
-        for who, expected in [(1, {(10,), (11,)}), (2, {(12,)}),
-                              (99, set())]:
-            bound = template.map_constants(
-                lambda v, who=who: who if isinstance(v, Param) else v)
-            assert bound._spec_template is template
-            assert execute_plan(bound, db).answers == expected
-        # Binding specialized three plans without recompiling a single
-        # op shape: the template's program object never changed.
-        assert template._spec_program is program
+        before = len(db.dictionary)
+        for who in ("ghost", 10**9, (1, 2)):
+            bound = bind_physical_plan(template, frozenset({"who"}),
+                                       {"who": who})
+            _, codes = specialized_plan(bound, db.dictionary)
+            assert min(codes) < 0
+            assert execute_plan(bound, db).answers == set()
+        assert len(db.dictionary) == before
+        assert "ghost" not in db.dictionary
 
-    def test_rebinding_a_bound_plan_keeps_the_original_template(
+    def test_sentinels_are_distinct_per_value_and_shared_by_equal_ones(
+            self, world):
+        _, db = world
+        codes = db.dictionary.lookup_codes(["a", 1, "b", "a", 10])
+        assert codes[0] == codes[3] < 0
+        assert codes[2] < 0 and codes[2] != codes[0]
+        assert codes[1] >= 0 and codes[4] >= 0
+
+    def test_a_never_stored_constant_can_reach_the_answer(self, world):
+        aschema, db = world
+        template = bounded_physical("Q(y, w) :- R(x, y), x = 1, w = $v",
+                                    aschema)
+        for v in ("brand-new", 10):
+            bound = bind_physical_plan(template, frozenset({"v"}),
+                                       {"v": v})
+            assert execute_plan(bound, db).answers == {(10, v), (11, v)}
+        assert "brand-new" not in db.dictionary
+
+    def test_an_insert_after_a_miss_is_seen_by_the_same_binding(
             self, world):
         aschema, db = world
         template = bounded_physical("Q(y) :- R(x, y), x = $who", aschema)
-        bound = template.map_constants(
-            lambda v: 1 if isinstance(v, Param) else v)
-        rebound = bound.map_constants(lambda v: v)
-        assert rebound._spec_template is template
+        bound = bind_physical_plan(template, frozenset({"who"}),
+                                   {"who": "late"})
+        assert execute_plan(bound, db).answers == set()
+        db.insert("R", ("late", 42))
+        assert execute_plan(bound, db).answers == {(42,)}
 
 
 class TestInvalidation:
@@ -105,7 +140,7 @@ class TestInvalidation:
         aschema, db = world
         text = "Q(z) :- R(x, y), S(y, z), x = 1"
         physical = bounded_physical(text, aschema)
-        spec = specialized_plan(physical, db.dictionary)
+        spec = specialize(physical)
         before = len(db.dictionary)
 
         wider = AccessSchema(db.schema, [
@@ -116,27 +151,12 @@ class TestInvalidation:
         # Rebuilding indexes re-encodes rows into the *same* dictionary:
         # append-only, so no code moved and the old spec still answers.
         assert len(db.dictionary) == before
-        assert specialized_plan(physical, db.dictionary) is spec
+        assert specialize(physical) is spec
         assert execute_plan(physical, db).answers == {("x",), ("y",)}
 
         recompiled = bounded_physical(text, wider)
-        fresh = specialized_plan(recompiled, db.dictionary)
-        assert fresh is not spec
+        assert specialize(recompiled) is not spec
         assert execute_plan(recompiled, db).answers == {("x",), ("y",)}
-
-    def test_program_rebuilds_if_steps_changed_length(self, world):
-        aschema, db = world
-        physical = bounded_physical("Q(y) :- R(x, y), x = 1", aschema)
-        specialized_plan(physical, db.dictionary)
-        length, program = physical._spec_program
-        # Simulate a stale memo from a differently-shaped template (the
-        # guard is the step count, re-checked on every build).
-        physical._spec_program = (length + 1, program)
-        physical._spec_cache = None
-        rebuilt = specialized_plan(physical, db.dictionary)
-        assert physical._spec_program[0] == length
-        assert execute_plan(physical, db).answers == {(10,), (11,)}
-        assert len(rebuilt) == length
 
 
 class TestColumnarIdentity:
