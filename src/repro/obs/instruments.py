@@ -81,8 +81,9 @@ class RequestMetrics:
             self.scan_tuples.inc(scan.tuples_scanned)
 
 
-def _cache_instruments(registry: MetricsRegistry, which: str):
-    prefix = f"repro_{which}_cache"
+def _cache_instruments(registry: MetricsRegistry, which: str,
+                       prefix: str | None = None):
+    prefix = prefix or f"repro_{which}_cache"
     return (
         registry.counter(f"{prefix}_hits_total", f"{which} cache hits"),
         registry.counter(f"{prefix}_misses_total",
@@ -98,13 +99,19 @@ def _cache_instruments(registry: MetricsRegistry, which: str):
 def attach_cache_collector(registry: MetricsRegistry, service) -> None:
     """Mirror a service's plan/fetch cache counters at snapshot time.
 
-    ``service`` needs ``plan_cache.info()`` and ``fetch_cache.info()``
-    returning :class:`~repro.service.plancache.CacheInfo`-shaped
-    objects.  The caches keep their own tallies; this collector copies
-    them into the registry only when an export reads it, so cache
-    operations never touch the registry.
+    ``service`` needs ``plan_cache.info()``, ``plan_cache.shape_info()``
+    and ``fetch_cache.info()`` returning
+    :class:`~repro.service.plancache.CacheInfo`-shaped objects.  The
+    caches keep their own tallies; this collector copies them into the
+    registry only when an export reads it, so cache operations never
+    touch the registry.
     """
     plan = _cache_instruments(registry, "plan")
+    # The plan cache's shape table (query texts keyed on their
+    # constant-free shape); the plan family above stays the compiled-
+    # query table, whose misses are runs of the static pipeline.
+    shape = _cache_instruments(registry, "plan shape",
+                               prefix="repro_plan_cache_shape")
     fetch = _cache_instruments(registry, "fetch")
     answer = _cache_instruments(registry, "answer")
     # Fetch-cache hits split by entry family: encoded column views
@@ -147,6 +154,7 @@ def attach_cache_collector(registry: MetricsRegistry, service) -> None:
 
     def collect() -> None:
         for instruments, info in ((plan, service.plan_cache.info()),
+                                  (shape, service.plan_cache.shape_info()),
                                   (fetch, service.fetch_cache.info())):
             hits, misses, evictions, size, rate = instruments
             hits.set_total(info.hits)

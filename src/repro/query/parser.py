@@ -17,7 +17,9 @@ Lexical rules: identifiers are variables; an identifier followed by
 are constants; ``$name`` is a parameter placeholder (a constant whose
 value is bound per request — see ``repro.service.templates``).  Inline
 constants in relation atoms are legal and are normalized away later
-(``repro.query.normalize``).
+(``repro.query.normalize``).  Digit-only placeholders (``$0``, ``$1``,
+...) are *positional*: :func:`lift_literals` writes them when it turns
+a text's literals into parameters.
 
 The parser is deliberately simple — a hand-rolled tokenizer plus
 recursive descent — and reports offsets in :class:`ParseError`.
@@ -39,7 +41,7 @@ _TOKEN_RE = re.compile(
   | (?P<ARROW>:-|:=)
   | (?P<STRING>'(?:[^'\\]|\\.)*')
   | (?P<NUMBER>-?\d+(?:\.\d+)?)
-  | (?P<PARAM>\$[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<PARAM>\$(?:[A-Za-z_][A-Za-z_0-9]*|\d+))
   | (?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<LPAREN>\()
   | (?P<RPAREN>\))
@@ -51,7 +53,21 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+#: A maximal run of the tokens that are neither literals nor
+#: placeholders, matched the way ``_TOKEN_RE`` matches them (no such
+#: token can start where a literal starts), so :func:`lift_literals`
+#: loops once per literal instead of once per token.
+_RUN_RE = re.compile(r"(?:\s+|:-|:=|[A-Za-z_][A-Za-z_0-9]*|[(),=.;])*")
+
 _KEYWORDS = {"AND", "OR", "NOT", "EXISTS", "FORALL", "TRUE"}
+_LITERALS = ("NUMBER", "STRING")
+
+
+def _literal_value(kind: str, text: str):
+    """The constant a NUMBER or STRING token denotes."""
+    if kind == "NUMBER":
+        return float(text) if "." in text else int(text)
+    return text[1:-1].replace("\\'", "'").replace("\\\\", "\\")
 
 
 class _Token:
@@ -217,14 +233,9 @@ class _Parser:
         if token.kind == "IDENT":
             self.next()
             return Var(token.text)
-        if token.kind == "NUMBER":
+        if token.kind in _LITERALS:
             self.next()
-            text = token.text
-            return Const(float(text) if "." in text else int(text))
-        if token.kind == "STRING":
-            self.next()
-            raw = token.text[1:-1]
-            return Const(raw.replace("\\'", "'").replace("\\\\", "\\"))
+            return Const(_literal_value(token.kind, token.text))
         if token.kind == "PARAM":
             self.next()
             return Const(Param(token.text[1:]))
@@ -296,6 +307,52 @@ def parse_query(text: str):
     """
     with span("compile"):
         return _Parser(text).parse_program()
+
+
+def lift_literals(text: str) -> tuple[str, tuple]:
+    """Split a query text into its constant-free *shape* and its literals.
+
+    Every NUMBER and STRING literal becomes a positional placeholder
+    ``$k``, where ``k`` indexes the first literal *equal* to it (equal
+    as :class:`Const` values are, so ``1`` and ``1.0`` share a
+    placeholder and ``'1'`` does not); ``values[k]`` is that literal.
+    The shape therefore keeps the equality pattern among the constants,
+    which is all the static pipeline ever looks at; everything else,
+    whitespace included, is kept as written.  A text without literals,
+    or with a ``$name`` placeholder of its own, is its own shape with no
+    values — user parameters and lifted ones never mix.  So is a text
+    with a character the tokenizer rejects, which fails to parse as is.
+
+    >>> lift_literals("Q(x) :- R(x, y), y = 'a', x = 2, y = 'a'")
+    ('Q(x) :- R(x, y), y = $0, x = $1, y = $0', ('a', 2))
+    >>> lift_literals("Q(x) :- R(x, y), y = $p")
+    ('Q(x) :- R(x, y), y = $p', ())
+    """
+    parts: list[str] = []
+    values: list = []
+    slots: dict = {}
+    run, token = _RUN_RE.match, _TOKEN_RE.match
+    pos, end = 0, len(text)
+    while True:
+        start = run(text, pos).end()
+        if start == end:
+            break
+        found = token(text, start)
+        kind = found.lastgroup if found is not None else None
+        if kind not in _LITERALS:  # a placeholder, or a bad character
+            return text, ()
+        value = _literal_value(kind, found.group())
+        slot = slots.get(value)
+        if slot is None:
+            slot = slots[value] = len(values)
+            values.append(value)
+        parts.append(text[pos:start])
+        parts.append(f"${slot}")
+        pos = found.end()
+    if not values:
+        return text, ()
+    parts.append(text[pos:])
+    return "".join(parts), tuple(values)
 
 
 def parse_cq(text: str) -> CQ:

@@ -217,12 +217,14 @@ class AccessSchema:
                  constraints: Iterable[AccessConstraint] = ()):
         self.schema = schema
         self._constraints: list[AccessConstraint] = []
+        self._fingerprint: str | None = None
         for constraint in constraints:
             self.add(constraint)
 
     def add(self, constraint: AccessConstraint) -> None:
         constraint.validate_against(self.schema)
         self._constraints.append(constraint)
+        self._fingerprint = None
 
     @property
     def constraints(self) -> list[AccessConstraint]:
@@ -270,9 +272,12 @@ class AccessSchema:
         Since a query's coverage verdict, bounded plan and cost
         certificate are functions of Q and A only (paper, Section 2),
         this is the access-schema half of the ``repro.service``
-        plan-cache key.
+        plan-cache key.  Memoized until the next :meth:`add`.
         """
-        return "&".join(sorted(str(c) for c in self._constraints))
+        if self._fingerprint is None:
+            self._fingerprint = "&".join(
+                sorted(str(c) for c in self._constraints))
+        return self._fingerprint
 
     def __len__(self) -> int:
         return len(self._constraints)

@@ -374,6 +374,8 @@ class ReproServer:
                     stats.deadline_exceeded_requests,
                 "templates": stats.templates,
                 "plan_cache_hits": stats.plan_cache.hits,
+                "plan_cache_shape_hits": stats.plan_shapes.hits,
+                "plan_cache_shape_misses": stats.plan_shapes.misses,
                 "fetch_cache_hits": stats.fetch_cache.hits,
             }
         return {

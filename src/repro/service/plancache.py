@@ -13,6 +13,11 @@ module is that memo table: a bounded, thread-safe LRU from cache keys to
 :class:`CompiledQuery` entries, with hit/miss counters so benchmarks can
 report amortization honestly.
 
+Query *text* is keyed one step earlier, on its shape: the literals are
+lifted into positional parameters, so texts that differ only in their
+constants share one compilation and bind their own values to it, like
+requests of a template (:meth:`PlanCache.compile_text`).
+
 Negative results are cached too: a query that is *not* boundedly
 evaluable still costs a coverage fixpoint to diagnose, and heavy
 repeated traffic repeats uncovered queries just as often as covered
@@ -29,7 +34,9 @@ from ..core.bep import is_boundedly_evaluable
 from ..core.decision import Decision, no
 from ..engine.optimizer import PhysicalPlan, optimize
 from ..engine.plan import EmptyOp, Plan
+from ..errors import ParseError
 from ..query.normalize import query_fingerprint
+from ..query.parser import lift_literals
 from ..schema.access import AccessSchema
 from .lru import LruDict
 
@@ -110,6 +117,12 @@ class CacheInfo:
     size: int = 0
     capacity: int = 0
 
+    @classmethod
+    def of(cls, lru: LruDict, capacity: int) -> "CacheInfo":
+        return cls(hits=lru.hits, misses=lru.misses,
+                   evictions=lru.evictions, size=len(lru),
+                   capacity=capacity)
+
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
@@ -132,9 +145,10 @@ class PlanCache:
     def __init__(self, capacity: int = 256):
         self.capacity = capacity
         self._entries: LruDict = LruDict(capacity)
-        # Source-text front: (text, access fp) -> key, so a repeated
-        # *textual* query skips tokenizing and parsing as well.
-        self._text_keys: LruDict = LruDict(capacity)
+        # Source-text front: (shape text, access fp) -> the shape's
+        # CompiledQuery, so a text that differs from an earlier one only
+        # in its constants skips the parser and the whole pipeline.
+        self._shapes: LruDict = LruDict(capacity)
 
     def get(self, key: PlanCacheKey) -> CompiledQuery | None:
         return self._entries.get(key)
@@ -186,33 +200,61 @@ class PlanCache:
         return entry, False
 
     def compile_text(self, text: str, access_schema: AccessSchema,
-                     parse, statistics=None) -> tuple[CompiledQuery, bool]:
-        """Like :meth:`compile` for source text; repeated texts also skip
-        the parser.  ``parse`` maps text to a query object (injected so
-        this module stays parser-agnostic)."""
-        access_fp = access_schema.fingerprint()
-        text_key = (text, access_fp)
-        key = self._text_keys.get(text_key, count=False)
-        if key is not None:
-            entry = self.get(key)
-            if entry is not None:
-                return entry, True
-        query = parse(text)
-        key = PlanCacheKey(query_fingerprint(query, access_schema.schema),
-                           access_fp)
-        self._text_keys.put(text_key, key)
-        return self.compile(query, access_schema, statistics)
+                     parse, statistics=None
+                     ) -> tuple[CompiledQuery, bool, dict]:
+        """Like :meth:`compile` for source text, keyed on the text's
+        *shape* (:func:`~repro.query.parser.lift_literals`).
+
+        Returns ``(entry, cached, values)``: ``values`` binds the
+        entry's positional parameters (``{"0": 'a', "1": 2}``) and is
+        empty when the entry is the text's own compilation.  Every text
+        of one shape shares the shape's plan, which is sound because the
+        shape keeps the constants' equality pattern and the pipeline
+        looks at nothing else — except where the shape's verdict leaned
+        on the constants being distinct (:func:`_value_dependent`) or
+        the shape is not bounded: such a shape is *concrete*, and each
+        of its texts compiles as written.  ``parse`` maps text to a
+        query object (injected so this module stays parser-agnostic).
+        """
+        shape, literals = lift_literals(text)
+        key = (shape, access_schema.fingerprint())
+        entry = self._shapes.get(key, count=False)
+        found = entry is not None
+        cached = True
+        if not found:
+            try:
+                query = parse(shape)
+            except ParseError:
+                parse(text)  # the same error, located in the caller's text
+                raise
+            entry, cached = self.compile(query, access_schema, statistics)
+            self._shapes.put(key, entry)
+        if literals and not entry.bounded:
+            # A concrete shape: the verdict for the text may differ.
+            self._shapes.record_misses(1)
+            entry, cached = self.compile(parse(text), access_schema,
+                                         statistics)
+            return entry, cached, {}
+        if found:
+            self._shapes.record_hits(1)
+        else:
+            self._shapes.record_misses(1)
+        return entry, cached, {str(k): v for k, v in enumerate(literals)}
 
     def clear(self) -> None:
         self._entries.clear()
-        self._text_keys.clear()
+        self._shapes.clear()
 
     def info(self) -> CacheInfo:
-        return CacheInfo(hits=self._entries.hits,
-                         misses=self._entries.misses,
-                         evictions=self._entries.evictions,
-                         size=len(self._entries),
-                         capacity=self.capacity)
+        """Counters of the compiled-query table: a miss is one run of the
+        static pipeline."""
+        return CacheInfo.of(self._entries, self.capacity)
+
+    def shape_info(self) -> CacheInfo:
+        """Counters of the shape table: a hit is a text served by an
+        earlier text's plan, a miss is a text that compiled (its shape,
+        or itself when the shape is concrete)."""
+        return CacheInfo.of(self._shapes, self.capacity)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -398,11 +440,7 @@ class AnswerCache:
             self._by_relation.clear()
 
     def info(self) -> CacheInfo:
-        return CacheInfo(hits=self._entries.hits,
-                         misses=self._entries.misses,
-                         evictions=self._entries.evictions,
-                         size=len(self._entries),
-                         capacity=self.capacity)
+        return CacheInfo.of(self._entries, self.capacity)
 
     def __len__(self) -> int:
         return len(self._entries)

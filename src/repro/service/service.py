@@ -8,7 +8,9 @@ stage across requests:
 
 * a :class:`~repro.service.plancache.PlanCache` memoizes the whole
   static pipeline per (query, access-schema) fingerprint — sound
-  because plans and certificates are functions of Q and A only;
+  because plans and certificates are functions of Q and A only — and
+  keys query texts on their constant-free shape, so an ad-hoc text
+  reuses the plan of an earlier text with other constants;
 * :mod:`~repro.service.templates` compile a parameterized query once,
   and its specialized steps are built on first run and shared; a
   binding is just the vector of its constants, which the executor
@@ -51,7 +53,8 @@ from .batch import BatchReport, BatchRequest, run_batch
 from .fetchcache import CachingExecutor, FetchCache
 from .plancache import (AnswerCache, CacheInfo, CompiledQuery, FetchProfile,
                         PlanCache)
-from .templates import QueryTemplate, bind_physical_plan, bind_query
+from .templates import (QueryTemplate, bind_physical_plan, bind_query,
+                        check_bindings)
 
 
 @dataclass
@@ -103,6 +106,9 @@ class ServiceStats:
     deadline_exceeded_requests: int = 0
     templates: int = 0
     plan_cache: CacheInfo = field(default_factory=CacheInfo)
+    #: The plan cache's shape table: query texts served by the plan of
+    #: an earlier text with other constants (hits) or compiled (misses).
+    plan_shapes: CacheInfo = field(default_factory=CacheInfo)
     fetch_cache: CacheInfo = field(default_factory=CacheInfo)
     #: Counters of the (opt-in) materialized answer cache; all zeros
     #: when ``answer_cache_size=0``.
@@ -128,6 +134,7 @@ class ServiceStats:
                 f"deadline-exceeded: {self.deadline_exceeded_requests}; "
                 f"templates: {self.templates}; "
                 f"plan cache: {self.plan_cache}; "
+                f"plan shapes: {self.plan_shapes}; "
                 f"fetch cache: {self.fetch_cache}")
         if self.storage:
             tallies = ", ".join(f"{key}: {value}"
@@ -219,7 +226,7 @@ class BoundedQueryService:
     def compile(self, query) -> CompiledQuery:
         """Compile (or fetch from the plan cache) a query or query text."""
         if isinstance(query, str):
-            entry, _ = self.plan_cache.compile_text(
+            entry, _, _ = self.plan_cache.compile_text(
                 query, self.access_schema, parse_query, self._statistics)
         else:
             entry, _ = self.plan_cache.compile(query, self.access_schema,
@@ -285,6 +292,9 @@ class BoundedQueryService:
         """Answer one query (text or parsed), binding ``params`` if the
         query carries ``$name`` placeholders.
 
+        A text's literals are bound the same way: the plan cache serves
+        the text's shape, and the literals are its bindings.
+
         With ``deadline=`` set, the whole request runs inside its
         scope: the executor, the fetch boundary and the procshard RPC
         layer all observe it ambiently and abort with
@@ -293,9 +303,13 @@ class BoundedQueryService:
         start = time.perf_counter()
         with span("request"), deadline_scope(deadline):
             if isinstance(query, str):
-                entry, cached = self.plan_cache.compile_text(
+                entry, cached, values = self.plan_cache.compile_text(
                     query, self.access_schema, parse_query,
                     self._statistics)
+                if values:
+                    if params:  # the text declares no parameters
+                        check_bindings(frozenset(), params, "execute")
+                    params = values
             else:
                 entry, cached = self.plan_cache.compile(query,
                                                         self.access_schema,
@@ -385,8 +399,11 @@ class BoundedQueryService:
     def _answer_key(self, entry: CompiledQuery,
                     params: Mapping[str, Hashable]):
         """The answer-cache key for one bound request (the binding was
-        already checked hashable)."""
-        return (entry.serial, tuple(sorted(params.items())))
+        already checked hashable).  Each value carries its type, so
+        equal-comparing constants such as ``1`` and ``1.0`` keep the
+        answers they were computed with apart."""
+        return (entry.serial, tuple(sorted(
+            (name, type(value), value) for name, value in params.items())))
 
     def _fetch_profile(self, entry: CompiledQuery) -> FetchProfile:
         """``entry``'s fetch profile, memoized per compiled query
@@ -455,6 +472,7 @@ class BoundedQueryService:
                             deadline_exceeded_requests=deadline_exceeded,
                             templates=templates,
                             plan_cache=self.plan_cache.info(),
+                            plan_shapes=self.plan_cache.shape_info(),
                             fetch_cache=self.fetch_cache.info(),
                             answer_cache=(self.answer_cache.info()
                                           if self.answer_cache is not None

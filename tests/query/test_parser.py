@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import CQ, UCQ, Const, ParseError, PositiveQuery, Var
 from repro.query import FOQuery, parse_cq, parse_query, parse_ucq
 from repro.query.ast import Atom, Equality
+from repro.query.parser import _tokenize, lift_literals
 
 
 class TestCQParsing:
@@ -108,3 +110,59 @@ class TestFormulaParsing:
     def test_parse_ucq_rejects_fo(self):
         with pytest.raises(ParseError, match="expected a UCQ"):
             parse_ucq("Q(x) := NOT R(x)")
+
+
+#: Fragments that tokenize in every way the lifter must agree with:
+#: digits inside identifiers, signs after arrows, escaped quotes,
+#: placeholders, unicode digits and characters the tokenizer rejects.
+FRAGMENTS = ["x", "x1", "_", "1", "-1", "1.5", "-", "'a'", "'it\\'s'",
+             "'1'", " ", ":-", ":=", "(", ")", ",", "=", ".", ";", "$p",
+             "$0", "$", "AND", "٣", "é", "'"]
+
+
+def parse_query_term(token):
+    """The constant the parser builds for one literal token."""
+    return parse_cq(f"Q(x) :- R(x), x = {token.text}").equalities[0].right
+
+
+class TestLiftLiterals:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(FRAGMENTS), max_size=12))
+    def test_shape_tokenizes_like_the_text(self, fragments):
+        text = "".join(fragments)
+        shape, values = lift_literals(text)
+        try:
+            tokens = _tokenize(text)
+        except ParseError:
+            assert (shape, values) == (text, ())
+            return
+        kinds = [token.kind for token in tokens]
+        if "PARAM" in kinds or not set(kinds) & {"NUMBER", "STRING"}:
+            assert (shape, values) == (text, ())
+            return
+        lifted = _tokenize(shape)
+        assert ([t.kind for t in lifted]
+                == ["PARAM" if k in ("NUMBER", "STRING") else k
+                    for k in kinds])
+        placeholders, constants = [], []
+        for before, after in zip(tokens, lifted):
+            if after.kind == "PARAM":
+                value = values[int(after.text[1:])]
+                assert Const(value) == parse_query_term(before)
+                placeholders.append(after.text)
+                constants.append(value)
+            else:
+                assert after.text == before.text
+        # One placeholder per class of equal constants.
+        for i, (p, c) in enumerate(zip(placeholders, constants)):
+            for q, d in zip(placeholders[i:], constants[i:]):
+                assert (p == q) == (c == d)
+
+    def test_equal_literals_share_a_placeholder(self):
+        assert lift_literals("Q(x) :- R(x, 1.0, 'a'), S(1, 'a', '1')") == (
+            "Q(x) :- R(x, $0, $1), S($0, $1, $2)", (1.0, "a", "1"))
+
+    def test_texts_with_placeholders_or_no_literals_are_their_own(self):
+        for text in ("Q(x) :- R(x, $p), x = 1", "Q(x) :- R(x, y)"):
+            assert lift_literals(text) == (text, ())
+

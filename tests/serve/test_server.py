@@ -262,6 +262,18 @@ class TestStatsAndMetrics:
                                                 "stats_flush",
                                                 "peer_health"}
 
+    def test_stats_count_shape_hits(self, server):
+        call(server, "POST", "/query", {"query": DATE_QUERY})
+        before = server.stats_payload()["tenants"]["default"]
+        status, _, body = call(server, "POST", "/query", {
+            "query": DATE_QUERY.replace("1/5/2005", "1/6/2005")})
+        assert status == 200 and body["plan_cached"] is True
+        after = server.stats_payload()["tenants"]["default"]
+        assert after["plan_cache_shape_misses"] == before[
+            "plan_cache_shape_misses"] == 1
+        assert after["plan_cache_shape_hits"] > before[
+            "plan_cache_shape_hits"]
+
     def test_metrics_exposition_includes_all_layers(self, server):
         call(server, "POST", "/query", {"query": DATE_QUERY})
         status, _, text = call(server, "GET", "/metrics")

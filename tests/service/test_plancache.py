@@ -105,6 +105,33 @@ def test_compile_text_skips_the_parser_on_repeat(access, monkeypatch):
     assert len(calls) == 1
 
 
+def test_compile_text_shares_one_entry_per_shape(access):
+    cache = PlanCache(capacity=8)
+    first, cached, values = cache.compile_text(
+        "Q(y) :- R(x, y), x = 1", access, parse_query)
+    assert not cached and values == {"0": 1}
+    second, cached, values = cache.compile_text(
+        "Q(y) :- R(x, y), x = 'two'", access, parse_query)
+    assert second is first and cached and values == {"0": "two"}
+    assert first.parameters == {"0"}
+    assert (cache.shape_info().hits, cache.shape_info().misses) == (1, 1)
+
+
+def test_adding_a_constraint_changes_the_key(access):
+    cache = PlanCache(capacity=8)
+    query = parse_query("Q(z) :- R(x, y), S(y, z), x = 1")
+    text = "Q(z) :- R(x, y), S(y, z), x = 2"
+    entry, _ = cache.compile(query, access)
+    shape_entry, _, _ = cache.compile_text(text, access, parse_query)
+    fingerprint = access.fingerprint()
+    access.add(AccessConstraint("S", ("C",), ("B",), 4))
+    assert access.fingerprint() != fingerprint
+    again, cached = cache.compile(query, access)
+    assert not cached and again is not entry
+    shape_again, cached, _ = cache.compile_text(text, access, parse_query)
+    assert not cached and shape_again is not shape_entry
+
+
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
         PlanCache(capacity=0)
