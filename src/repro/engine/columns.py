@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class Batch:
     """A columnar intermediate: one code column per attribute.
 

@@ -178,7 +178,6 @@ class Executor:
         dictionary = self.db.dictionary
         spec, consts = specialized_plan(bound, dictionary)
         stats = AccessStats()
-        op_counts = stats.op_counts
         batches: list[Batch] = []
         append = batches.append
         largest = 0
@@ -192,10 +191,10 @@ class Executor:
                     # partial pipelines never leak out.
                     deadline.check(f"executor:{label}")
                 batch = step(batches, consts, self, stats)
-                op_counts[label] = op_counts.get(label, 0) + 1
                 if batch.length > largest:
                     largest = batch.length
                 append(batch)
+        stats.op_counts.update(spec.op_counts)
         stats.ops_executed += len(spec.steps)
         stats.max_intermediate = max(stats.max_intermediate, largest)
         final = batches[-1]

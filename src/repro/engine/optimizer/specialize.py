@@ -27,6 +27,8 @@ the final batch.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from ...errors import ExecutionError
 from ...obs.trace import span
 from ..columns import Batch, deduped_batch
@@ -40,15 +42,20 @@ __all__ = ["SpecializedPlan", "specialize", "specialized_plan"]
 
 
 class SpecializedPlan:
-    """A plan compiled to per-op closures over encoded batches."""
+    """A plan compiled to per-op closures over encoded batches.
 
-    __slots__ = ("steps", "labels", "result_columns")
+    ``op_counts`` is the batches one execution runs per op label —
+    a shape fact, counted here once instead of per step per request.
+    """
+
+    __slots__ = ("steps", "labels", "result_columns", "op_counts")
 
     def __init__(self, steps: list, labels: list[str],
                  result_columns: tuple[str, ...]):
         self.steps = steps
         self.labels = labels
         self.result_columns = result_columns
+        self.op_counts = dict(Counter(labels))
 
     def __len__(self) -> int:
         return len(self.steps)

@@ -52,6 +52,7 @@ never triggers it.
 from __future__ import annotations
 
 import threading
+from itertools import compress
 from typing import Sequence
 
 from ..deadline import current_deadline
@@ -129,8 +130,10 @@ class FetchCache:
     first time it sees it, so an encoded probe hashes the constraint
     once per fetch step instead of twice per key (frozen-dataclass
     hashing runs in Python).  Encoded entries are what the columnar
-    executor consumes: a warm hit hands back zero-copy views that flow
-    straight into a batch — no re-encoding, no row materialization.
+    executor consumes: a warm single-key hit hands back zero-copy views
+    that flow straight into a batch, and a multi-key step joins its
+    views into one fresh array per column — no re-encoding, no row
+    materialization.
     Maintenance rebuilds an entry's arrays copy-on-write, so views
     already handed out stay frozen at the content they were served
     with.
@@ -414,6 +417,9 @@ class FetchCache:
         Maintenance replaces an updated entry's arrays wholesale, so
         views handed to in-flight batches stay frozen.  Every call is
         a probe for the bypass rule (:meth:`bypass_step`).
+
+        An all-hit step (the warm path) is one probe of the whole batch
+        and returns right after it: no per-key bookkeeping.
         """
         relation = constraint.relation_name
         generation = db.generation(relation)
@@ -426,31 +432,31 @@ class FetchCache:
         else:
             cache_keys = [(slot, key, generation, 0) for key in keys]
             cached = self._entries.get_many(cache_keys)
-        entries: list = list(cached)
-        hits = [value is not None for value in cached]
-        miss_positions = [i for i, value in enumerate(cached)
-                          if value is None]
-        served = len(keys) - len(miss_positions)
+        missed = cached.count(None)
+        served = len(cached) - missed
         self.encoded_hits += served
-        if miss_positions:
-            fetched = db.fetch_many_encoded(
-                constraint, [keys[i] for i in miss_positions])
-            largest = self.max_entry_rows
-            puts = []
-            for position, (cols, length) in zip(miss_positions, fetched):
-                entry = (tuple(readonly_view(column) for column in cols),
-                         length)
-                entries[position] = entry
-                if length > largest:
-                    largest = length
-                puts.append((cache_keys[position], entry))
-            self.max_entry_rows = largest
-            if maintained:
-                self._store_maintained(relation, generation, schema, puts)
-            else:
-                self._entries.put_many(puts)
-        self._observe(served, len(miss_positions))
-        return entries, hits
+        if not missed:
+            self._observe(served, 0)
+            return cached, [True] * served
+        hits = [value is not None for value in cached]
+        miss_positions = [i for i, hit in enumerate(hits) if not hit]
+        fetched = db.fetch_many_encoded(
+            constraint, [keys[i] for i in miss_positions])
+        largest = self.max_entry_rows
+        puts = []
+        for position, (cols, length) in zip(miss_positions, fetched):
+            entry = (tuple(readonly_view(column) for column in cols), length)
+            cached[position] = entry
+            if length > largest:
+                largest = length
+            puts.append((cache_keys[position], entry))
+        self.max_entry_rows = largest
+        if maintained:
+            self._store_maintained(relation, generation, schema, puts)
+        else:
+            self._entries.put_many(puts)
+        self._observe(served, missed)
+        return cached, hits
 
     def _store_maintained(self, relation: str, stamp: int, schema,
                           items: list) -> None:
@@ -677,30 +683,26 @@ class CachingExecutor(Executor):
         if deadline is not None:
             deadline.check("fetch_flat_encoded")
         entries, hits = cache.lookup_many_encoded(self.db, constraint, keys)
-        stats.index_lookups += len(keys)
-        if len(entries) == 1:
+        n = len(keys)
+        stats.index_lookups += n
+        if n == 0:
+            width = len(constraint.x) + len(constraint.y)
+            return [int_column() for _ in range(width)], 0
+        views, lengths = zip(*entries)
+        total = sum(lengths)
+        served = hits.count(True)
+        if served == n:
+            from_cache = total
+        else:
+            from_cache = sum(compress(lengths, hits))
+            stats.fetch_cache_misses += n - served
+            stats.tuples_fetched += total - from_cache
+        stats.fetch_cache_hits += served
+        stats.tuples_from_cache += from_cache
+        if n == 1:
             # Single-key fast path: the cached views flow into the
             # batch directly — zero copies on the warmest path.
-            cols, length = entries[0]
-            if hits[0]:
-                stats.fetch_cache_hits += 1
-                stats.tuples_from_cache += length
-            else:
-                stats.fetch_cache_misses += 1
-                stats.tuples_fetched += length
-            return list(cols), length
-        width = len(constraint.x) + len(constraint.y)
-        out = [int_column() for _ in range(width)]
-        total = 0
-        for (cols, length), hit in zip(entries, hits):
-            if hit:
-                stats.fetch_cache_hits += 1
-                stats.tuples_from_cache += length
-            else:
-                stats.fetch_cache_misses += 1
-                stats.tuples_fetched += length
-            if length:
-                for position in range(width):
-                    extend_column(out[position], cols[position])
-                total += length
-        return out, total
+            return list(views[0]), total
+        # One C-level join per output column over the per-key views:
+        # each column is copied once, into a fresh array of its own.
+        return [int_column(b"".join(column)) for column in zip(*views)], total

@@ -10,14 +10,21 @@ their eviction and accounting behaviour identical.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import Any
+from collections import OrderedDict, deque
+from itertools import compress, repeat
+from operator import is_not
+from typing import Any, Sequence
+
+#: Runs an iterator to exhaustion in C, keeping nothing (a deque of
+#: length 0 stores no item, so sharing it between callers is safe).
+_drain = deque(maxlen=0).extend
 
 
 class LruDict:
     """A bounded, thread-safe LRU mapping.
 
-    ``None`` is reserved as the miss sentinel and may not be stored.
+    ``None`` is reserved as the miss sentinel and may not be stored
+    (nor may a value that compares equal to it).
 
     >>> lru = LruDict(capacity=2)
     >>> lru.put("a", 1); lru.put("b", 2); lru.put("c", 3)
@@ -53,23 +60,26 @@ class LruDict:
                 self.hits += 1
             return value
 
-    def get_many(self, keys, count: bool = True) -> list:
+    def get_many(self, keys: Sequence, count: bool = True) -> list:
         """Batched :meth:`get`: one lock pass for a whole key batch,
-        returning a value-or-``None`` list aligned with ``keys``."""
+        returning a value-or-``None`` list aligned with ``keys``.
+
+        Values, counters and recency end up exactly as ``get`` per key
+        would leave them (hits refreshed in batch order, a duplicate
+        key once per occurrence), but the probe and the refresh each
+        run as one C-level pass over the batch; an all-hit batch builds
+        no hit mask at all.
+        """
         with self._lock:
-            values = []
-            hits = misses = 0
-            for key in keys:
-                value = self._data.get(key)
-                if value is None:
-                    misses += 1
-                else:
-                    self._data.move_to_end(key)
-                    hits += 1
-                values.append(value)
+            data = self._data
+            values = list(map(data.get, keys))
+            missed = values.count(None)
+            hits = (compress(keys, map(is_not, values, repeat(None)))
+                    if missed else keys)
+            _drain(map(data.move_to_end, hits))
             if count:
-                self.hits += hits
-                self.misses += misses
+                self.hits += len(values) - missed
+                self.misses += missed
             return values
 
     def put_many(self, items) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.service.lru import LruDict
 
@@ -72,3 +73,44 @@ def test_put_many_rejects_none_values():
     lru = LruDict(capacity=2)
     with pytest.raises(ValueError, match="cannot store None"):
         lru.put_many([("a", None)])
+
+
+KEYS = st.sampled_from("abcdefgh")
+# Falsy values are still hits: only None is the miss sentinel.
+VALUES = st.one_of(st.integers(-2, 2), st.just([]), st.just(""))
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(1, 6),
+       stored=st.lists(st.tuples(KEYS, VALUES), max_size=10),
+       batch=st.lists(KEYS, max_size=12),
+       count=st.booleans())
+def test_get_many_equals_one_get_per_key(capacity, stored, batch, count):
+    batched, single = LruDict(capacity), LruDict(capacity)
+    for lru in (batched, single):
+        lru.put_many(stored)
+        lru.hits, lru.misses = 3, 5  # counters left untouched must stay
+    values = batched.get_many(batch, count=count)
+    assert values == [single.get(key, count=count) for key in batch]
+    assert (batched.hits, batched.misses) == (single.hits, single.misses)
+    if not count:
+        assert (batched.hits, batched.misses) == (3, 5)
+    # Same recency afterwards, so the next put evicts the same key.
+    assert list(batched._data) == list(single._data)
+    batched.put("new", 0)
+    single.put("new", 0)
+    assert list(batched._data) == list(single._data)
+    assert batched.evictions == single.evictions
+
+
+def test_get_many_all_misses_and_duplicates():
+    lru = LruDict(capacity=3)
+    lru.put_many([("a", 1), ("b", 0), ("c", 3)])
+    assert lru.get_many(["x", "y", "x"]) == [None, None, None]
+    assert (lru.hits, lru.misses) == (0, 3)
+    # Every occurrence refreshes; the last touches are "a" then "b",
+    # so recency is c < a < b.
+    assert lru.get_many(["a", "b", "a", "b"]) == [1, 0, 1, 0]
+    assert (lru.hits, lru.misses) == (4, 3)
+    lru.put("d", 4)
+    assert list(lru._data) == ["a", "b", "d"]
