@@ -29,8 +29,7 @@ import pytest
 
 from repro import Database, is_boundedly_evaluable
 from repro.engine import optimize
-from repro.engine.executor import (AccessStats, Executor,
-                                   LegacyTupleExecutor)
+from repro.engine.executor import AccessStats, Executor
 from repro.obs import MetricsRegistry, attach_storage_collector
 from repro.query import parse_query
 from repro.storage.disk import DiskBackend, disk_backend_factory
@@ -53,20 +52,22 @@ def log():
     experiment.flush()
 
 
-class RecordingExecutor(LegacyTupleExecutor):
-    """Harvests the (constraint, x-value batch) pairs a plan issues so
-    the overhead comparison replays *real* traffic.
-    Based on the tuple executor because the columnar ``execute`` never
-    crosses the ``_fetch_flat`` hook; the batches are the same either
-    way (the accounting identity EXP-9 enforces)."""
+class RecordingExecutor(Executor):
+    """Harvests the (constraint, X-value batch) pairs a plan issues so
+    the overhead comparison replays *real* traffic: each fetch step's
+    code keys, decoded (every key here is a stored value)."""
 
     def __init__(self, db):
         super().__init__(db)
         self.batches: list[tuple[object, list[tuple]]] = []
 
-    def _fetch_flat(self, constraint, x_values, stats):
-        self.batches.append((constraint, list(x_values)))
-        return super()._fetch_flat(constraint, x_values, stats)
+    def _fetch_flat_encoded(self, constraint, keys, stats):
+        decode = self.db.dictionary.decode
+        code_keys = ([(key,) for key in keys] if len(constraint.x) == 1
+                     else keys)
+        self.batches.append((constraint, [tuple(map(decode, key))
+                                          for key in code_keys]))
+        return super()._fetch_flat_encoded(constraint, keys, stats)
 
 
 def accident_queries(db):
@@ -101,11 +102,9 @@ def run_all(executor, plans):
     return answers, stats
 
 
-def replay(executor, batches):
-    stats = AccessStats()
-    rows = [executor._fetch_flat(constraint, x_values, stats)
+def replay(db, batches):
+    return [db.fetch_flat(constraint, x_values)
             for constraint, x_values in batches]
-    return rows, stats
 
 
 @pytest.fixture(scope="module")
@@ -209,10 +208,10 @@ def test_cold_open_and_fetch_overhead_report(setup, log):
     for _, plan in plans:
         recorder.execute(plan)
     batches = recorder.batches
-    memory_s, (memory_rows, _) = timed(
-        lambda: replay(Executor(memory_db), batches), repeat=FETCH_REPEAT)
-    disk_s, (disk_rows, _) = timed(
-        lambda: replay(Executor(recovered), batches), repeat=FETCH_REPEAT)
+    memory_s, memory_rows = timed(
+        lambda: replay(memory_db, batches), repeat=FETCH_REPEAT)
+    disk_s, disk_rows = timed(
+        lambda: replay(recovered, batches), repeat=FETCH_REPEAT)
     assert [frozenset(batch) for batch in disk_rows] == \
         [frozenset(batch) for batch in memory_rows]
     overhead = disk_s / max(memory_s, 1e-9)

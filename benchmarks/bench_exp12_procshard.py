@@ -8,21 +8,16 @@ what makes the topology cheap to cross: a fetch batch ships as
 ``array('q')`` code columns, so the per-row IPC cost is 8 bytes per
 column, not a pickled value tuple.  Claims checked:
 
-* replaying 1M+-row synthetic fetch traffic, the **procshard encoded
-  boundary (4 workers) is >= 2x faster than the single-process
-  ``MemoryBackend`` per-x-value boundary** producing the same
-  deliverable — one ``db.fetch`` call per X-value plus the
-  encode-and-transpose into the flat code columns the columnar
-  executor consumes, now held across a process hop (hard
-  ``min_value`` trajectory gate); the raw tuple-fetch ratio rides
-  along warn-only;
+* replaying 1M+-row synthetic fetch traffic, the encoded boundary on
+  procshard (4 workers) and on an in-process ``MemoryBackend`` return
+  **bit-identical** rows and ``|D_Q|`` accounting to a plain per-key
+  ``db.fetch`` loop, and end-to-end answers agree — process fan-out
+  changes topology, never answers (``bench_correctness``);
 * the IPC toll is reported honestly: procshard vs the same encoded
-  replay on an in-process ``MemoryBackend``
-  (``procshard_ipc_overhead_ratio``, warn-only wall-clock — on one
-  box the hop can only cost; the win is cores and isolation);
-* fetched rows and ``|D_Q|`` accounting are **bit-identical** on every
-  path, end-to-end answers included — process fan-out changes
-  topology, never answers (``bench_correctness``);
+  replay in process (``procshard_ipc_overhead_ratio``, warn-only
+  wall-clock — on one box the hop can only cost; the win is cores and
+  isolation).  End-to-end latency is judged by the ledger's
+  ``procshard_fanout`` workload, not here;
 * the RPC ledger is deterministic: logical bytes shipped/received and
   request counts are pure functions of the replayed traffic, recorded
   as hard counter metrics;
@@ -41,8 +36,7 @@ import pytest
 
 from repro import is_boundedly_evaluable
 from repro.engine import optimize
-from repro.engine.executor import (AccessStats, Executor,
-                                   LegacyTupleExecutor)
+from repro.engine.executor import AccessStats, Executor
 from repro.obs import MetricsRegistry
 from repro.query import parse_query
 from repro.schema.access import AccessConstraint, AccessSchema
@@ -64,7 +58,6 @@ BOUNDARY_REPEAT = 3
 E2E_REPEAT = 3
 N_QUERIES = 8
 BOUND = 16
-MIN_PROCSHARD_SPEEDUP = 2.0
 
 
 @pytest.fixture(scope="module")
@@ -73,21 +66,6 @@ def log():
         "EXP-12", "process-sharded storage over the encoded boundary")
     yield experiment
     experiment.flush()
-
-
-class PerValueExecutor(LegacyTupleExecutor):
-    """The PR 2 stack, preserved as the baseline: one ``db.fetch``
-    round-trip (and its accounting) per distinct X-value, on the tuple
-    executor."""
-
-    def _fetch_flat(self, constraint, x_values, stats):
-        out_rows = []
-        for x_value in x_values:
-            fetched = self.db.fetch(constraint, x_value)
-            stats.index_lookups += 1
-            stats.tuples_fetched += len(fetched)
-            out_rows.extend(fetched)
-        return out_rows
 
 
 # -- workload -----------------------------------------------------------------
@@ -102,11 +80,11 @@ def build_schema():
 
 def synthetic_rows(n_keys: int, group_size: int) -> list[tuple]:
     """``n_keys`` X-groups of ``group_size`` distinct rows.  Values are
-    strings, as in the paper's real datasets (dates, ids, names): the
-    value-space baseline pays string hashing and comparison per
-    lookup, while the encoded paths ship nothing but int codes — the
-    dictionary trade this whole repo is built on.  B and C reuse
-    values across groups so the code space stays small and shared."""
+    strings, as in the paper's real datasets (dates, ids, names): a
+    value-space lookup pays string hashing and comparison, while the
+    encoded paths ship nothing but int codes — the dictionary trade
+    this whole repo is built on.  B and C reuse values across groups so
+    the code space stays small and shared."""
     return [(f"k{key}", f"b{(key * 31 + j) % 50_000}", f"c{j}")
             for key in range(n_keys) for j in range(group_size)]
 
@@ -129,27 +107,12 @@ def point_queries(rng: random.Random):
 # -- replay helpers -----------------------------------------------------------
 
 
-def replay_per_value(executor, batches):
-    stats = AccessStats()
-    replayed = [executor._fetch_flat(constraint, x_values, stats)
-                for constraint, x_values in batches]
-    return replayed, stats
-
-
-def replay_per_value_columns(executor, batches):
-    """The PR 2 boundary made to produce what the columnar executor
-    actually consumes: one ``db.fetch`` per X-value, then
-    dictionary-encode and transpose the value tuples into flat code
-    columns — a deliverable-matched baseline on the per-value
-    loop."""
-    stats = AccessStats()
-    encode_row = executor.db.dictionary.encode_row
-    out = []
-    for constraint, x_values in batches:
-        rows = executor._fetch_flat(constraint, x_values, stats)
-        coded = list(map(encode_row, rows))
-        out.append((list(zip(*coded)), len(coded)))
-    return out, stats
+def replay_per_key(db, batches):
+    """The reference: one plain ``db.fetch`` per X-value, rows as
+    sorted value tuples per batch."""
+    return [sorted(row for x_value in x_values
+                   for row in db.fetch(constraint, x_value))
+            for constraint, x_values in batches]
 
 
 def encode_batches(db, batches):
@@ -201,22 +164,16 @@ def run_all(executor, plans):
     return answers, stats
 
 
-# -- the boundary benchmark (the asserted claim) ------------------------------
+# -- the boundary replay (identity + reported IPC toll) -----------------------
 
 
 def run_boundary(db, proc, batches, log, failures):
-    per_value_executor = PerValueExecutor(db)
     memory_executor = Executor(db)
     proc_executor = Executor(proc)
     coded_mem = encode_batches(db, batches)
     coded_proc = encode_batches(proc, batches)
 
-    per_value_s, (per_value_out, per_value_stats) = timed(
-        lambda: replay_per_value(per_value_executor, batches),
-        repeat=BOUNDARY_REPEAT)
-    columns_s, (columns_out, columns_stats) = timed(
-        lambda: replay_per_value_columns(per_value_executor, batches),
-        repeat=BOUNDARY_REPEAT)
+    reference = replay_per_key(db, batches)
     encoded_s, (encoded_out, encoded_stats) = timed(
         lambda: replay_encoded(memory_executor, coded_mem),
         repeat=BOUNDARY_REPEAT)
@@ -224,37 +181,23 @@ def run_boundary(db, proc, batches, log, failures):
         lambda: replay_encoded(proc_executor, coded_proc),
         repeat=BOUNDARY_REPEAT)
 
-    # Bit-identical rows, batch for batch, on every path, and identical
-    # |D_Q| accounting.  Violations are collected here and asserted in
-    # the bench_correctness test.
-    reference = [sorted(batch) for batch in per_value_out]
-    for path_name, decoded in (
-            ("memory/per-value+encode", decoded_multisets(db, columns_out)),
-            ("memory/encoded", decoded_multisets(db, encoded_out)),
-            (f"procshard[{WORKERS}]/encoded",
-             decoded_multisets(proc, proc_out))):
-        if decoded != reference:
+    # Bit-identical rows, batch for batch, on both encoded paths, and
+    # the per-key loop's |D_Q| accounting: one lookup per X-value, every
+    # row counted.  Violations are collected here and asserted in the
+    # bench_correctness test.
+    x_total = sum(len(x_values) for _, x_values in batches)
+    tuples = sum(len(rows) for rows in reference)
+    for path_name, path_db, out, stats in (
+            ("memory/encoded", db, encoded_out, encoded_stats),
+            (f"procshard[{WORKERS}]/encoded", proc, proc_out, proc_stats)):
+        if decoded_multisets(path_db, out) != reference:
             failures.append(f"{path_name}: fetched rows differ")
-    for path_name, stats in (
-            ("memory/per-value+encode", columns_stats),
-            ("memory/encoded", encoded_stats),
-            (f"procshard[{WORKERS}]/encoded", proc_stats)):
-        if (stats.index_lookups != per_value_stats.index_lookups
-                or stats.tuples_fetched != per_value_stats.tuples_fetched):
+        if stats.index_lookups != x_total or stats.tuples_fetched != tuples:
             failures.append(
                 f"{path_name}: accounting differs "
                 f"({stats.index_lookups}/{stats.tuples_fetched} vs "
-                f"{per_value_stats.index_lookups}/"
-                f"{per_value_stats.tuples_fetched})")
+                f"{x_total}/{tuples})")
 
-    x_total = sum(len(x_values) for _, x_values in batches)
-    tuples = per_value_stats.tuples_fetched
-    # The gated claim is deliverable-matched: since PR 7 the executor
-    # consumes flat code columns, so the single-process per-value
-    # boundary must encode and transpose what it fetched before a plan
-    # can run on it.
-    speedup = columns_s / max(proc_s, 1e-9)
-    tuple_ratio = per_value_s / max(proc_s, 1e-9)
     ipc_ratio = proc_s / max(encoded_s, 1e-9)
     log.row("")
     log.row(f"-- boundary: {len(batches)} fetch batches, {x_total} "
@@ -262,32 +205,18 @@ def run_boundary(db, proc, batches, log, failures):
             f"(best of {BOUNDARY_REPEAT}) --")
     log.table(
         ["boundary", "time", "rows/sec"],
-        [["memory/per-value, tuples out (PR 2)",
-          f"{per_value_s * 1e3:.2f}ms",
-          f"{int(tuples / max(per_value_s, 1e-9)):,}"],
-         ["memory/per-value + encode, columns out",
-          f"{columns_s * 1e3:.2f}ms",
-          f"{int(tuples / max(columns_s, 1e-9)):,}"],
-         ["memory/encoded", f"{encoded_s * 1e3:.2f}ms",
+        [["memory/encoded", f"{encoded_s * 1e3:.2f}ms",
           f"{int(tuples / max(encoded_s, 1e-9)):,}"],
          [f"procshard[{WORKERS}]/encoded", f"{proc_s * 1e3:.2f}ms",
           f"{int(tuples / max(proc_s, 1e-9)):,}"]])
-    log.row(f"procshard vs per-value columns boundary: {speedup:.1f}x "
-            f"(vs raw tuple fetch: {tuple_ratio:.1f}x); IPC toll vs "
-            f"in-process encoded: {ipc_ratio:.1f}x "
+    log.row(f"IPC toll vs in-process encoded: {ipc_ratio:.1f}x "
             "(one hop, one box — the hop can only cost here)")
-    log.metric("procshard_boundary_speedup", round(speedup, 2))
-    log.metric("procshard_vs_tuple_fetch_ratio", round(tuple_ratio, 2))
     log.metric("procshard_ipc_overhead_ratio", round(ipc_ratio, 2))
-    log.metric("per_value_boundary_ms", round(per_value_s * 1e3, 3))
-    log.metric("per_value_columns_boundary_ms", round(columns_s * 1e3, 3))
     log.metric("memory_encoded_boundary_ms", round(encoded_s * 1e3, 3))
     log.metric("procshard_boundary_ms", round(proc_s * 1e3, 3))
     log.metric("boundary_x_keys", x_total)
     log.metric("boundary_tuples", tuples)
-    log.gate("procshard_boundary_speedup",
-             min_value=MIN_PROCSHARD_SPEEDUP)
-    return speedup, (proc_executor, coded_proc)
+    return proc_executor, coded_proc
 
 
 def rpc_ledger(proc, proc_executor, coded_proc, log):
@@ -309,12 +238,11 @@ def rpc_ledger(proc, proc_executor, coded_proc, log):
     return delta
 
 
-# -- the end-to-end comparison (identity + reported win) ----------------------
+# -- the end-to-end comparison (identity + reported times) --------------------
 
 
 def run_end_to_end(db, proc, plans, log, failures):
     configs = [
-        ("memory/per-value", PerValueExecutor(db)),
         ("memory/columnar", Executor(db)),
         (f"procshard[{WORKERS}]/columnar", Executor(proc)),
     ]
@@ -339,16 +267,11 @@ def run_end_to_end(db, proc, plans, log, failures):
         rows.append([config_name, f"{seconds * 1e3:.2f}ms",
                      stats.index_lookups, stats.tuples_fetched])
 
-    speedup = timings["memory/per-value"] / max(
-        timings[f"procshard[{WORKERS}]/columnar"], 1e-9)
     log.row("")
     log.row(f"-- end-to-end: {len(plans)} point queries on |R| = "
-            f"{db.size()} (median of {E2E_REPEAT}) --")
+            f"{db.size()} (median of {E2E_REPEAT}; the ledger's "
+            "procshard_fanout workload judges this latency) --")
     log.table(["config", "time", "index lookups", "tuples fetched"], rows)
-    log.row(f"procshard end-to-end vs PR 2 stack: {speedup:.2f}x "
-            "(point fetches — the boundary, not the joins, is the hop)")
-    log.metric("end_to_end_procshard_vs_per_value_ratio",
-               round(speedup, 2))
     log.metric("end_to_end_median_ms", {
         config: round(seconds * 1e3, 3)
         for config, seconds in timings.items()})
@@ -378,8 +301,7 @@ def registry_dump(stats: AccessStats, ledger: dict,
 @pytest.fixture(scope="module")
 def measured(log):
     """The 1M+-row workload, measured once; identity violations are
-    collected for the bench_correctness test, wall-clock ratios for the
-    (noisy, continue-on-error-smoked) speedup test."""
+    collected for the bench_correctness test."""
     failures: list[str] = []
     schema, aschema = build_schema()
     db = Database(schema)
@@ -392,7 +314,7 @@ def measured(log):
     try:
         constraint = next(iter(aschema))
         batches = fetch_traffic(constraint, random.Random(12))
-        speedup, (proc_executor, coded_proc) = run_boundary(
+        proc_executor, coded_proc = run_boundary(
             db, proc, batches, log, failures)
         ledger = rpc_ledger(proc, proc_executor, coded_proc, log)
         plans = compile_plans(db, point_queries(random.Random(34)))
@@ -407,27 +329,14 @@ def measured(log):
         log.row("")
         log.row(f"gauges: dictionary {gauges['dictionary_bytes']:,} bytes, "
                 f"{gauges['workers_alive']} workers alive")
-        log.row("")
-        log.row(f"claim: procshard[{WORKERS}] over the encoded boundary "
-                f">= {MIN_PROCSHARD_SPEEDUP:.0f}x vs the single-process "
-                "per-x-value boundary (columns deliverable) at 1M+ rows.")
-        log.row(f"measured: {speedup:.1f}x")
     finally:
         proc.backend.close()
-    return {"failures": failures, "speedup": speedup}
+    return {"failures": failures}
 
 
 @pytest.mark.bench_correctness
 def test_identical_rows_and_accounting_on_every_path(measured):
     assert not measured["failures"], measured["failures"][:5]
-
-
-def test_procshard_boundary_speedup(measured):
-    """The encoded RPC boundary must beat the PR 2 per-x-value boundary
-    by >= 2x at 1M+ rows — also enforced as a min_value trajectory
-    gate on BENCH_exp-12.json."""
-    assert measured["speedup"] >= MIN_PROCSHARD_SPEEDUP, \
-        f"procshard boundary: only {measured['speedup']:.1f}x"
 
 
 # -- replica smoke (standalone: CI runs this without the 1M fixture) ----------

@@ -4,8 +4,7 @@ optimizer, the batch-oriented physical executor, and cost bounds."""
 from .builder import build_bounded_plan, build_empty_plan, build_union_plan
 from .cost import FetchBound, PlanCost, static_bounds
 from .executor import (AccessStats, Batch, ExecutionResult, Executor,
-                       LegacyTupleExecutor, Table, execute_plan,
-                       interpret_logical)
+                       Table, execute_plan, interpret_logical)
 from .naive import (ScanStats, evaluate, evaluate_cq, evaluate_fo,
                     evaluate_positive, evaluate_ucq)
 from .optimizer import (OptimizationTrace, PhysicalPlan, ensure_physical,
@@ -18,7 +17,7 @@ __all__ = [
     "SelectOp", "RenameOp", "ProductOp", "UnionOp", "DiffOp",
     "ColEq", "ConstEq",
     "PhysicalPlan", "OptimizationTrace", "optimize", "ensure_physical",
-    "Executor", "LegacyTupleExecutor", "ExecutionResult", "AccessStats",
+    "Executor", "ExecutionResult", "AccessStats",
     "Table", "Batch", "execute_plan", "interpret_logical",
     "build_bounded_plan", "build_union_plan", "build_empty_plan",
     "static_bounds", "PlanCost", "FetchBound",

@@ -46,9 +46,7 @@ class Batch:
     distinct: bool
 
     def rows(self) -> set[tuple]:
-        """The batch's rows as a set of tuples, in whatever domain the
-        columns carry (codes on the columnar path, values on the legacy
-        tuple path)."""
+        """The batch's rows as a set of code tuples."""
         if not self.columns:
             return {()} if self.length else set()
         return set(zip(*self.cols))

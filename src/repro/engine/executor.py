@@ -14,27 +14,24 @@ of codes the steps index by slot.  Handed a *logical*
 :class:`~repro.engine.plan.Plan`, it first runs the one-time optimizer
 (memoized on the plan object).
 
-Crucially, the accounting semantics are unchanged from the
-tuple-at-a-time executors this replaces: every tuple that crosses the
-storage boundary is counted, so the numbers reported here — fetch
-calls, index lookups, tuples fetched — are still the paper's
-``|D_Q|``-style quantities (Section 2) and what EXP-1/EXP-4 plot.
-Code-distinctness equals value-distinctness (the dictionary is a
-bijection), so per-distinct-X lookup counts are identical too.
+Every tuple that crosses the storage boundary is counted, so the
+numbers reported here — fetch calls, index lookups, tuples fetched —
+are the paper's ``|D_Q|``-style quantities (Section 2) and what
+EXP-1/EXP-4 plot.  Code-distinctness equals value-distinctness (the
+dictionary is a bijection), so there is one index lookup per distinct
+X-value of a fetch step.
 
-:class:`LegacyTupleExecutor` keeps the previous value-tuple batch
-implementation on the unencoded ``fetch_flat`` surface — benchmarks
-use it as the columnar path's wall-clock baseline, and recording
-harnesses that interpose on ``_fetch_flat`` subclass it.
-:func:`interpret_logical` keeps the direct tuple-at-a-time
-interpretation of the logical IR (no optimizer, no fusion) as the
-reference semantics — property tests and the EXP-9 benchmark compare
-the optimized pipeline against it bit-for-bit.
+Value tuples stop at the storage boundary: the only fetch hook is
+:meth:`Executor._fetch_flat_encoded`.  :func:`interpret_logical` keeps
+the direct tuple-at-a-time interpretation of the logical IR (no
+optimizer, no fusion, ``db.fetch`` per X-value) as the reference
+semantics — property tests and the EXP-9 benchmark compare the
+optimized pipeline against it bit-for-bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..deadline import current_deadline
@@ -42,13 +39,8 @@ from ..errors import ExecutionError
 from ..obs.trace import span
 from ..storage.database import Database
 from ..storage.statistics import TableStatistics
-from .columns import Batch, column_index, deduped_batch
-from .optimizer.physical import (BatchFetchOp, BoundPlan, ConstCheck,
-                                 ConstScanOp, CrossJoinOp, DifferenceOp,
-                                 DistinctUnionOp, EmptyScanOp, FilterOp,
-                                 FusedFetchOp, GatherOp, HashJoinOp,
-                                 PhysicalOp, PhysicalPlan, UnitScanOp,
-                                 op_label)
+from .columns import Batch, column_index
+from .optimizer.physical import BoundPlan, PhysicalPlan
 from .optimizer.pipeline import ensure_physical
 from .optimizer.specialize import specialized_plan
 from .plan import (ColEq, ConstEq, ConstOp, DiffOp, EmptyOp, FetchOp, Op,
@@ -56,8 +48,8 @@ from .plan import (ColEq, ConstEq, ConstOp, DiffOp, EmptyOp, FetchOp, Op,
                    UnitOp)
 
 __all__ = [
-    "AccessStats", "Batch", "ExecutionResult", "Executor",
-    "LegacyTupleExecutor", "Table", "execute_plan", "interpret_logical",
+    "AccessStats", "Batch", "ExecutionResult", "Executor", "Table",
+    "execute_plan", "interpret_logical",
 ]
 
 
@@ -135,17 +127,6 @@ class ExecutionResult:
         return bool(self.table.rows)
 
 
-def _passes(row: tuple, checks) -> bool:
-    for check in checks:
-        if isinstance(check, ConstCheck):
-            if row[check.position] != check.value:
-                return False
-        else:
-            if row[check.left] != row[check.right]:
-                return False
-    return True
-
-
 class Executor:
     """Executes plans against one database instance — the columnar path.
 
@@ -209,28 +190,15 @@ class Executor:
 
     # -- the storage boundary -------------------------------------------------
 
-    def _fetch_flat(self, constraint, x_values: Sequence[tuple],
-                    stats: AccessStats) -> list[tuple]:
-        """One batched trip to storage in the *value* domain: every row
-        for the batch of distinct X-values, in one unordered list.
-        Accounting is unchanged from the per-value days: one index
-        lookup per distinct X-value, every returned tuple counted.
-        Subclasses may interpose a per-X cache here (see
-        ``repro.service.fetchcache.CachingExecutor``)."""
-        deadline = current_deadline()
-        if deadline is not None:
-            deadline.check("fetch_flat")
-        rows = self.db.fetch_flat(constraint, x_values)
-        stats.index_lookups += len(x_values)
-        stats.tuples_fetched += len(rows)
-        return rows
-
     def _fetch_flat_encoded(self, constraint, keys: Sequence,
                             stats: AccessStats):
-        """The encoded twin of :meth:`_fetch_flat`: code keys in,
-        concatenated ``(code columns, length)`` out.  Identical
-        accounting — the dictionary is a bijection, so the batch of
-        distinct codes is exactly the batch of distinct X-values.
+        """One batched trip to storage: a fetch step's distinct code
+        keys in, the concatenated ``(code columns, length)`` out.  One
+        index lookup per key (the dictionary is a bijection, so the
+        batch of distinct codes is exactly the batch of distinct
+        X-values), every returned tuple counted.  Subclasses may
+        interpose a per-key cache here (see
+        ``repro.service.fetchcache.CachingExecutor``).
 
         This call is also the process-sharding RPC surface: under a
         :class:`~repro.storage.procshard.ProcessShardedBackend` the key
@@ -238,8 +206,8 @@ class Executor:
         back over pipes — with the same answers and the same
         ``AccessStats``, because accounting happens here and in the
         specialized fetch step, never inside an engine.  (``fetch_calls``
-        and the ``fetch`` span are counted at the call sites: the
-        specialized step closures and ``_run_fetch``.)"""
+        and the ``fetch`` span are counted at the call site, the
+        specialized step closure.)"""
         deadline = current_deadline()
         if deadline is not None:
             deadline.check("fetch_flat_encoded")
@@ -247,201 +215,6 @@ class Executor:
         stats.index_lookups += len(keys)
         stats.tuples_fetched += length
         return cols, length
-
-
-def _bound_steps(bound: BoundPlan) -> list[PhysicalOp]:
-    """The template's ops with the binding's values in their constant
-    slots — the value-domain executor reads constants off its ops."""
-    steps = bound.plan.steps
-    if bound.values is bound.plan.constants:
-        return steps
-    values = iter(bound.values)
-    bound_steps = []
-    for op in steps:
-        if isinstance(op, ConstScanOp):
-            op = replace(op, value=next(values))
-        elif isinstance(op, (FilterOp, FusedFetchOp)):
-            op = replace(op, checks=tuple(
-                ConstCheck(c.position, next(values))
-                if isinstance(c, ConstCheck) else c for c in op.checks))
-        bound_steps.append(op)
-    return bound_steps
-
-
-class LegacyTupleExecutor(Executor):
-    """The pre-columnar batch executor: value tuples end to end.
-
-    Kept as the wall-clock baseline the columnar path is benchmarked
-    against (EXP-9) and as the harness base class for recorders
-    that interpose on the unencoded ``_fetch_flat`` boundary.  Answers
-    and :class:`AccessStats` are identical to the columnar path's by
-    construction — property tests enforce it.
-    """
-
-    def execute(self, plan) -> ExecutionResult:
-        bound = self._resolve(plan)
-        stats = AccessStats()
-        batches: list[Batch] = []
-        op_counts = stats.op_counts
-        with span("execute"):
-            for op in _bound_steps(bound):
-                batch = self._run_op(op, batches, stats)
-                stats.ops_executed += 1
-                kind = op_label(type(op))
-                op_counts[kind] = op_counts.get(kind, 0) + 1
-                stats.max_intermediate = max(stats.max_intermediate,
-                                             batch.length)
-                batches.append(batch)
-        final = batches[-1]
-        return ExecutionResult(Table(final.columns, final.rows()), stats)
-
-    # -- op dispatch ----------------------------------------------------------
-
-    def _run_op(self, op: PhysicalOp, batches: list[Batch],
-                stats: AccessStats) -> Batch:
-        if isinstance(op, UnitScanOp):
-            return Batch((), [], 1, True)
-        if isinstance(op, EmptyScanOp):
-            return Batch(op.out_columns,
-                         [[] for _ in op.out_columns], 0, True)
-        if isinstance(op, ConstScanOp):
-            return Batch(op.out_columns, [[op.value]], 1, True)
-        if isinstance(op, GatherOp):
-            return self._run_gather(op, batches[op.source])
-        if isinstance(op, FilterOp):
-            return self._run_filter(op, batches[op.source])
-        if isinstance(op, (BatchFetchOp, FusedFetchOp)):
-            return self._run_fetch(op, batches[op.source], stats)
-        if isinstance(op, HashJoinOp):
-            return self._run_hash_join(op, batches[op.left],
-                                       batches[op.right])
-        if isinstance(op, CrossJoinOp):
-            return self._run_cross(op, batches[op.left], batches[op.right])
-        if isinstance(op, DistinctUnionOp):
-            return self._run_union(op, batches)
-        if isinstance(op, DifferenceOp):
-            left, right = batches[op.left], batches[op.right]
-            rows = list(left.rows() - right.rows())
-            if rows and op.out_columns:
-                cols = [list(column) for column in zip(*rows)]
-            else:
-                cols = [[] for _ in op.out_columns]
-            return Batch(op.out_columns, cols,
-                         len(rows) if op.out_columns else
-                         (1 if rows else 0), True)
-        raise ExecutionError(f"unknown physical op {op!r}")
-
-    @staticmethod
-    def _run_gather(op: GatherOp, source: Batch) -> Batch:
-        if not op.positions:
-            return Batch(op.out_columns, [], 1 if source.length else 0, True)
-        cols = [source.cols[p] for p in op.positions]
-        permutation = (len(op.positions) == len(source.columns)
-                       and sorted(op.positions) ==
-                       list(range(len(source.columns))))
-        if source.distinct and permutation:
-            # Reorder/rename of distinct rows: column lists are shared,
-            # nothing is copied, distinctness is preserved.
-            return Batch(op.out_columns, cols, source.length, True)
-        return deduped_batch(op.out_columns, cols, source.length)
-
-    @staticmethod
-    def _run_filter(op: FilterOp, source: Batch) -> Batch:
-        selected = range(source.length)
-        for check in op.checks:
-            if isinstance(check, ConstCheck):
-                column, value = source.cols[check.position], check.value
-                selected = [i for i in selected if column[i] == value]
-            else:
-                left, right = source.cols[check.left], source.cols[check.right]
-                selected = [i for i in selected if left[i] == right[i]]
-        selected = list(selected)
-        cols = [[column[i] for i in selected] for column in source.cols]
-        return Batch(op.out_columns, cols, len(selected), source.distinct)
-
-    def _run_fetch(self, op, source: Batch,
-                   stats: AccessStats) -> Batch:
-        if op.x_positions:
-            key_cols = [source.cols[p] for p in op.x_positions]
-            x_values = list(dict.fromkeys(zip(*key_cols)))
-        else:
-            x_values = [()] if source.length else []
-        stats.fetch_calls += 1
-        # The whole batch of distinct X-values crosses the storage
-        # boundary in ONE vectorized call — the executor never loops
-        # single lookups against the backend.
-        with span("fetch"):
-            fetched = self._fetch_flat(op.constraint, x_values, stats)
-        checks = op.checks if isinstance(op, FusedFetchOp) else ()
-        if checks:
-            out_rows = [row for row in fetched if _passes(row, checks)]
-        else:
-            out_rows = fetched
-        if out_rows:
-            cols = [list(column) for column in zip(*out_rows)]
-        else:
-            cols = [[] for _ in op.out_columns]
-        # Per-X results are distinct and carry their X-prefix, so the
-        # concatenation over distinct X-values is duplicate-free.
-        return Batch(op.out_columns, cols, len(out_rows), True)
-
-    @staticmethod
-    def _run_hash_join(op: HashJoinOp, left: Batch, right: Batch) -> Batch:
-        if op.build == "left":
-            build, probe = left, right
-            build_key, probe_key = op.left_key, op.right_key
-        else:
-            build, probe = right, left
-            build_key, probe_key = op.right_key, op.left_key
-        build_cols = [build.cols[p] for p in build_key]
-        buckets: dict[tuple, list[int]] = {}
-        for i in range(build.length):
-            buckets.setdefault(tuple(col[i] for col in build_cols),
-                               []).append(i)
-        probe_cols = [probe.cols[p] for p in probe_key]
-        left_index: list[int] = []
-        right_index: list[int] = []
-        probe_is_left = probe is left
-        for j in range(probe.length):
-            matches = buckets.get(tuple(col[j] for col in probe_cols))
-            if not matches:
-                continue
-            for i in matches:
-                if probe_is_left:
-                    left_index.append(j)
-                    right_index.append(i)
-                else:
-                    left_index.append(i)
-                    right_index.append(j)
-        cols = ([[column[i] for i in left_index] for column in left.cols]
-                + [[column[j] for j in right_index]
-                   for column in right.cols])
-        return Batch(op.out_columns, cols, len(left_index),
-                     left.distinct and right.distinct)
-
-    @staticmethod
-    def _run_cross(op: CrossJoinOp, left: Batch, right: Batch) -> Batch:
-        l_count, r_count = left.length, right.length
-        cols = ([[column[i] for i in range(l_count)
-                  for _ in range(r_count)] for column in left.cols]
-                + [column * l_count for column in right.cols])
-        return Batch(op.out_columns, cols, l_count * r_count,
-                     left.distinct and right.distinct)
-
-    @staticmethod
-    def _run_union(op: DistinctUnionOp, batches: list[Batch]) -> Batch:
-        sources = [batches[s] for s in op.sources]
-        if len(sources) == 1 and sources[0].distinct:
-            only = sources[0]
-            return Batch(op.out_columns, only.cols, only.length, True)
-        width = len(op.out_columns)
-        cols = [[] for _ in range(width)]
-        total = 0
-        for source in sources:
-            for position in range(width):
-                cols[position].extend(source.cols[position])
-            total += source.length
-        return deduped_batch(op.out_columns, cols, total)
 
 
 # -- the logical reference interpreter ---------------------------------------

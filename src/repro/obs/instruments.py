@@ -114,15 +114,11 @@ def attach_cache_collector(registry: MetricsRegistry, service) -> None:
                                prefix="repro_plan_cache_shape")
     fetch = _cache_instruments(registry, "fetch")
     answer = _cache_instruments(registry, "answer")
-    # Fetch-cache hits split by entry family: encoded column views
-    # (the columnar path, no re-encoding on a warm hit) vs legacy row
-    # lists — the ratio shows how much traffic runs columnar.
+    # Fetch-cache hits served as encoded column views (no re-encoding
+    # on a warm hit).
     encoded_hits = registry.counter(
         "repro_fetch_cache_encoded_hits_total",
         "fetch cache hits served as encoded column views")
-    legacy_hits = registry.counter(
-        "repro_fetch_cache_legacy_hits_total",
-        "fetch cache hits served as decoded row lists")
     # Lookups a starved fetch cache sent straight to storage (its
     # self-tuning bypass); they are also counted as misses.
     bypassed = registry.counter(
@@ -164,7 +160,6 @@ def attach_cache_collector(registry: MetricsRegistry, service) -> None:
             rate.set(round(info.hit_rate, 6))
         fetch_cache = service.fetch_cache
         encoded_hits.set_total(getattr(fetch_cache, "encoded_hits", 0))
-        legacy_hits.set_total(getattr(fetch_cache, "legacy_hits", 0))
         bypassed.set_total(getattr(fetch_cache, "bypassed_lookups", 0))
         maintained_deltas.set_total(
             getattr(fetch_cache, "maintained_deltas", 0))

@@ -33,6 +33,12 @@ attach_maintenance` (the service does this at construction); an
 unattached cache behaves exactly like the original generation-keyed
 design.
 
+Entries hold dictionary-code columns only: code keys in, code columns
+out (:meth:`FetchCache.lookup_many_encoded`).  The value-domain
+:meth:`~FetchCache.lookup` / :meth:`~FetchCache.lookup_many` are thin
+adapters over it that look X-values up without interning and decode
+rows on the way out.
+
 :class:`CachingExecutor` interposes the cache on the executor's fetch
 hook and keeps the access accounting honest: cold lookups count toward
 ``tuples_fetched`` (the empirical ``|D_Q|``), cache hits are tallied
@@ -63,12 +69,6 @@ from ..storage.delta import WriteDelta
 from ..storage.encoding import extend_column, int_column, readonly_view
 from .lru import LruDict
 from .plancache import CacheInfo
-
-#: Key marker for maintained *encoded* entries: ``(slot, code key,
-#: _ENCODED)``.  A unique object, so it can never equal the generation
-#: int at the same position of a generation-keyed key, and
-#: ``_is_maintained_key`` can tell the families apart by identity.
-_ENCODED = object()
 
 #: Longest bypass run, in fetch steps.  A starved cache probes once per
 #: run, and a probe fills (and, starved, evicts) a whole step's keys:
@@ -116,24 +116,21 @@ def _encoded_minus(entry, row_codes):
 
 
 class FetchCache:
-    """Thread-safe LRU over per-X-value fetch results.
+    """Thread-safe LRU over per-X-key fetch results.
 
-    Four key shapes share the LRU and can never collide:
+    Every entry is ``(readonly column views, length)`` under one of two
+    key shapes:
 
-    * maintained legacy — ``(constraint, x_value)`` → row-tuple list;
-    * maintained encoded — ``(slot, code key, _ENCODED)`` →
-      ``(readonly column views, length)``;
-    * generation-keyed legacy — ``(constraint, x_value, generation)``;
-    * generation-keyed encoded — ``(slot, code key, generation, 0)``.
+    * maintained — ``(slot, code key)``;
+    * generation-keyed — ``(slot, code key, generation)``.
 
     A *slot* is a small int the cache gives each constraint value the
-    first time it sees it, so an encoded probe hashes the constraint
-    once per fetch step instead of twice per key (frozen-dataclass
-    hashing runs in Python).  Encoded entries are what the columnar
-    executor consumes: a warm single-key hit hands back zero-copy views
-    that flow straight into a batch, and a multi-key step joins its
-    views into one fresh array per column — no re-encoding, no row
-    materialization.
+    first time it sees it, so a probe hashes the constraint once per
+    fetch step instead of twice per key (frozen-dataclass hashing runs
+    in Python).  Entries are what the columnar executor consumes: a
+    warm single-key hit hands back zero-copy views that flow straight
+    into a batch, and a multi-key step joins its views into one fresh
+    array per column — no re-encoding, no row materialization.
     Maintenance rebuilds an entry's arrays copy-on-write, so views
     already handed out stay frozen at the content they were served
     with.
@@ -151,10 +148,8 @@ class FetchCache:
         #: Largest cached entry seen, for the memory-bound report
         #: (advisory: updated without a lock).
         self.max_entry_rows = 0
-        #: Hits served as encoded column views vs decoded row lists
-        #: (advisory counters; the obs layer exports both).
+        #: Hits served (advisory counter; the obs layer exports it).
         self.encoded_hits = 0
-        self.legacy_hits = 0
         # constraint value -> slot, and slot -> constraint.  Slots are
         # assigned under the maintenance lock and never reused.
         self._slots: dict[AccessConstraint, int] = {}
@@ -230,7 +225,7 @@ class FetchCache:
 
     @staticmethod
     def _is_maintained_key(key) -> bool:
-        return len(key) == 2 or key[2] is _ENCODED
+        return len(key) == 2
 
     def _slot(self, constraint: AccessConstraint) -> int:
         """The constraint value's slot, assigned on first sight (the
@@ -246,11 +241,6 @@ class FetchCache:
                     self._constraints.append(constraint)
                     self._slots[constraint] = slot
         return slot
-
-    def _key_constraint(self, key) -> AccessConstraint:
-        """The constraint an entry's key belongs to, in either family."""
-        owner = key[0]
-        return self._constraints[owner] if type(owner) is int else owner
 
     def _maintainable(self, constraint: AccessConstraint, slot: int) -> bool:
         """Can this constraint's entries be maintained by deltas?
@@ -359,56 +349,42 @@ class FetchCache:
     def lookup_many(self, db: Database, constraint: AccessConstraint,
                     x_values: Sequence[tuple]
                     ) -> tuple[list[list[tuple]], list[bool]]:
-        """Batched :meth:`lookup`: split a whole batch into hits and
-        misses in a single lock pass, then fetch *only* the misses in
-        one ``fetch_many`` trip to storage.
+        """Batched :meth:`lookup`: the value-domain adapter over
+        :meth:`lookup_many_encoded`.  Both returned lists align with
+        ``x_values``.
 
-        Both returned lists align with ``x_values``.  The generation is
-        read once for the batch: a write racing the batch at worst
-        caches fresher rows under the older epoch (benign — delta
-        application is idempotent and converges the entry), never stale
-        rows under a newer one, because generations bump only after the
-        backend's index updates.
+        X-values become code keys through the dictionary's
+        *non-interning* ``lookup_codes``, so a never-stored X-value is a
+        sentinel key that matches nothing and the dictionary never
+        grows; entry rows are decoded on the way out.
         """
-        relation = constraint.relation_name
-        generation = db.generation(relation)
-        maintained = self._maintainable(constraint, self._slot(constraint))
-        if maintained:
-            schema = getattr(self._backend, "access_schema", None)
-            keys = [(constraint, x_value) for x_value in x_values]
-            cached = self._live_get_many(relation, generation, keys)
+        dictionary = db.dictionary
+        width = len(constraint.x)
+        codes = dictionary.lookup_codes(
+            [value for x_value in x_values for value in x_value])
+        if width == 1:
+            keys = codes
+        elif width:
+            keys = [tuple(codes[i:i + width])
+                    for i in range(0, len(codes), width)]
         else:
-            keys = [(constraint, x_value, generation)
-                    for x_value in x_values]
-            cached = self._entries.get_many(keys)
-        rows_per_x: list = list(cached)
-        hits = [value is not None for value in cached]
-        miss_positions = [i for i, value in enumerate(cached)
-                          if value is None]
-        self.legacy_hits += len(x_values) - len(miss_positions)
-        if miss_positions:
-            fetched = db.fetch_many(
-                constraint, [x_values[i] for i in miss_positions])
-            largest = self.max_entry_rows
-            for position, rows in zip(miss_positions, fetched):
-                rows_per_x[position] = rows
-                if len(rows) > largest:
-                    largest = len(rows)
-            self.max_entry_rows = largest
-            puts = [(keys[i], rows)
-                    for i, rows in zip(miss_positions, fetched)]
-            if maintained:
-                self._store_maintained(relation, generation, schema, puts)
-            else:
-                self._entries.put_many(puts)
+            keys = [()] * len(x_values)
+        entries, hits = self.lookup_many_encoded(db, constraint, keys)
+        decode = dictionary.decode
+        rows_per_x = [list(zip(*[list(map(decode, column))
+                                 for column in cols]))
+                      if cols else [()] * length
+                      for cols, length in entries]
         return rows_per_x, hits
 
     def lookup_many_encoded(self, db: Database,
                             constraint: AccessConstraint, keys: Sequence
                             ) -> tuple[list, list[bool]]:
-        """Encoded twin of :meth:`lookup_many`: dictionary-code keys in,
-        per-key ``(column views, length)`` entries out, aligned with
-        ``keys``.
+        """Split a batch of dictionary-code keys into hits and misses
+        in a single lock pass, then fetch *only* the misses in one
+        ``fetch_many_encoded`` trip to storage.  Returns per-key
+        ``(column views, length)`` entries and hit flags, both aligned
+        with ``keys``.
 
         Cached columns are readonly memoryviews over arrays built once
         at miss time — warm hits share them by reference, and all
@@ -418,8 +394,13 @@ class FetchCache:
         views handed to in-flight batches stay frozen.  Every call is
         a probe for the bypass rule (:meth:`bypass_step`).
 
-        An all-hit step (the warm path) is one probe of the whole batch
-        and returns right after it: no per-key bookkeeping.
+        The generation is read once for the batch: a write racing the
+        batch at worst caches fresher rows under the older epoch
+        (benign — delta application is idempotent and converges the
+        entry), never stale rows under a newer one, because generations
+        bump only after the backend's index updates.  An all-hit step
+        (the warm path) is one probe of the whole batch and returns
+        right after it: no per-key bookkeeping.
         """
         relation = constraint.relation_name
         generation = db.generation(relation)
@@ -427,10 +408,10 @@ class FetchCache:
         maintained = self._maintainable(constraint, slot)
         if maintained:
             schema = getattr(self._backend, "access_schema", None)
-            cache_keys = [(slot, key, _ENCODED) for key in keys]
+            cache_keys = [(slot, key) for key in keys]
             cached = self._live_get_many(relation, generation, cache_keys)
         else:
-            cache_keys = [(slot, key, generation, 0) for key in keys]
+            cache_keys = [(slot, key, generation) for key in keys]
             cached = self._entries.get_many(cache_keys)
         missed = cached.count(None)
         served = len(cached) - missed
@@ -536,43 +517,29 @@ class FetchCache:
         """Apply one constraint's projection changes to whatever
         entries are cached (absent entries are simply not maintained).
         Returns the number of entries updated."""
-        entries = self._entries
-        # Encoded entries live under the constraint value's slot; no
-        # slot means none were ever cached.
+        # Entries live under the constraint value's slot; no slot means
+        # none were ever cached.
         slot = self._slots.get(constraint)
+        if slot is None:
+            return 0
+        entries = self._entries
         touched = 0
         largest = self.max_entry_rows
-        for x_value, row_value, key_code, row_codes in changes.removed:
-            key = (constraint, x_value)
-            rows = entries.get(key, count=False)
-            if rows is not None and row_value in rows:
-                entries.put(key, [r for r in rows if r != row_value])
-                touched += 1
-            if slot is None:
-                continue
-            ekey = (slot, key_code, _ENCODED)
-            entry = entries.get(ekey, count=False)
+        for key_code, row_codes in changes.removed:
+            key = (slot, key_code)
+            entry = entries.get(key, count=False)
             if entry is not None:
                 updated = _encoded_minus(entry, row_codes)
                 if updated is not None:
-                    entries.put(ekey, updated)
+                    entries.put(key, updated)
                     touched += 1
-        for x_value, row_value, key_code, row_codes in changes.added:
-            key = (constraint, x_value)
-            rows = entries.get(key, count=False)
-            if rows is not None and row_value not in rows:
-                entries.put(key, rows + [row_value])
-                touched += 1
-                if len(rows) + 1 > largest:
-                    largest = len(rows) + 1
-            if slot is None:
-                continue
-            ekey = (slot, key_code, _ENCODED)
-            entry = entries.get(ekey, count=False)
+        for key_code, row_codes in changes.added:
+            key = (slot, key_code)
+            entry = entries.get(key, count=False)
             if entry is not None:
                 updated = _encoded_plus(entry, row_codes)
                 if updated is not None:
-                    entries.put(ekey, updated)
+                    entries.put(key, updated)
                     touched += 1
                     if updated[1] > largest:
                         largest = updated[1]
@@ -581,11 +548,11 @@ class FetchCache:
 
     def _purge_relation(self, relation: str) -> int:
         """Drop the relation's maintained entries (callers hold the
-        maintenance lock); generation-keyed families are left to age
+        maintenance lock); generation-keyed entries are left to age
         out as before."""
         def doomed(key) -> bool:
             return (self._is_maintained_key(key)
-                    and self._key_constraint(key).relation_name == relation)
+                    and self._constraints[key[0]].relation_name == relation)
         return self._entries.prune(doomed)
 
     # -- housekeeping ------------------------------------------------------
@@ -608,7 +575,7 @@ class FetchCache:
             if self._is_maintained_key(key):
                 return False
             generation = key[2]
-            relation = self._key_constraint(key).relation_name
+            relation = self._constraints[key[0]].relation_name
             latest = current.get(relation)
             if latest is None:
                 latest = current[relation] = db.generation(relation)
@@ -639,8 +606,8 @@ class CachingExecutor(Executor):
 
     With ``fetch_cache=None`` it behaves exactly like the base executor.
     Results are identical either way — the cache only ever returns what
-    ``db.fetch`` returned for the same (constraint, X-value) at the same
-    write epoch, maintained forward by the exact per-write deltas.  A
+    storage returned for the same (constraint, X-key) at the same write
+    epoch, maintained forward by the exact per-write deltas.  A
     step the cache asks to bypass is the base executor's plain storage
     read, its lookups counted as cache misses.
     """
@@ -648,27 +615,6 @@ class CachingExecutor(Executor):
     def __init__(self, db: Database, fetch_cache: FetchCache | None = None):
         super().__init__(db)
         self.fetch_cache = fetch_cache
-
-    def _fetch_flat(self, constraint, x_values: Sequence[tuple],
-                    stats: AccessStats) -> list[tuple]:
-        if self.fetch_cache is None:
-            return super()._fetch_flat(constraint, x_values, stats)
-        deadline = current_deadline()
-        if deadline is not None:
-            deadline.check("fetch_flat")
-        rows_per_x, hits = self.fetch_cache.lookup_many(
-            self.db, constraint, x_values)
-        stats.index_lookups += len(x_values)
-        flat: list[tuple] = []
-        for rows, hit in zip(rows_per_x, hits):
-            if hit:
-                stats.fetch_cache_hits += 1
-                stats.tuples_from_cache += len(rows)
-            else:
-                stats.fetch_cache_misses += 1
-                stats.tuples_fetched += len(rows)
-            flat.extend(rows)
-        return flat
 
     def _fetch_flat_encoded(self, constraint, keys: Sequence,
                             stats: AccessStats):

@@ -478,7 +478,7 @@ class MemoryBackend(StorageBackend):
                     coded = encode_row(row)
                     for index in indexes:
                         if index.add(row, coded) and recorder is not None:
-                            recorder.added(index, row, coded)
+                            recorder.added(index, coded)
                 added += 1
             if added:
                 old = self._generations[relation_name]
@@ -502,7 +502,7 @@ class MemoryBackend(StorageBackend):
                          if indexes and recorder is not None else None)
                 for index in indexes:
                     if index.remove(row, coded) and recorder is not None:
-                        recorder.removed(index, row, coded)
+                        recorder.removed(index, coded)
                 removed += 1
             if removed:
                 # After the index updates, like insert: a concurrent

@@ -36,12 +36,11 @@ from typing import Callable, Sequence
 
 from ..schema.access import AccessConstraint
 
-#: One projection-level change: the X-value tuple, the full ``X∪Y``
-#: value row (what legacy fetch results hold), the encoded-mirror key
-#: (a bare int code for scalar-X constraints, a code tuple otherwise —
-#: the columnar cache's key convention), and the ``X∪Y`` dictionary
-#: codes (what encoded cache entries hold).
-Change = tuple[tuple, tuple, object, tuple]
+#: One projection-level change: the X-key (a bare int code for
+#: scalar-X constraints, a code tuple otherwise — the fetch cache's key
+#: convention) and the ``X∪Y`` dictionary codes (what cache entries
+#: hold).
+Change = tuple[object, tuple]
 
 
 @dataclass
@@ -97,7 +96,7 @@ class DeltaRecorder:
     """Accumulates one write batch's projection changes.
 
     Backends create one per observed write batch and feed it every
-    ``(index, row, coded_row)`` whose :meth:`AccessIndex.add`/``remove``
+    ``(index, coded_row)`` whose :meth:`AccessIndex.add`/``remove``
     reported a projection-level effect; :meth:`finish` seals the
     recording into a :class:`WriteDelta` once the generation bump is
     known.
@@ -110,16 +109,13 @@ class DeltaRecorder:
         self._constraints: dict[AccessConstraint, ConstraintDelta] = {}
 
     @staticmethod
-    def _change(index, row: Sequence, coded_row: Sequence[int]) -> Change:
+    def _change(index, coded_row: Sequence[int]) -> Change:
         x_positions = index.x_positions
-        y_positions = index.y_positions
-        x_value = tuple(row[i] for i in x_positions)
-        row_value = x_value + tuple(row[i] for i in y_positions)
         key_code = (coded_row[x_positions[0]] if index.scalar_key
                     else tuple(coded_row[i] for i in x_positions))
         row_codes = (tuple(coded_row[i] for i in x_positions)
-                     + tuple(coded_row[i] for i in y_positions))
-        return (x_value, row_value, key_code, row_codes)
+                     + tuple(coded_row[i] for i in index.y_positions))
+        return (key_code, row_codes)
 
     def _delta(self, index) -> ConstraintDelta:
         delta = self._constraints.get(index.constraint)
@@ -127,16 +123,13 @@ class DeltaRecorder:
             delta = self._constraints[index.constraint] = ConstraintDelta()
         return delta
 
-    def added(self, index, row: Sequence,
-              coded_row: Sequence[int]) -> None:
-        """A new distinct projection appeared under ``row``'s X-key."""
-        self._delta(index).added.append(self._change(index, row, coded_row))
+    def added(self, index, coded_row: Sequence[int]) -> None:
+        """A new distinct projection appeared under the row's X-key."""
+        self._delta(index).added.append(self._change(index, coded_row))
 
-    def removed(self, index, row: Sequence,
-                coded_row: Sequence[int]) -> None:
-        """``row`` was the last witness of its projection."""
-        self._delta(index).removed.append(
-            self._change(index, row, coded_row))
+    def removed(self, index, coded_row: Sequence[int]) -> None:
+        """The row was the last witness of its projection."""
+        self._delta(index).removed.append(self._change(index, coded_row))
 
     def finish(self, old_generation: int,
                new_generation: int) -> WriteDelta:

@@ -381,7 +381,7 @@ class DiskBackend(MemoryBackend):
                     coded = encode_row(row)  # once per row, all indexes
                     for index in indexes:
                         if index.add(row, coded) and recorder is not None:
-                            recorder.added(index, row, coded)
+                            recorder.added(index, coded)
             self._generations[relation_name] = generation
             if recorder is not None:
                 self._notify(recorder.finish(generation - 1, generation))
@@ -406,7 +406,7 @@ class DiskBackend(MemoryBackend):
                          if indexes and recorder is not None else None)
                 for index in indexes:
                     if index.remove(row, coded) and recorder is not None:
-                        recorder.removed(index, row, coded)
+                        recorder.removed(index, coded)
             self._generations[relation_name] = generation
             if recorder is not None:
                 self._notify(recorder.finish(generation - 1, generation))

@@ -916,8 +916,8 @@ class ProcessShardedBackend(StorageBackend):
     def fetch_many(self, constraint: AccessConstraint,
                    x_values: Sequence[Row]) -> list[list[Row]]:
         # Value-space fetches stay local: the RPC surface is the
-        # *encoded* boundary (code keys in, code columns out); legacy
-        # row traffic never crosses a pipe.
+        # *encoded* boundary (code keys in, code columns out); value
+        # rows never cross a pipe.
         return self._store.fetch_many(constraint, x_values)
 
     def fetch_flat(self, constraint: AccessConstraint,

@@ -8,11 +8,10 @@ import pytest
 from repro import (AccessConstraint, AccessSchema, Database, ExecutionError,
                    Schema)
 from repro.core import analyze_coverage
-from repro.engine import (ColEq, ConstEq, ConstOp, FetchOp,
-                          LegacyTupleExecutor, Plan, ProductOp, ProjectOp,
-                          RenameOp, SelectOp, UnionOp, build_bounded_plan,
-                          build_union_plan, execute_plan, interpret_logical,
-                          optimize)
+from repro.engine import (ColEq, ConstEq, ConstOp, FetchOp, Plan, ProductOp,
+                          ProjectOp, RenameOp, SelectOp, UnionOp,
+                          build_bounded_plan, build_union_plan, execute_plan,
+                          interpret_logical, optimize)
 from repro.engine.optimizer import (CrossJoinOp, FusedFetchOp, HashJoinOp,
                                     PhysicalPlan)
 from repro.query import parse_cq, parse_ucq
@@ -205,8 +204,6 @@ def test_binding_fills_constant_slots_without_copying_the_plan(world):
     assert len(bound.values) == len(physical.constants)
     assert not any(isinstance(v, Param) for v in bound.values)
     assert execute_plan(bound, db).answers == {(10,), (11,)}
-    # The value-domain baseline reads the same slots.
-    assert LegacyTupleExecutor(db).execute(bound).answers == {(10,), (11,)}
 
 
 # -- executor dispatch --------------------------------------------------------

@@ -8,8 +8,8 @@
 Plus the columnar plane's twin property on *adversarial value
 domains*: with unicode, ``None``, mixed int/str and high-cardinality
 join keys flowing through dictionary-encoded columns, the columnar
-executor's decoded answers and its full ``AccessStats`` match the
-tuple executor and the logical oracle exactly.
+executor's decoded answers match the logical oracle exactly and its
+``AccessStats`` match a per-key replay of the fetches it made.
 """
 
 from __future__ import annotations
@@ -19,10 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import AccessConstraint, AccessSchema, Database, Schema
 from repro.core import analyze_coverage
-from repro.engine import (Executor, LegacyTupleExecutor,
-                          build_bounded_plan, build_union_plan,
-                          execute_plan, interpret_logical, optimize,
-                          static_bounds)
+from repro.engine import build_bounded_plan, build_union_plan, optimize
 from repro.query.ast import CQ
 from repro.engine.naive import evaluate
 from repro.query import parse_query, parse_ucq
@@ -30,6 +27,8 @@ from repro.storage.statistics import TableStatistics
 from repro.workload.accidents import (AccidentScale, extended_access_schema,
                                       extended_accidents)
 from repro.workload.qgen import accident_workload_config, random_cq
+
+from fetch_audit import audited
 
 import random
 
@@ -61,14 +60,8 @@ def check_equivalence(query) -> bool:
         if not all(c.is_covered for c in coverages):
             return False
         plan = build_union_plan(coverages)
-    physical = optimize(plan, STATISTICS)
-    optimized = execute_plan(physical, DB)
-    reference = interpret_logical(plan, DB)
-    naive = evaluate(query, DB)
-    assert optimized.answers == reference.answers == naive
-    cost = static_bounds(plan, db_size=DB.size())
-    assert optimized.stats.tuples_fetched <= cost.fetch_bound
-    assert optimized.stats.tuples_fetched <= reference.stats.tuples_fetched
+    optimized, reference = audited(DB, optimize(plan, STATISTICS), plan)
+    assert optimized.answers == reference.answers == evaluate(query, DB)
     return True
 
 
@@ -162,15 +155,5 @@ def test_columnar_agrees_on_adversarial_domains(data):
         plan = build_bounded_plan(coverage)
         physical = optimize(plan, TableStatistics.from_database(db))
 
-        columnar = Executor(db).execute(physical)
-        legacy = LegacyTupleExecutor(db).execute(physical)
-        oracle = interpret_logical(plan, db)
-        naive = evaluate(query, db)
-        assert columnar.answers == legacy.answers == oracle.answers \
-            == naive
-        # The whole accounting — fetch calls, index lookups, tuples
-        # fetched, dedup behavior (max_intermediate) — is unchanged by
-        # the columnar representation.
-        assert columnar.stats == legacy.stats
-        assert (columnar.stats.tuples_fetched
-                <= oracle.stats.tuples_fetched)
+        columnar, oracle = audited(db, physical, plan)
+        assert columnar.answers == oracle.answers == evaluate(query, db)

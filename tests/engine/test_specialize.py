@@ -8,13 +8,14 @@ import pytest
 
 from repro import AccessConstraint, AccessSchema, Database, Schema
 from repro.core import analyze_coverage
-from repro.engine import (Executor, LegacyTupleExecutor, build_bounded_plan,
-                          execute_plan, interpret_logical, optimize)
+from repro.engine import build_bounded_plan, execute_plan, optimize
 from repro.engine.naive import evaluate
 from repro.engine.optimizer.specialize import (SpecializedPlan, specialize,
                                                specialized_plan)
 from repro.query import parse_cq, parse_query
 from repro.service.templates import bind_physical_plan
+
+from fetch_audit import audited
 
 
 def build_world(rows_r, rows_s):
@@ -82,9 +83,8 @@ class TestSharedSteps:
                     is spec
                 oracle = evaluate(parse_query(
                     text.replace("$who", repr(who))), database)
-                assert execute_plan(bound, database).answers == oracle
-                assert LegacyTupleExecutor(database).execute(
-                    bound).answers == oracle
+                result, _ = audited(database, bound)
+                assert result.answers == oracle
         assert specialize(template) is spec
 
 
@@ -160,16 +160,10 @@ class TestInvalidation:
 
 
 class TestColumnarIdentity:
-    def test_columnar_matches_legacy_and_oracle(self, world):
+    def test_columnar_matches_the_oracle_and_its_fetches(self, world):
         aschema, db = world
         coverage = analyze_coverage(
             parse_cq("Q(z) :- R(x, y), S(y, z), x = 1"), aschema)
         plan = build_bounded_plan(coverage)
-        physical = optimize(plan)
-        columnar = Executor(db).execute(physical)
-        legacy = LegacyTupleExecutor(db).execute(physical)
-        oracle = interpret_logical(plan, db)
-        assert columnar.answers == legacy.answers == oracle.answers
-        assert columnar.stats == legacy.stats
-        assert (columnar.stats.tuples_fetched
-                <= oracle.stats.tuples_fetched)
+        columnar, oracle = audited(db, optimize(plan), plan)
+        assert columnar.answers == oracle.answers == {("x",), ("y",)}

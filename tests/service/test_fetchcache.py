@@ -90,8 +90,8 @@ def test_lru_bound_holds(db, constraint):
 
 
 class TestEncodedEntries:
-    """The columnar entry family: code keys, readonly column views,
-    no row materialization, and no collisions with legacy entries."""
+    """The cache's entries: code keys, readonly column views, no row
+    materialization."""
 
     def test_lookup_many_encoded_reads_through_then_hits(
             self, db, constraint):
@@ -111,20 +111,7 @@ class TestEncodedEntries:
         assert entries2[0] is entries[0]
         assert all(isinstance(column, memoryview) and column.readonly
                    for column in entries2[0][0])
-        assert cache.encoded_hits == 1 and cache.legacy_hits == 0
-
-    def test_encoded_and_legacy_families_never_collide(
-            self, db, constraint):
-        # The code for some value can equal an unrelated X-value's
-        # content; distinct key shapes keep the entries apart.
-        cache = FetchCache(capacity=16)
-        code = db.dictionary.encode(1)
-        cache.lookup(db, constraint, (code,))
-        _, hits = cache.lookup_many_encoded(db, constraint, [code])
-        assert hits == [False]  # the legacy entry must not satisfy it
-        _, legacy_hit = cache.lookup(db, constraint, (code,))
-        assert legacy_hit
-        assert cache.legacy_hits == 1 and cache.encoded_hits == 0
+        assert cache.encoded_hits == 1
 
     def test_writes_invalidate_encoded_entries_via_generation(
             self, db, constraint):

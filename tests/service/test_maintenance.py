@@ -12,6 +12,7 @@ from repro.service import BoundedQueryService, FetchCache
 from repro.service.plancache import AnswerCache, FetchProfile
 from repro.storage.delta import ConstraintDelta, WriteDelta
 from repro.storage.disk import DiskBackend
+from repro.storage.encoding import readonly_view
 
 
 @pytest.fixture
@@ -135,6 +136,15 @@ class TestMaintainedEntries:
         assert not hit  # a write cold-starts generation-keyed entries
 
 
+def _fill(db, cache, constraint, x):
+    """A fill for X-value ``x`` fetched now, keyed and shaped as
+    ``lookup_many_encoded`` stores it."""
+    code = db.dictionary.lookup_codes([x])[0]
+    cols, length = db.fetch_many_encoded(constraint, [code])[0]
+    return ((cache._slot(constraint), code),
+            (tuple(readonly_view(column) for column in cols), length))
+
+
 class TestFillRacingWrite:
     """The store rule for fills whose fetch raced a concurrent write:
     a fill stamped *before* an already-applied delta is discarded (it
@@ -149,12 +159,11 @@ class TestFillRacingWrite:
         # stamps its fill with the pre-write generation and fetches...
         stamp = db.generation("R")
         schema = db.backend.access_schema
-        stale_rows = db.fetch_many(by_a, [(1,)])[0]
+        stale_fill = _fill(db, cache, by_a, 1)
         # ...then the writer's insert lands (delta applied, epoch
         # advances past the stamp) before the reader stores.
         db.insert("R", (1, 12))
-        cache._store_maintained("R", stamp, schema,
-                                [((by_a, (1,)), stale_rows)])
+        cache._store_maintained("R", stamp, schema, [stale_fill])
         rows, hit = cache.lookup(db, by_a, (1,))
         assert not hit  # the stale fill must not have stored
         assert sorted(rows) == [(1, 10), (1, 11), (1, 12)]
@@ -167,9 +176,8 @@ class TestFillRacingWrite:
         cache.attach_maintenance(db)
         cache.lookup(db, by_a, (2,))
         stamp = db.generation("R")
-        rows = db.fetch_many(by_a, [(1,)])[0]
         cache._store_maintained("R", stamp, db.backend.access_schema,
-                                [((by_a, (1,)), rows)])
+                                [_fill(db, cache, by_a, 1)])
         db.insert("R", (1, 12))
         rows, hit = cache.lookup(db, by_a, (1,))
         assert hit and sorted(rows) == [(1, 10), (1, 11), (1, 12)]
@@ -296,7 +304,7 @@ class TestAnswerCache:
         assert AnswerCache._survives(quiet, dependencies, profile)
         observable = WriteDelta(
             "R", 5, 6,
-            {by_a: ConstraintDelta(added=[((1,), (1, 12), 0, (0, 0))])})
+            {by_a: ConstraintDelta(added=[(0, (0, 3))])})
         assert not AnswerCache._survives(observable, dependencies, profile)
         gapped = WriteDelta("R", 7, 8, {by_a: ConstraintDelta()})
         assert not AnswerCache._survives(gapped, dependencies, profile)

@@ -15,6 +15,17 @@ never-stored keys alike:
 A value-level ``fetch_many`` of never-stored X-values must also leave
 the engine's dictionary untouched: reads never intern values.
 
+Two more legs ride on the same write sequences:
+
+* **the fetch cache** — decoded ``FetchCache.lookup_many_encoded`` and
+  ``CachingExecutor``'s fetch hook equal the fresh index too, and so do
+  the value adapters ``lookup`` / ``lookup_many``, without interning.
+  Caches with maintenance attached and detached and a one-entry cache
+  forced into its bypass live through each sequence;
+* **the evaluators** — on the covered ``QUERIES``, ``Executor``,
+  ``CachingExecutor``, ``interpret_logical`` and the naive evaluator
+  agree, and the executor's accounting passes ``fetch_audit.audited``.
+
 This is the harness a new engine must pass — add a fixture branch for
 it in ``engine``.  Engine instances are module-scoped (the
 process-sharded fleet spawns once) and reset at the start of every
@@ -29,11 +40,19 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import AccessConstraint, AccessSchema, Schema
+from repro import AccessConstraint, AccessSchema, Database, Schema
+from repro.core import analyze_coverage
+from repro.engine import build_bounded_plan, optimize
+from repro.engine.executor import AccessStats
+from repro.engine.naive import evaluate
+from repro.query import parse_query
+from repro.service import CachingExecutor, FetchCache
 from repro.storage.backend import MemoryBackend
 from repro.storage.disk import DiskBackend
 from repro.storage.encoding import ValueDictionary
 from repro.storage.indexes import AccessIndex
+
+from fetch_audit import audited
 
 SCHEMA = Schema.from_dict({"R": ("A", "B", "C"), "S": ("D",)})
 
@@ -53,6 +72,18 @@ POOL = (
 VALUES = (0, 1, 2, "0", "a")
 #: Never written anywhere, so a conforming engine never interns them.
 NEVER = (10**6, "never-stored")
+
+#: The evaluator leg's queries: point lookups, a composite key, a
+#: reverse key, a join through S's empty-X constraint, a self-join
+#: chain, and a never-stored constant.
+QUERIES = tuple(parse_query(text) for text in (
+    "Q(b, c) :- R(a, b, c), a = 1",
+    "Q(c) :- R(a, b, c), a = 0, b = 'a'",
+    "Q(a, b) :- R(a, b, c), c = 2",
+    "Q(d, c) :- S(d), R(a, b, c), a = d",
+    "Q(y) :- R(a, b, c), R(c, y, z), a = 1",
+    "Q(b) :- R(a, b, c), a = 'never-stored'",
+))
 
 values = st.sampled_from(VALUES)
 r_rows = st.lists(st.tuples(values, values, values), max_size=10)
@@ -114,7 +145,10 @@ def _decode(dictionary, cols, length) -> Counter:
                    for row in zip(*cols))
 
 
-def _check(backend) -> None:
+def _expected(backend):
+    """Per requested constraint: the value keys (the whole domain plus
+    never-stored keys), a fresh index's rows for each, and the code
+    keys of the ones the engine has interned with their positions."""
     dictionary = backend.dictionary
     for requested in _requested(backend.access_schema):
         oracle = AccessIndex(requested,
@@ -127,22 +161,26 @@ def _check(backend) -> None:
             [*itertools.product(VALUES, repeat=width),
              *((value,) * width for value in NEVER)]))
         want = [Counter(oracle.lookup(key)) for key in keys]
-
-        size = len(dictionary)
-        got = backend.fetch_many(requested, keys)
-        assert len(dictionary) == size, "a value-level read interned values"
-        assert [Counter(rows) for rows in got] == want
-
         # Code keys exist only for values the engine has interned; the
         # rest of the domain is still covered, as never-stored keys.
         known = [i for i, key in enumerate(keys)
                  if all(value in dictionary for value in key)]
-        if not known:
-            continue
         codes = [tuple(dictionary.encode(value) for value in keys[i])
                  for i in known]
         if width == 1:
             codes = [key[0] for key in codes]
+        yield requested, keys, want, known, codes
+
+
+def _check(backend, expected) -> None:
+    dictionary = backend.dictionary
+    for requested, keys, want, known, codes in expected:
+        size = len(dictionary)
+        got = backend.fetch_many(requested, keys)
+        assert len(dictionary) == size, "a value-level read interned values"
+        assert [Counter(rows) for rows in got] == want
+        if not known:
+            continue
         local_reads = backend.counters().get("local_reads_total")
         many = backend.fetch_many_encoded(requested, codes)
         assert [_decode(dictionary, *entry) for entry in many] == \
@@ -154,12 +192,70 @@ def _check(backend) -> None:
         assert backend.counters().get("local_reads_total") == local_reads
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_fetch_surfaces_agree_with_a_fresh_index(engine, data):
-    engine.clear()
-    engine.attach_access_schema(_access(data.draw(access_schemas)))
-    _check(engine)
+def _check_cache(db, cache, expected, unread=None) -> None:
+    """The cache leg for one cache.  Given ``unread``, a source of
+    fresh sentinel codes, the cache must hold one entry and every hook
+    call is forced through its bypass: a probe on a fresh code fills an
+    entry nothing will read, which triggers it for the next fetch step.
+    The value adapters are checked on the other two caches."""
+    dictionary = db.dictionary
+    executor = CachingExecutor(db, cache)
+    for requested, keys, want, known, codes in expected:
+        if unread is None:
+            size = len(dictionary)
+            rows_per_x, _ = cache.lookup_many(db, requested, keys)
+            rows, _ = cache.lookup(db, requested, keys[-1])
+            assert len(dictionary) == size, "a cache lookup interned values"
+            assert [Counter(rows) for rows in rows_per_x] == want
+            assert Counter(rows) == want[-1]
+        if not known:
+            continue
+        entries, _ = cache.lookup_many_encoded(db, requested, codes)
+        assert [_decode(dictionary, *entry) for entry in entries] == \
+            [want[i] for i in known]
+        bypassed = cache.bypassed_lookups
+        width = len(requested.x)
+        forced = unread is not None and width > 0
+        if forced:
+            probe = next(unread)
+            cache.lookup_many_encoded(
+                db, requested, [probe if width == 1 else (probe,) * width])
+        stats = AccessStats()
+        cols, length = executor._fetch_flat_encoded(requested, codes, stats)
+        assert _decode(dictionary, cols, length) == sum(
+            (want[i] for i in known), Counter())
+        if forced:
+            assert cache.bypassed_lookups == bypassed + len(codes)
+        assert stats.index_lookups == len(codes) == \
+            stats.fetch_cache_hits + stats.fetch_cache_misses
+        assert stats.tuples_fetched + stats.tuples_from_cache == length
+
+
+def _check_evaluators(db, cache) -> None:
+    """The evaluator leg, on each query the access schema covers."""
+    for query in QUERIES:
+        coverage = analyze_coverage(query, db.access_schema)
+        if not coverage.is_covered:
+            continue
+        plan = build_bounded_plan(coverage)
+        physical = optimize(plan)
+        result, reference = audited(db, physical, plan)
+        cached = CachingExecutor(db, cache).execute(physical)
+        assert result.answers == cached.answers == reference.answers \
+            == evaluate(query, db)
+        stats = cached.stats
+        assert stats.index_lookups == result.stats.index_lookups
+        assert (stats.tuples_fetched + stats.tuples_from_cache
+                == result.stats.tuples_fetched)
+
+
+def _sequence(db, data):
+    """Reset the engine, then run a random write sequence; yields after
+    the initial attach and after every step."""
+    db.clear()
+    db.attach_access_schema(_access(data.draw(access_schemas)))
+    yield
+    engine = db.backend
     for _ in range(data.draw(st.integers(1, 6), label="steps")):
         step = data.draw(steps)
         if step == "insert":
@@ -176,5 +272,42 @@ def test_fetch_surfaces_agree_with_a_fresh_index(engine, data):
         elif step == "clear":
             engine.clear()
         else:
-            engine.attach_access_schema(_access(data.draw(access_schemas)))
-        _check(engine)
+            db.attach_access_schema(_access(data.draw(access_schemas)))
+        yield
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fetch_surfaces_agree_with_a_fresh_index(engine, data):
+    db = Database(SCHEMA, backend=engine)
+    attached, detached, starved = (FetchCache(capacity=4096),
+                                   FetchCache(capacity=4096),
+                                   FetchCache(capacity=1))
+    attached.attach_maintenance(db)
+    starved.attach_maintenance(db)
+    unread = itertools.count(-1, -1)
+    try:
+        for _ in _sequence(db, data):
+            expected = list(_expected(engine))
+            _check(engine, expected)
+            _check_cache(db, attached, expected)
+            _check_cache(db, detached, expected)
+            _check_cache(db, starved, expected, unread)
+    finally:
+        attached.detach_maintenance()
+        starved.detach_maintenance()
+
+
+@pytest.mark.parametrize("engine", ["memory", "disk", "procshard"],
+                         indirect=True)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_evaluators_agree_on_covered_queries(engine, data):
+    db = Database(SCHEMA, backend=engine)
+    cache = FetchCache(capacity=4)
+    cache.attach_maintenance(db)
+    try:
+        for _ in _sequence(db, data):
+            _check_evaluators(db, cache)
+    finally:
+        cache.detach_maintenance()
