@@ -28,8 +28,8 @@ fresh-only metrics WARN until their baseline is committed.
 A BENCH json may additionally carry a ``gates`` object declared by the
 experiment (``ExperimentLog.gate``)::
 
-    "gates": {"warm_ms_per_request": {"max_increase_pct": 2.0},
-              "columnar_boundary_speedup": {"min_value": 3.0}}
+    "gates": {"adhoc_shape_hits": {"min_value": 183}}              # EXP-8
+    "gates": {"hit_rate_10pct_writes_memory": {"min_value": 0.6}}  # EXP-14
 
 A gated metric is a *hard* bound that overrides the class policy: the
 run FAILs when the fresh value exceeds the baseline by more than the

@@ -359,16 +359,7 @@ class FetchCache:
         grows; entry rows are decoded on the way out.
         """
         dictionary = db.dictionary
-        width = len(constraint.x)
-        codes = dictionary.lookup_codes(
-            [value for x_value in x_values for value in x_value])
-        if width == 1:
-            keys = codes
-        elif width:
-            keys = [tuple(codes[i:i + width])
-                    for i in range(0, len(codes), width)]
-        else:
-            keys = [()] * len(x_values)
+        keys = dictionary.lookup_keys(x_values, len(constraint.x))
         entries, hits = self.lookup_many_encoded(db, constraint, keys)
         decode = dictionary.decode
         rows_per_x = [list(zip(*[list(map(decode, column))
@@ -386,8 +377,9 @@ class FetchCache:
         ``(column views, length)`` entries and hit flags, both aligned
         with ``keys``.
 
-        Cached columns are readonly memoryviews over arrays built once
-        at miss time — warm hits share them by reference, and all
+        Cached columns are the readonly memoryview slices
+        ``fetch_many_encoded`` returns, over one array per column of
+        the miss batch — warm hits share them by reference, and all
         bookkeeping (entry sizing included) runs on code columns and
         plain lengths; no decoded row is ever materialized here.
         Maintenance replaces an updated entry's arrays wholesale, so
@@ -425,11 +417,10 @@ class FetchCache:
             constraint, [keys[i] for i in miss_positions])
         largest = self.max_entry_rows
         puts = []
-        for position, (cols, length) in zip(miss_positions, fetched):
-            entry = (tuple(readonly_view(column) for column in cols), length)
+        for position, entry in zip(miss_positions, fetched):
             cached[position] = entry
-            if length > largest:
-                largest = length
+            if entry[1] > largest:
+                largest = entry[1]
             puts.append((cache_keys[position], entry))
         self.max_entry_rows = largest
         if maintained:

@@ -6,10 +6,12 @@ is the storage engine's business, not the engine's.  This module pins
 that boundary down as :class:`StorageBackend`, a narrow batched access
 protocol:
 
-* ``fetch_many(constraint, x_values)`` — the vectorized form of the
-  paper's ``fetch`` primitive: one call answers a whole batch of
-  distinct X-values, so executors never loop single lookups across the
-  storage boundary;
+* ``read_codes(constraint, keys)`` — the one read every engine
+  implements, the vectorized form of the paper's ``fetch`` primitive:
+  a batch of code keys in, concatenated code columns plus per-key row
+  counts out (compressed sparse row).  The four public reads —
+  ``fetch_flat_encoded``, ``fetch_many_encoded``, ``fetch_many`` and
+  ``fetch_flat`` — are adapters over it, written once here;
 * ``scan(relation)`` — the full-scan path bounded plans avoid (kept
   separate so benchmarks can tell the two apart);
 * ``insert_rows`` / ``delete_rows`` — set-semantics bulk writes whose
@@ -41,14 +43,28 @@ from ..obs.trace import span
 from ..schema.access import AccessConstraint, AccessSchema
 from ..schema.relation import Schema
 from .delta import DeltaRecorder, WriteDelta, WriteListener
-from .encoding import ValueDictionary, int_column
-from .indexes import AccessIndex
-
-#: What a sentinel code decodes to on the value-level adapter path: an
-#: object equal to no stored value.
-_NEVER_STORED = object()
+from .encoding import ValueDictionary, readonly_view
+from .indexes import AccessIndex, gather_codes
 
 Row = tuple
+
+
+def _key_slices(counts: Sequence[int], order: "Sequence | None",
+                keys: Sequence) -> list[slice]:
+    """Per key of ``keys``, the slice of a ``read_codes`` answer that
+    holds its rows.  An engine that answered out of order named the
+    keys it answered; equal keys share an answer, so the realignment is
+    a dict probe per key."""
+    slices = []
+    start = 0
+    for count in counts:
+        slices.append(slice(start, start + count))
+        start += count
+    if order is None:
+        return slices
+    by_key = dict(zip(order, slices))
+    return [by_key[key] for key in keys]
+
 
 #: A memoized constraint resolution: the requested constraint itself
 #: (kept alive so ``id``-keyed memos can never alias a recreated
@@ -71,7 +87,7 @@ class StorageBackend(ABC):
 
     * set semantics (``insert_rows``/``delete_rows`` report *effective*
       changes only),
-    * ``fetch_many`` results identical to looking each X-value up in a
+    * ``read_codes`` results identical to looking each X-value up in a
       freshly built per-constraint index, and
     * generation bumps strictly *after* the corresponding index
       updates, so a reader observing epoch ``g`` can cache what it
@@ -129,74 +145,69 @@ class StorageBackend(ABC):
         """Every row of one relation — the path bounded plans avoid."""
 
     @abstractmethod
+    def read_codes(self, constraint: AccessConstraint, keys: Sequence
+                   ) -> tuple[list, list[int], "Sequence | None"]:
+        """The one read: the paper's ``fetch(X ∈ T, R, Y)`` over a
+        batch of code keys, in compressed-sparse-row shape.
+
+        Keys are dictionary codes in the *requested* constraint's X
+        order — a bare int when ``|X| == 1``, a code tuple otherwise; a
+        negative sentinel code (a value never stored) matches nothing.
+        Returns ``(cols, counts, order)``: one freshly built
+        ``array('q')`` per requested ``X∪Y`` attribute holding every
+        key's distinct projections back to back, ``counts[i]`` rows for
+        the ``i``-th key answered, and ``order``, the keys in the order
+        they were answered — None when that is the order of ``keys``.
+        """
+
+    # -- the public reads: adapters over read_codes, written once ----------
+    # Each makes exactly one read_codes call and calls no other public
+    # read, so a proxy on any of them times exactly one engine read.
+
+    def fetch_flat_encoded(self, constraint: AccessConstraint,
+                           keys: Sequence) -> tuple[list, int]:
+        """``(columns, total_rows)`` concatenated over a batch of code
+        keys, in any order — the executor's read when no cache
+        interposes."""
+        cols, _, _ = self.read_codes(constraint, keys)
+        return cols, len(cols[0])
+
+    def fetch_many_encoded(self, constraint: AccessConstraint,
+                           keys: Sequence) -> list[tuple[tuple, int]]:
+        """Code-key reads aligned with ``keys``: ``result[i]`` is
+        ``(columns, length)`` for ``keys[i]``, its columns zero-copy
+        *readonly* memoryview slices of one batch's arrays — what
+        fetch-cache fills store as they are."""
+        cols, counts, order = self.read_codes(constraint, keys)
+        slices = _key_slices(counts, order, keys)
+        views = [readonly_view(column) for column in cols]
+        return list(zip(zip(*[[view[part] for part in slices]
+                              for view in views]),
+                        [part.stop - part.start for part in slices]))
+
     def fetch_many(self, constraint: AccessConstraint,
                    x_values: Sequence[Row]) -> list[list[Row]]:
-        """Index lookups for a batch of X-values, aligned with the
-        input: ``result[i]`` is the distinct ``X∪Y`` projections for
-        ``x_values[i]``, in the *requested* constraint's column order.
-        """
+        """Value-level reads aligned with ``x_values``: ``result[i]`` is
+        the distinct ``X∪Y`` projections for ``x_values[i]``, in the
+        *requested* constraint's column order.  X-values are looked up
+        without interning, so a never-stored one reads nothing and the
+        dictionary never grows."""
+        keys = self.dictionary.lookup_keys(x_values, len(constraint.x))
+        cols, counts, order = self.read_codes(constraint, keys)
+        rows = self._decoded(cols)
+        return [rows[part] for part in _key_slices(counts, order, keys)]
 
     def fetch_flat(self, constraint: AccessConstraint,
                    x_values: Sequence[Row]) -> list[Row]:
         """The concatenation of :meth:`fetch_many`'s per-X lists, in
-        any order.  Executors with no per-X consumer (no fetch cache)
-        use this; engines should override it with an alignment-free
-        fast path."""
-        return [row
-                for rows in self.fetch_many(constraint, x_values)
-                for row in rows]
-
-    # -- the encoded fetch surface (columnar executor) ---------------------
-
-    def _decoded_keys(self, constraint: AccessConstraint,
-                      keys: Sequence) -> list[Row]:
-        """Code keys back to X-value tuples — bare int codes for
-        scalar-X constraints, code tuples otherwise (the columnar
-        executor's key convention).  A negative sentinel code (a
-        query constant never stored) decodes to a value equal to no
-        stored one, so its key matches nothing."""
-        decode_stored = self.dictionary.decode
-
-        def decode(code):
-            return decode_stored(code) if code >= 0 else _NEVER_STORED
-        if len(constraint.x) == 1:
-            return [(decode(key),) for key in keys]
-        return [tuple(decode(code) for code in key) for key in keys]
-
-    def fetch_many_encoded(self, constraint: AccessConstraint,
-                           keys: Sequence) -> list[tuple[tuple, int]]:
-        """Index lookups for a batch of *code* keys, aligned with the
-        input: ``result[i]`` is ``(columns, length)`` where ``columns``
-        is one freshly built ``array('q')`` of dictionary codes per
-        requested ``X∪Y`` attribute.
-
-        This default round-trips through the value-level
-        :meth:`fetch_many` so any conforming engine works unmodified;
-        the shipped engines override it with index-native encoded
-        lookups that never build row tuples at all.
-        """
-        encode = self.dictionary.encode
-        width = len(constraint.x) + len(constraint.y)
-        entries = []
-        for rows in self.fetch_many(constraint,
-                                    self._decoded_keys(constraint, keys)):
-            cols = tuple(int_column(encode(row[i]) for row in rows)
-                         for i in range(width))
-            entries.append((cols, len(rows)))
-        return entries
-
-    def fetch_flat_encoded(self, constraint: AccessConstraint,
-                           keys: Sequence) -> tuple[list, int]:
-        """The alignment-free form of :meth:`fetch_many_encoded`:
-        ``(columns, total_rows)`` concatenated over the key batch, in
         any order."""
-        encode = self.dictionary.encode
-        rows = self.fetch_flat(constraint,
-                               self._decoded_keys(constraint, keys))
-        width = len(constraint.x) + len(constraint.y)
-        cols = [int_column(encode(row[i]) for row in rows)
-                for i in range(width)]
-        return cols, len(rows)
+        keys = self.dictionary.lookup_keys(x_values, len(constraint.x))
+        cols, _, _ = self.read_codes(constraint, keys)
+        return self._decoded(cols)
+
+    def _decoded(self, cols: Sequence) -> list[Row]:
+        decode = self.dictionary.decode
+        return list(zip(*[list(map(decode, column)) for column in cols]))
 
     @abstractmethod
     def relation_size(self, relation_name: str) -> int:
@@ -392,16 +403,6 @@ class StorageBackend(ABC):
             self._resolutions.pop(id(constraint), None)
 
     @staticmethod
-    def _project(rows: list[Row], row_proj: tuple[int, ...] | None,
-                 needs_dedup: bool) -> list[Row]:
-        if row_proj is None:
-            return rows
-        projected = [tuple(row[i] for i in row_proj) for row in rows]
-        if needs_dedup:
-            projected = list(dict.fromkeys(projected))
-        return projected
-
-    @staticmethod
     def _permute_keys(x_values: Sequence[Row],
                       key_perm: tuple[int, ...] | None) -> Sequence[Row]:
         """``x_values`` must already be tuples (the facade and the
@@ -536,43 +537,15 @@ class MemoryBackend(StorageBackend):
     def contains(self, relation_name: str, row: Row) -> bool:
         return row in self._rows[relation_name]
 
-    def fetch_many(self, constraint: AccessConstraint,
-                   x_values: Sequence[Row]) -> list[list[Row]]:
-        (_, _, key_perm, row_proj, dedup), index = \
-            self._resolved_indexes(constraint)
-        keys = self._permute_keys(x_values, key_perm)
-        with self._lock:
-            results = index.lookup_many(keys)
-        if row_proj is not None:
-            results = [self._project(rows, row_proj, dedup)
-                       for rows in results]
-        return results
-
-    def fetch_flat(self, constraint: AccessConstraint,
-                   x_values: Sequence[Row]) -> list[Row]:
-        (_, _, key_perm, row_proj, _), index = \
-            self._resolved_indexes(constraint)
-        if row_proj is not None:  # projection needs per-X deduplication
-            return super().fetch_flat(constraint, x_values)
-        keys = self._permute_keys(x_values, key_perm)
-        with self._lock:
-            return index.lookup_flat(keys)
-
-    def fetch_many_encoded(self, constraint: AccessConstraint,
-                           keys: Sequence) -> list[tuple[tuple, int]]:
+    def read_codes(self, constraint: AccessConstraint, keys: Sequence
+                   ) -> tuple[list, list[int], None]:
         (_, _, key_perm, row_proj, dedup), index = \
             self._resolved_indexes(constraint)
         keys = self._permute_keys(keys, key_perm)
         with self._lock:
-            return index.lookup_many_encoded(keys, row_proj, dedup)
-
-    def fetch_flat_encoded(self, constraint: AccessConstraint,
-                           keys: Sequence) -> tuple[list, int]:
-        (_, _, key_perm, row_proj, dedup), index = \
-            self._resolved_indexes(constraint)
-        keys = self._permute_keys(keys, key_perm)
-        with self._lock:
-            return index.lookup_flat_encoded(keys, row_proj, dedup)
+            cols, counts = gather_codes(index.encoded, index.width, keys,
+                                        row_proj, dedup)
+        return cols, counts, None
 
     def constraint_groups(self, constraint: AccessConstraint
                           ) -> Iterator[tuple[Row, int]]:

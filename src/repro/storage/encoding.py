@@ -142,6 +142,20 @@ class ValueDictionary:
             out.append(code)
         return out
 
+    def lookup_keys(self, x_values: Sequence[Sequence[Hashable]],
+                    width: int) -> list:
+        """Fetch keys for X-value tuples of ``width`` values, through
+        :meth:`lookup_codes` (so never interning): bare codes when
+        ``width == 1``, code tuples otherwise."""
+        codes = self.lookup_codes(
+            [value for x_value in x_values for value in x_value])
+        if width == 1:
+            return codes
+        if width:
+            return [tuple(codes[i:i + width])
+                    for i in range(0, len(codes), width)]
+        return [()] * len(x_values)
+
     def decode(self, code: int) -> Hashable:
         return self._values[code]
 

@@ -11,15 +11,21 @@ When built with a :class:`~repro.storage.encoding.ValueDictionary`
 (every shipped backend does this), the index *additionally* maintains
 an encoded mirror of each group: per ``X``-key, one ``array('q')``
 column per ``X∪Y`` attribute holding dictionary codes, pre-built at
-insert time.  The columnar executor's ``fetch_flat_encoded`` path then
-answers a whole key batch with C-speed array concatenation — no row
-tuples, no per-batch encoding.  Keys into the encoded mirror are bare
-int codes when ``|X| == 1`` (the hot case) and code tuples otherwise.
+insert time.  Keys into the encoded mirror are bare int codes when
+``|X| == 1`` (the hot case) and code tuples otherwise.
+
+:func:`gather_codes` is the one read over such a mirror — here and in
+the process-sharded worker's :class:`~repro.storage.procshard.worker.
+CodeIndex` alike: a key batch in, concatenated code columns plus
+per-key row counts out (compressed sparse row), with one probe of the
+whole batch and one C-level join per column.  Every engine's
+``read_codes`` ends in it.  :meth:`AccessIndex.lookup` stays as the
+value-level oracle tests rebuild indexes with.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from ..errors import ConstraintViolation
 from ..schema.access import AccessConstraint
@@ -66,6 +72,40 @@ class _EncodedGroup:
         return len(self.cols[0]) if self.cols else len(self.pos)
 
 
+def gather_codes(groups: dict, width: int, keys: Sequence,
+                 row_proj: "tuple[int, ...] | None" = None,
+                 dedup: bool = False) -> tuple[list, list[int]]:
+    """Every row of a key batch, CSR-shaped: ``(cols, counts)``.
+
+    ``groups`` maps code keys to :class:`_EncodedGroup`; ``cols`` are
+    freshly built ``array('q')`` columns holding each key's rows in key
+    order (groups mutate in place under the caller's lock, so nothing
+    internal may leak) and ``counts[i]`` is the row count of
+    ``keys[i]``.  ``row_proj`` selects and orders the output columns
+    from a wider index's ``X∪Y`` layout; ``dedup`` then collapses the
+    rows that projection made equal, per key.
+    """
+    found = list(map(groups.get, keys))
+    if dedup:
+        unique = [() if group is None
+                  else dict.fromkeys(zip(*[group.cols[p] for p in row_proj]))
+                  for group in found]
+        rows = [row for group in unique for row in group]
+        cols = ([int_column(column) for column in zip(*rows)] if rows
+                else [int_column() for _ in row_proj])
+        return cols, list(map(len, unique))
+    counts = [0 if group is None else len(group.pos) for group in found]
+    parts = [group.cols for group in found if group is not None]
+    if row_proj is not None:
+        width = len(row_proj)
+        parts = [[cols[p] for p in row_proj] for cols in parts]
+    if len(parts) == 1:
+        return [column[:] for column in parts[0]], counts
+    if not parts:
+        return [int_column() for _ in range(width)], counts
+    return [int_column(b"".join(column)) for column in zip(*parts)], counts
+
+
 class AccessIndex:
     """The index for one access constraint over one relation instance.
 
@@ -95,7 +135,7 @@ class AccessIndex:
         self._groups: dict[Tuple, dict[Tuple, int]] = {}
         # code key -> _EncodedGroup mirror (None without a dictionary:
         # ad-hoc validation indexes skip the columnar machinery).
-        self._encoded: dict | None = (
+        self.encoded: dict | None = (
             {} if dictionary is not None else None)
 
     def add(self, row: Sequence,
@@ -120,16 +160,16 @@ class AccessIndex:
         group[y_value] = count + 1
         if count:
             return False
-        if self._encoded is None:
+        if self.encoded is None:
             return True
         # First witness of this X∪Y projection: mirror it encoded.
         if coded_row is None:
             coded_row = self.dictionary.encode_row(row)
         key = (coded_row[self.x_positions[0]] if self.scalar_key
                else tuple(coded_row[i] for i in self.x_positions))
-        entry = self._encoded.get(key)
+        entry = self.encoded.get(key)
         if entry is None:
-            entry = self._encoded[key] = _EncodedGroup(self.width)
+            entry = self.encoded[key] = _EncodedGroup(self.width)
         y_key = tuple(coded_row[i] for i in self.y_positions)
         entry.append([coded_row[i] for i in self.x_positions]
                      + [coded_row[i] for i in self.y_positions], y_key)
@@ -161,24 +201,24 @@ class AccessIndex:
         del group[y_value]
         if not group:
             del self._groups[x_value]
-        if self._encoded is None:
+        if self.encoded is None:
             return True
         if coded_row is None:
             coded_row = self.dictionary.encode_row(row)
         key = (coded_row[self.x_positions[0]] if self.scalar_key
                else tuple(coded_row[i] for i in self.x_positions))
-        entry = self._encoded.get(key)
+        entry = self.encoded.get(key)
         if entry is not None:
             entry.discard(tuple(coded_row[i] for i in self.y_positions),
                           len(self.x_positions))
             if not entry.pos:
-                del self._encoded[key]
+                del self.encoded[key]
         return True
 
     def remove_all(self) -> None:
         self._groups.clear()
-        if self._encoded is not None:
-            self._encoded.clear()
+        if self.encoded is not None:
+            self.encoded.clear()
 
     def lookup(self, x_value: Tuple) -> list[Tuple]:
         """Distinct ``X∪Y`` projections for one X-value (possibly empty).
@@ -191,115 +231,6 @@ class AccessIndex:
         if group is None:
             return []
         return [x_value + y_value for y_value in group]
-
-    def lookup_many(self, x_values: Iterable[Tuple]) -> list[list[Tuple]]:
-        """Batched :meth:`lookup` — the hot path of ``fetch_many``.
-
-        ``x_values`` must already be tuples (callers batch them from
-        columnar zips); skipping per-key normalization and method
-        dispatch is exactly what makes the vectorized boundary pay off.
-        """
-        groups = self._groups
-        results = []
-        for x_value in x_values:
-            group = groups.get(x_value)
-            results.append([x_value + y_value for y_value in group]
-                           if group else [])
-        return results
-
-    def lookup_flat(self, keys: Sequence[Tuple]) -> list[Tuple]:
-        """Concatenated :meth:`lookup_many` without per-key alignment —
-        what executors consume when no cache interposes.  Distinct
-        X-values have disjoint row prefixes, so the concatenation is
-        duplicate-free exactly when each group is."""
-        groups = self._groups
-        out: list[Tuple] = []
-        for key in keys:
-            group = groups.get(key)
-            if group:
-                out.extend([key + y_value for y_value in group])
-        return out
-
-    # -- the encoded fetch surface ----------------------------------------
-
-    def lookup_flat_encoded(self, keys: Sequence,
-                            row_proj: "tuple[int, ...] | None" = None,
-                            dedup: bool = False) -> tuple[list, int]:
-        """All rows for a batch of code keys as concatenated
-        ``array('q')`` columns, ``(cols, length)``.
-
-        Keys are bare int codes for scalar-X constraints, code tuples
-        otherwise.  The returned arrays are freshly built (groups
-        mutate in place under the backend's lock, so nothing internal
-        may leak).  ``row_proj``/``dedup`` implement the wider-attached-
-        index projection, deduplicating per key on code tuples.
-        """
-        encoded = self._encoded
-        width = self.width if row_proj is None else len(row_proj)
-        out = [int_column() for _ in range(width)]
-        if not width:
-            return out, 0
-        if row_proj is None:
-            for key in keys:
-                entry = encoded.get(key)
-                if entry is not None:
-                    cols = entry.cols
-                    for i in range(width):
-                        out[i].extend(cols[i])
-            return out, len(out[0])
-        for key in keys:
-            entry = encoded.get(key)
-            if entry is None:
-                continue
-            projected = [entry.cols[p] for p in row_proj]
-            if dedup:
-                if width == 1:
-                    for code in dict.fromkeys(projected[0]):
-                        out[0].append(code)
-                else:
-                    for row in dict.fromkeys(zip(*projected)):
-                        for i in range(width):
-                            out[i].append(row[i])
-            else:
-                for i in range(width):
-                    out[i].extend(projected[i])
-        return out, len(out[0])
-
-    def lookup_one_encoded(self, key,
-                           row_proj: "tuple[int, ...] | None" = None,
-                           dedup: bool = False) -> tuple[tuple, int]:
-        """One key's group as fresh column copies, ``(cols, length)`` —
-        the per-key form caches store."""
-        entry = self._encoded.get(key)
-        if entry is None:
-            return tuple(int_column() for _ in range(
-                self.width if row_proj is None else len(row_proj))), 0
-        if row_proj is None:
-            cols = tuple(column[:] for column in entry.cols)
-            return cols, len(entry)
-        projected = [entry.cols[p] for p in row_proj]
-        if dedup:
-            if len(projected) == 1:
-                column = int_column(dict.fromkeys(projected[0]))
-                return (column,), len(column)
-            rows = list(dict.fromkeys(zip(*projected)))
-            return (tuple(int_column(row[i] for row in rows)
-                          for i in range(len(projected))), len(rows))
-        return tuple(column[:] for column in projected), len(projected[0])
-
-    def lookup_many_encoded(self, keys: Sequence,
-                            row_proj: "tuple[int, ...] | None" = None,
-                            dedup: bool = False) -> list[tuple[tuple, int]]:
-        """Batched :meth:`lookup_one_encoded`, aligned with ``keys``."""
-        return [self.lookup_one_encoded(key, row_proj, dedup)
-                for key in keys]
-
-    def lookup_y(self, x_value: Tuple) -> list[Tuple]:
-        """Distinct Y-projections only."""
-        group = self._groups.get(tuple(x_value))
-        if group is None:
-            return []
-        return list(group)
 
     def group_size(self, x_value: Tuple) -> int:
         group = self._groups.get(tuple(x_value))

@@ -2,10 +2,12 @@
 
 :class:`ProcessShardedBackend` escapes the GIL by running each index
 shard in its own **process** (spawn-safe, daemonic) and speaking the
-encoded fetch boundary across the pipe: a request ships ``(constraint
-id, encoded X-key codes)``, a response ships flat ``array('q')`` code
-columns — the exact payloads the in-process engines already produce,
-so nothing above storage changes and answers stay bit-identical.
+one storage read, ``read_codes``, across the pipe: a ``read`` request
+ships ``(constraint id, encoded X-key codes)``, a response ships flat
+``array('q')`` code columns plus per-key row counts — the exact
+payloads the in-process engines already produce, so nothing above
+storage changes and answers stay bit-identical.  The four public reads
+are the adapters every engine inherits; value rows never cross a pipe.
 
 Topology and ownership:
 
@@ -47,6 +49,7 @@ import multiprocessing
 import threading
 import time
 import weakref
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from ...deadline import Deadline, current_deadline
@@ -431,7 +434,9 @@ class ProcessShardedBackend(StorageBackend):
         """Logical payload size of a key batch: 8 bytes per code.
         Deliberately *not* the pickled size — logical bytes are
         deterministic across Python versions, so they can sit in
-        trajectory-gated counters."""
+        trajectory-gated counters.  The same logic prices a reply at
+        8 bytes per returned code; its per-key row counts are framing
+        and are not counted."""
         if not keys:
             return 0
         width = 1 if isinstance(keys[0], int) else len(keys[0])
@@ -682,94 +687,65 @@ class ProcessShardedBackend(StorageBackend):
         self._rr += 1
         return None if slot == 0 else slot - 1
 
-    def fetch_flat_encoded(self, constraint: AccessConstraint,
-                           keys: Sequence) -> tuple[list, int]:
+    def read_codes(self, constraint: AccessConstraint, keys: Sequence
+                   ) -> tuple[list, list[int], "Sequence | None"]:
         resolution, entry = self._store._resolved_indexes(constraint)
         _, attached, key_perm, row_proj, dedup = resolution
         cid = self._cids.get(id(attached))
         if (cid is None or len(keys) < self.fanout_threshold
                 or not self._workers_live()):
             self._counters["local_reads_total"] += 1
-            return self._store.fetch_flat_encoded(constraint, keys)
+            return self._store.read_codes(constraint, keys)
         wire_keys = self._permute_keys(keys, key_perm)
         width = entry.width if row_proj is None else len(row_proj)
         replica = self._next_replica()
         if replica is not None:
-            result = self._replica_fetch(
-                replica, "ff", cid, attached.relation_name, wire_keys,
+            result = self._read_replica(
+                replica, cid, attached.relation_name, wire_keys,
                 row_proj, dedup, width)
             if result is not None:
                 return result
-        result = self._worker_fetch(
-            "ff", cid, wire_keys, row_proj, dedup, width)
-        if result is not None:
-            return result
-        self._counters["local_reads_total"] += 1
-        return self._store.fetch_flat_encoded(constraint, keys)
-
-    def fetch_many_encoded(self, constraint: AccessConstraint,
-                           keys: Sequence) -> list[tuple[tuple, int]]:
-        resolution, entry = self._store._resolved_indexes(constraint)
-        _, attached, key_perm, row_proj, dedup = resolution
-        cid = self._cids.get(id(attached))
-        if (cid is None or len(keys) < self.fanout_threshold
-                or not self._workers_live()):
+        result = self._read_workers(cid, wire_keys, row_proj, dedup, width)
+        if result is None:
             self._counters["local_reads_total"] += 1
-            return self._store.fetch_many_encoded(constraint, keys)
-        wire_keys = self._permute_keys(keys, key_perm)
-        width = entry.width if row_proj is None else len(row_proj)
-        replica = self._next_replica()
-        if replica is not None:
-            result = self._replica_fetch(
-                replica, "fm", cid, attached.relation_name, wire_keys,
-                row_proj, dedup, width)
-            if result is not None:
-                return result
-        result = self._worker_fetch(
-            "fm", cid, wire_keys, row_proj, dedup, width)
-        if result is not None:
+            return self._store.read_codes(constraint, keys)
+        if key_perm is None:
             return result
-        self._counters["local_reads_total"] += 1
-        return self._store.fetch_many_encoded(constraint, keys)
+        # Name the answered keys in the caller's X order, not the wire's.
+        cols, counts, order = result
+        inverse = [key_perm.index(i) for i in range(len(key_perm))]
+        return cols, counts, self._permute_keys(order, inverse)
 
-    def _worker_fetch(self, op: str, cid: int, keys: Sequence,
-                      row_proj, dedup, width: int):
+    def _read_workers(self, cid: int, keys: Sequence, row_proj, dedup,
+                      width: int):
         """Fan an encoded batch out across the shard workers; one
-        respawn-and-retry on a dead worker, None (fall back) after."""
+        respawn-and-retry on a dead worker, None (fall back) after.
+
+        Keys are bucketed by placement and answered bucket after
+        bucket, so the result names its key order instead of paying a
+        per-key realignment that flat reads never need."""
         workers = self.workers
-        positions: list[list[int]] | None
-        if op == "ff":
-            # Flat fetches need no per-key alignment, so keys are
-            # bucketed directly instead of paying the position
-            # indirection the aligned path below needs.  Bare int
-            # codes are non-negative and hash to themselves, so the
-            # modulo runs on the code itself — same placement as the
-            # hash() the bootstrap partition uses, one call cheaper.
-            buckets: list[list] = [[] for _ in range(workers)]
-            appends = [bucket.append for bucket in buckets]
-            if keys and type(keys[0]) is int:
-                for key in keys:
-                    appends[key % workers](key)
-            else:
-                for key in keys:
-                    appends[hash(key) % workers](key)
-            positions = None
-            touched = [w for w in range(workers) if buckets[w]]
-            payloads = [buckets[w] for w in touched]
+        buckets: list[list] = [[] for _ in range(workers)]
+        appends = [bucket.append for bucket in buckets]
+        if keys and type(keys[0]) is int:
+            # Stored codes are non-negative and hash to themselves, so
+            # the modulo runs on the code itself — same placement as the
+            # hash() the bootstrap partition uses, one call cheaper (a
+            # negative sentinel matches nothing wherever it lands).
+            for key in keys:
+                appends[key % workers](key)
         else:
-            positions = [[] for _ in range(workers)]
-            for position, key in enumerate(keys):
-                positions[hash(key) % workers].append(position)
-            touched = [w for w in range(workers) if positions[w]]
-            payloads = [[keys[p] for p in positions[w]] for w in touched]
+            for key in keys:
+                appends[hash(key) % workers](key)
+        touched = [w for w in range(workers) if buckets[w]]
         attempts = max(2, self._retry.attempts)
         delays = self._retry.delays()
         for attempt in range(attempts):
             requests = [
                 (self._worker_peers[w],
-                 (op, cid, payload, row_proj, dedup),
-                 self._key_bytes(payload))
-                for w, payload in zip(touched, payloads)]
+                 ("read", cid, buckets[w], row_proj, dedup),
+                 self._key_bytes(buckets[w]))
+                for w in touched]
             try:
                 with span("rpc_fetch"):
                     parts = self._fanout(requests)
@@ -792,32 +768,19 @@ class ProcessShardedBackend(StorageBackend):
                     self._bootstrap_worker(
                         dead.index if dead is not None else 0)
         self._counters["worker_reads_total"] += 1
-        if op == "fm":
-            out: list = [None] * len(keys)
-            received = 0
-            for w, part in zip(touched, parts):
-                for position, entry in zip(positions[w], part):
-                    out[position] = entry
-                    received += entry[1]
-            self._counters["rpc_bytes_received_total"] += (
-                received * width * 8)
-            return out
-        merged = [int_column() for _ in range(width)]
-        total = 0
-        for cols, length in parts:
-            if not length:
-                continue
-            if not total:
-                merged = cols  # adopt the first non-empty part's arrays
-            else:
-                for i in range(width):
-                    merged[i].extend(cols[i])
-            total += length
-        self._counters["rpc_bytes_received_total"] += total * width * 8
-        return merged, total
+        cols = [int_column() for _ in range(width)]
+        counts: list[int] = []
+        for part_cols, part_counts in parts:
+            for column, part in zip(cols, part_cols):
+                column.extend(part)
+            counts += part_counts
+        self._counters["rpc_bytes_received_total"] += (
+            len(cols[0]) * width * 8)
+        return cols, counts, list(chain.from_iterable(
+            buckets[w] for w in touched))
 
-    def _replica_fetch(self, i: int, op: str, cid: int, relation: str,
-                       keys: Sequence, row_proj, dedup, width: int):
+    def _read_replica(self, i: int, cid: int, relation: str,
+                      keys: Sequence, row_proj, dedup, width: int):
         """Serve one whole batch from replica ``i`` iff its circuit
         breaker admits traffic and it has caught up to the writer's
         generation for ``relation``; None means the caller should use
@@ -841,8 +804,8 @@ class ProcessShardedBackend(StorageBackend):
                 return None
         try:
             with span("rpc_replica_fetch"):
-                payload = self._request(
-                    peer, (op, cid, keys, row_proj, dedup),
+                cols, counts = self._request(
+                    peer, ("read", cid, keys, row_proj, dedup),
                     self._key_bytes(keys))
         except _PeerFailure as failure:
             if failure.deadline:
@@ -851,14 +814,9 @@ class ProcessShardedBackend(StorageBackend):
             return None
         breaker.record_success()
         self._counters["replica_reads_total"] += 1
-        if op == "fm":
-            received = sum(length for _, length in payload)
-            self._counters["rpc_bytes_received_total"] += (
-                received * width * 8)
-            return payload
-        cols, length = payload
-        self._counters["rpc_bytes_received_total"] += length * width * 8
-        return cols, length
+        self._counters["rpc_bytes_received_total"] += (
+            len(cols[0]) * width * 8)
+        return cols, counts, None
 
     def _catch_up_replica(self, i: int) -> bool:
         """Ship the WAL tail (or re-bootstrap after a writer
@@ -912,17 +870,6 @@ class ProcessShardedBackend(StorageBackend):
 
     def contains(self, relation_name: str, row: Row) -> bool:
         return self._store.contains(relation_name, row)
-
-    def fetch_many(self, constraint: AccessConstraint,
-                   x_values: Sequence[Row]) -> list[list[Row]]:
-        # Value-space fetches stay local: the RPC surface is the
-        # *encoded* boundary (code keys in, code columns out); value
-        # rows never cross a pipe.
-        return self._store.fetch_many(constraint, x_values)
-
-    def fetch_flat(self, constraint: AccessConstraint,
-                   x_values: Sequence[Row]) -> list[Row]:
-        return self._store.fetch_flat(constraint, x_values)
 
     def constraint_groups(self, constraint: AccessConstraint
                           ) -> Iterator[tuple[Row, int]]:

@@ -38,6 +38,7 @@ MemoryBackend` oracle without spawning processes.
 from __future__ import annotations
 
 from ..disk import scan_frame_bytes
+from ..indexes import gather_codes
 from .worker import CodeIndex, serve_loop
 
 Row = tuple
@@ -186,14 +187,11 @@ class ReplicaState:
 
     def handle(self, request: tuple):
         op = request[0]
-        if op == "ff":
+        if op == "read":
             _, cid, keys, row_proj, dedup = request
-            return self.indexes[cid][3].lookup_flat_encoded(
-                keys, row_proj, dedup)
-        if op == "fm":
-            _, cid, keys, row_proj, dedup = request
-            return self.indexes[cid][3].lookup_many_encoded(
-                keys, row_proj, dedup)
+            index = self.indexes[cid][3]
+            return gather_codes(index.encoded, index.width, keys,
+                                row_proj, dedup)
         if op == "wal":
             _, chunk, delta = request
             return self.apply_wal(chunk, delta)

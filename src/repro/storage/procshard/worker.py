@@ -3,16 +3,18 @@
 A worker never sees a Python *value*: the coordinator owns the
 :class:`~repro.storage.encoding.ValueDictionary`, encodes every row at
 insert time, projects it into each attached constraint's ``X∪Y``
-layout and ships only the resulting code tuples.  Requests cross the
-pipe as ``(constraint id, code keys)``; responses come back as flat
-``array('q')`` code columns — exactly the encoded fetch boundary from
-the in-process engines, reused as the RPC surface.
+layout and ships only the resulting code tuples.  The one read op,
+``("read", constraint id, code keys, row_proj, dedup)``, answers with
+``(columns, counts)``: flat ``array('q')`` code columns plus per-key
+row counts — the engines' ``read_codes`` shape, reused as the RPC
+surface.
 
 :class:`CodeIndex` mirrors :class:`~repro.storage.indexes.AccessIndex`
 witness-count semantics in code space: an ``X∪Y`` projection survives
-until its last witness row is deleted, and lookups return freshly
-built arrays with the same ``row_proj``/``dedup`` behaviour, so a
-worker answer is bit-identical to the in-process index's.
+until its last witness row is deleted.  Both keep the same encoded
+group map and are read by the same
+:func:`~repro.storage.indexes.gather_codes`, so a worker answer is
+bit-identical to the in-process index's.
 
 ``worker_main`` is the spawn-safe process entry point: a plain
 module-level request loop over a :class:`multiprocessing.Connection`.
@@ -25,8 +27,7 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
-from ..encoding import int_column
-from ..indexes import _EncodedGroup
+from ..indexes import _EncodedGroup, gather_codes
 
 Codes = tuple  # one stored row as a tuple of X∪Y dictionary codes
 
@@ -38,7 +39,7 @@ class CodeIndex:
     ``|X| == 1``, a code tuple otherwise.
     """
 
-    __slots__ = ("x_len", "width", "scalar_key", "_counts", "_encoded")
+    __slots__ = ("x_len", "width", "scalar_key", "_counts", "encoded")
 
     def __init__(self, x_len: int, width: int):
         self.x_len = x_len
@@ -48,7 +49,7 @@ class CodeIndex:
         # deletion exact when X∪Y projects several stored rows onto
         # one code tuple (same contract as AccessIndex._groups).
         self._counts: dict = {}
-        self._encoded: dict[object, _EncodedGroup] = {}
+        self.encoded: dict[object, _EncodedGroup] = {}
 
     def key_of(self, row_codes: Sequence[int]):
         return (row_codes[0] if self.scalar_key
@@ -62,9 +63,9 @@ class CodeIndex:
         group[y_key] = count + 1
         if count:
             return
-        entry = self._encoded.get(key)
+        entry = self.encoded.get(key)
         if entry is None:
-            entry = self._encoded[key] = _EncodedGroup(self.width)
+            entry = self.encoded[key] = _EncodedGroup(self.width)
         entry.append(row_codes, y_key)
 
     def remove(self, row_codes: Codes) -> None:
@@ -82,77 +83,15 @@ class CodeIndex:
         del group[y_key]
         if not group:
             del self._counts[key]
-        entry = self._encoded.get(key)
+        entry = self.encoded.get(key)
         if entry is not None:
             entry.discard(y_key, self.x_len)
             if not entry.pos:
-                del self._encoded[key]
+                del self.encoded[key]
 
     def remove_all(self) -> None:
         self._counts.clear()
-        self._encoded.clear()
-
-    # Lookup semantics are copied from AccessIndex.lookup_*_encoded so
-    # a worker's answer matches the in-process index bit for bit.
-
-    def lookup_flat_encoded(self, keys: Sequence, row_proj, dedup
-                            ) -> tuple[list, int]:
-        encoded = self._encoded
-        width = self.width if row_proj is None else len(row_proj)
-        out = [int_column() for _ in range(width)]
-        if not width:
-            return out, 0
-        if row_proj is None:
-            # The no-projection gather is the RPC fast path (every
-            # flat boundary replay lands here); zip over bound
-            # columns beats indexed access per key.
-            get = encoded.get
-            for key in keys:
-                entry = get(key)
-                if entry is not None:
-                    for out_col, col in zip(out, entry.cols):
-                        out_col.extend(col)
-            return out, len(out[0])
-        for key in keys:
-            entry = encoded.get(key)
-            if entry is None:
-                continue
-            projected = [entry.cols[p] for p in row_proj]
-            if dedup:
-                if width == 1:
-                    for code in dict.fromkeys(projected[0]):
-                        out[0].append(code)
-                else:
-                    for row in dict.fromkeys(zip(*projected)):
-                        for i in range(width):
-                            out[i].append(row[i])
-            else:
-                for i in range(width):
-                    out[i].extend(projected[i])
-        return out, len(out[0])
-
-    def lookup_one_encoded(self, key, row_proj, dedup) -> tuple[tuple, int]:
-        entry = self._encoded.get(key)
-        if entry is None:
-            return tuple(int_column() for _ in range(
-                self.width if row_proj is None else len(row_proj))), 0
-        if row_proj is None:
-            cols = tuple(column[:] for column in entry.cols)
-            return cols, len(entry)
-        projected = [entry.cols[p] for p in row_proj]
-        if dedup:
-            if len(projected) == 1:
-                column = int_column(dict.fromkeys(projected[0]))
-                return (column,), len(column)
-            rows = list(dict.fromkeys(zip(*projected)))
-            return (tuple(int_column(row[i] for row in rows)
-                          for i in range(len(projected))), len(rows))
-        return tuple(column[:] for column in projected), len(projected[0])
-
-    def lookup_many_encoded(self, keys: Sequence, row_proj, dedup
-                            ) -> list[tuple[tuple, int]]:
-        return [self.lookup_one_encoded(key, row_proj, dedup)
-                for key in keys]
+        self.encoded.clear()
 
     def group_count(self) -> int:
         return len(self._counts)
@@ -172,14 +111,11 @@ class WorkerState:
 
     def handle(self, request: tuple):
         op = request[0]
-        if op == "ff":
+        if op == "read":
             _, cid, keys, row_proj, dedup = request
-            return self.indexes[cid].lookup_flat_encoded(
-                keys, row_proj, dedup)
-        if op == "fm":
-            _, cid, keys, row_proj, dedup = request
-            return self.indexes[cid].lookup_many_encoded(
-                keys, row_proj, dedup)
+            index = self.indexes[cid]
+            return gather_codes(index.encoded, index.width, keys,
+                                row_proj, dedup)
         if op == "write":
             _, ops, delta = request
             self.values.extend(delta)

@@ -4,8 +4,10 @@
 ``getattr`` — ``FetchCache.lookup``/``lookup_many``/
 ``lookup_many_encoded`` and the backend's ``fetch_many``/``fetch_flat``/
 ``fetch_many_encoded``/``fetch_flat_encoded`` — so renaming or removing
-any of them kills every traced ledger run.  Each case here is one
-quick traced run (about a second), checked for a clean exit and no
+any of them kills every traced ledger run.  The backend names are
+adapters every engine inherits from ``StorageBackend``; the procshard
+coordinator reaches them that way too.  Each case here is one quick
+traced run (a few seconds), checked for a clean exit and no
 oracle-rejected answer.
 """
 
@@ -22,7 +24,7 @@ REPO = pathlib.Path(__file__).resolve().parents[2]
 
 
 @pytest.mark.parametrize("workload", ["warm_template", "cold_fetch_scale",
-                                      "mixed_write_disk"])
+                                      "mixed_write_disk", "procshard_fanout"])
 def test_quick_traced_ledger_run_is_clean(workload):
     completed = subprocess.run(
         [sys.executable, "ledger/run.py", "--quick", "--workload", workload,

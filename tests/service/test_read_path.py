@@ -12,7 +12,7 @@ from repro.engine.naive import evaluate
 from repro.errors import ServiceError
 from repro.query import parse_query
 from repro.service import BoundedQueryService, bind_query
-from repro.storage.backend import MemoryBackend, StorageBackend
+from repro.storage.backend import MemoryBackend
 from repro.storage.disk import DiskBackend
 
 TEMPLATES = {
@@ -30,20 +30,10 @@ ACCIDENTS = [
 ]
 
 
-class ValueLevelBackend(MemoryBackend):
-    """An engine with value-level reads only: the protocol's default
-    adapter serves the executor's code keys."""
-
-    fetch_flat_encoded = StorageBackend.fetch_flat_encoded
-    fetch_many_encoded = StorageBackend.fetch_many_encoded
-
-
-@pytest.fixture(params=["memory", "disk", "procshard-2w", "value-level"])
+@pytest.fixture(params=["memory", "disk", "procshard-2w"])
 def db(request, tmp_path, accident_schema, accident_access):
     if request.param == "memory":
         backend = MemoryBackend(accident_schema)
-    elif request.param == "value-level":
-        backend = ValueLevelBackend(accident_schema)
     elif request.param == "disk":
         backend = DiskBackend(accident_schema, tmp_path)
     else:
@@ -97,10 +87,8 @@ def test_never_stored_bindings_intern_nothing(db):
 def test_unhashable_binding_is_refused_before_any_read(accident_schema,
                                                        accident_access):
     class NoReads(MemoryBackend):
-        def fetch_flat_encoded(self, constraint, keys):
+        def read_codes(self, constraint, keys):
             raise AssertionError("the backend was read")
-
-        fetch_many_encoded = fetch_flat = fetch_many = fetch_flat_encoded
 
     db = Database(accident_schema, accident_access,
                   backend=NoReads(accident_schema))

@@ -4,13 +4,17 @@ random insert / delete / clear / re-attach sequences.
 
 After every step, for each attached constraint plus the structurally
 re-created variants analysis code requests (narrower Y, reordered Y,
-permuted X), four answers must agree as row multisets, for stored and
-never-stored keys alike:
+permuted X), five answers must agree as row multisets, for stored and
+never-stored keys alike, duplicates included:
 
-* ``fetch_many`` (value keys);
+* ``fetch_many`` and ``fetch_flat`` (value keys);
 * ``fetch_many_encoded`` (code keys), decoded;
 * ``fetch_flat_encoded`` (code keys), decoded;
 * an :class:`~repro.storage.indexes.AccessIndex` built from ``scan``.
+
+The four reads are adapters over each engine's one ``read_codes``;
+procshard answers in worker-bucket order, so the aligned reads check
+its realignment.
 
 A value-level ``fetch_many`` of never-stored X-values must also leave
 the engine's dictionary untouched: reads never intern values.
@@ -176,15 +180,24 @@ def _check(backend, expected) -> None:
     dictionary = backend.dictionary
     for requested, keys, want, known, codes in expected:
         size = len(dictionary)
-        got = backend.fetch_many(requested, keys)
+        got = backend.fetch_many(requested, keys + keys[::-1])
+        flat_rows = backend.fetch_flat(requested, keys)
         assert len(dictionary) == size, "a value-level read interned values"
-        assert [Counter(rows) for rows in got] == want
+        assert [Counter(rows) for rows in got] == want + want[::-1]
+        assert Counter(flat_rows) == sum(want, Counter())
         if not known:
             continue
         local_reads = backend.counters().get("local_reads_total")
-        many = backend.fetch_many_encoded(requested, codes)
+        # Duplicate keys and a never-stored sentinel in one batch: on
+        # procshard the answer comes back in worker-bucket order (under
+        # a key permutation too) and must realign per key.
+        width = len(requested.x)
+        unknown = [-1 if width == 1 else (-1,) * width] if width else []
+        many = backend.fetch_many_encoded(requested,
+                                          unknown + codes + codes[::-1])
+        mine = [want[i] for i in known]
         assert [_decode(dictionary, *entry) for entry in many] == \
-            [want[i] for i in known]
+            [Counter()] * len(unknown) + mine + mine[::-1]
         flat = backend.fetch_flat_encoded(requested, codes)
         assert _decode(dictionary, *flat) == sum(
             (want[i] for i in known), Counter())

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import tempfile
 import threading
+from array import array
 
 import pytest
 
@@ -20,7 +21,8 @@ from repro import AccessConstraint, AccessSchema, Schema
 from repro.errors import StorageError
 from repro.storage.backend import MemoryBackend
 from repro.storage.disk import DiskBackend
-from repro.storage.indexes import AccessIndex
+from repro.storage.encoding import ValueDictionary
+from repro.storage.indexes import AccessIndex, gather_codes
 from repro.storage.procshard import (CodeIndex, ProcessShardedBackend,
                                      ReplicaState, WorkerState)
 from repro.storage.procshard.replica import ReplicaError
@@ -68,14 +70,13 @@ def oracle(schema, aschema, rows=ROWS):
 
 
 class TestCodeIndex:
-    """CodeIndex must mirror AccessIndex witness-count semantics and
-    lookup output bit for bit — a worker's answer is only correct
-    because these two stay in lockstep."""
+    """CodeIndex must mirror AccessIndex witness-count semantics — both
+    are read by the same ``gather_codes``, so a worker's answer is only
+    correct because their groups stay in lockstep."""
 
     def _pair(self, schema):
         constraint = AccessConstraint("R", ("A",), ("B", "C"), 64)
         relation = constraint.validate_against(schema)
-        from repro.storage.encoding import ValueDictionary
         dictionary = ValueDictionary()
         access = AccessIndex(constraint, relation, dictionary)
         code = CodeIndex(x_len=1, width=3)
@@ -87,20 +88,28 @@ class TestCodeIndex:
             access.add(row, coded)
             code.add(tuple(coded))
 
-    def test_lookup_parity_with_access_index(self, schema):
-        access, code, dictionary = self._pair(schema)
-        self._fill(access, code, dictionary, ROWS)
-        keys = [dictionary.encode(k) for k in range(7)]
-        for row_proj, dedup in ((None, False), ((1, 2), False),
-                                ((0,), True), ((2,), True),
-                                ((2, 0), True)):
-            want = access.lookup_flat_encoded(keys, row_proj, dedup)
-            got = code.lookup_flat_encoded(keys, row_proj, dedup)
-            assert norm_flat(got) == norm_flat(want)
-            assert got[1] == want[1]
-            want_many = access.lookup_many_encoded(keys, row_proj, dedup)
-            got_many = code.lookup_many_encoded(keys, row_proj, dedup)
-            assert norm_many(got_many) == norm_many(want_many)
+    def test_witness_count_parity_with_access_index(self, schema):
+        """Rows sharing an X∪Y projection, then deletions: the two
+        indexes keep the same witness counts and the same groups."""
+        constraint = AccessConstraint("R", ("A",), ("B",), 64)
+        dictionary = ValueDictionary()
+        access = AccessIndex(constraint, constraint.validate_against(schema),
+                             dictionary)
+        code = CodeIndex(x_len=1, width=2)
+        rows = [(i % 3, i % 2, i) for i in range(24)]
+        for row in rows:
+            access.add(row)
+            code.add(dictionary.encode_row(row)[:2])
+        for row in rows[::3]:
+            access.remove(row)
+            code.remove(dictionary.encode_row(row)[:2])
+        encode = dictionary.encode
+        assert code._counts == {
+            encode(x): {(encode(y),): count for (y,), count in group.items()}
+            for (x,), group in access._groups.items()}
+        keys = [encode(k) for k in range(4)]
+        assert gather_codes(code.encoded, 2, keys) == \
+            gather_codes(access.encoded, 2, keys)
 
     def test_witness_counts_survive_projection_collapse(self, schema):
         access, code, dictionary = self._pair(schema)
@@ -110,17 +119,15 @@ class TestCodeIndex:
         rows = [(1, "a", 10), (1, "b", 10)]
         self._fill(access, code, dictionary, rows)
         key = dictionary.encode(1)
-        assert norm_flat(code.lookup_flat_encoded(
-            [key], (2,), True)) == norm_flat(access.lookup_flat_encoded(
-                [key], (2,), True))
+        assert gather_codes(code.encoded, 3, [key], (2,), True) == \
+            gather_codes(access.encoded, 3, [key], (2,), True)
         # Removing one witness must not drop the projected group.
         coded = dictionary.encode_row((1, "a", 10))
         access.remove((1, "a", 10))
         code.remove(tuple(coded))
-        got = code.lookup_flat_encoded([key], None, False)
-        want = access.lookup_flat_encoded([key], None, False)
-        assert norm_flat(got) == norm_flat(want)
-        assert got[1] == 1
+        got = gather_codes(code.encoded, 3, [key])
+        assert got == gather_codes(access.encoded, 3, [key])
+        assert got[1] == [1]
 
     def test_remove_last_witness_drops_group(self, schema):
         access, code, dictionary = self._pair(schema)
@@ -128,8 +135,8 @@ class TestCodeIndex:
         coded = tuple(dictionary.encode_row((1, "a", 10)))
         code.remove(coded)
         assert code.group_count() == 0
-        assert code.lookup_flat_encoded(
-            [dictionary.encode(1)], None, False)[1] == 0
+        assert gather_codes(code.encoded, 3,
+                            [dictionary.encode(1)]) == ([array("q")] * 3, [0])
         # Removing a never-added row is a no-op, not an error.
         code.remove(coded)
 
@@ -147,20 +154,20 @@ class TestWorkerProtocol:
 
     def test_attach_then_fetch(self):
         state = self._attached()
-        cols, length = state.handle(("ff", 0, [1], None, False))
-        assert length == 2
+        cols, counts = state.handle(("read", 0, [1, 9, 1], None, False))
+        assert counts == [2, 0, 2]
         assert sorted(zip(*[list(c) for c in cols])) == \
-            [(1, 2, 3), (1, 4, 5)]
-        [(cols, length)] = state.handle(("fm", 0, [9], None, False))
-        assert length == 0
+            [(1, 2, 3), (1, 2, 3), (1, 4, 5), (1, 4, 5)]
+        cols, counts = state.handle(("read", 0, [1], (2,), False))
+        assert (sorted(cols[0]), counts) == ([3, 5], [2])
 
     def test_write_applies_delta_and_ops(self):
         state = self._attached()
         state.handle(("write", [(0, False, [(7, 8, 9)])], ["v2"]))
         assert state.values == ["v0", "v1", "v2"]
-        assert state.handle(("ff", 0, [7], None, False))[1] == 1
+        assert state.handle(("read", 0, [7], None, False))[1] == [1]
         state.handle(("write", [(0, True, [(7, 8, 9)])], []))
-        assert state.handle(("ff", 0, [7], None, False))[1] == 0
+        assert state.handle(("read", 0, [7], None, False))[1] == [0]
 
     def test_clear_and_stats(self):
         state = self._attached()

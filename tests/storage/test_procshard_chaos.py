@@ -138,7 +138,7 @@ class TestWorkerChaos:
         # ever consume — the exact state a timed-out RPC leaves behind.
         peer = backend._worker_peers[0]
         with peer.lock:
-            backend._send(peer, ("ff", 0, [keys[0]], None, False), 8)
+            backend._send(peer, ("read", 0, [keys[0]], None, False), 8)
             peer.poisoned = True
         # Reads after the poisoning must not adopt the stale reply
         # (which is a *valid* fetch payload for different keys — the
