@@ -113,12 +113,6 @@ def attach_cache_collector(registry: MetricsRegistry, service) -> None:
     shape = _cache_instruments(registry, "plan shape",
                                prefix="repro_plan_cache_shape")
     fetch = _cache_instruments(registry, "fetch")
-    answer = _cache_instruments(registry, "answer")
-    # Fetch-cache hits served as encoded column views (no re-encoding
-    # on a warm hit).
-    encoded_hits = registry.counter(
-        "repro_fetch_cache_encoded_hits_total",
-        "fetch cache hits served as encoded column views")
     # Lookups a starved fetch cache sent straight to storage (its
     # self-tuning bypass); they are also counted as misses.
     bypassed = registry.counter(
@@ -141,12 +135,6 @@ def attach_cache_collector(registry: MetricsRegistry, service) -> None:
     invalidations = registry.counter(
         "repro_fetch_cache_maintenance_invalidations_total",
         "cached fetch entries dropped by maintenance fallbacks")
-    answer_maintained = registry.counter(
-        "repro_answer_cache_maintained_entries_total",
-        "cached answer sets validated past an unobservable write")
-    answer_invalidations = registry.counter(
-        "repro_answer_cache_maintenance_invalidations_total",
-        "cached answer sets dropped by write maintenance")
 
     def collect() -> None:
         for instruments, info in ((plan, service.plan_cache.info()),
@@ -159,7 +147,6 @@ def attach_cache_collector(registry: MetricsRegistry, service) -> None:
             size.set(info.size)
             rate.set(round(info.hit_rate, 6))
         fetch_cache = service.fetch_cache
-        encoded_hits.set_total(getattr(fetch_cache, "encoded_hits", 0))
         bypassed.set_total(getattr(fetch_cache, "bypassed_lookups", 0))
         maintained_deltas.set_total(
             getattr(fetch_cache, "maintained_deltas", 0))
@@ -169,18 +156,6 @@ def attach_cache_collector(registry: MetricsRegistry, service) -> None:
             getattr(fetch_cache, "maintenance_fallbacks", 0))
         invalidations.set_total(
             getattr(fetch_cache, "maintenance_invalidations", 0))
-        answer_cache = getattr(service, "answer_cache", None)
-        if answer_cache is not None:
-            info = answer_cache.info()
-            hits, misses, evictions, size, rate = answer
-            hits.set_total(info.hits)
-            misses.set_total(info.misses)
-            evictions.set_total(info.evictions)
-            size.set(info.size)
-            rate.set(round(info.hit_rate, 6))
-            answer_maintained.set_total(answer_cache.maintained_entries)
-            answer_invalidations.set_total(
-                answer_cache.maintenance_invalidations)
 
     registry.register_collector(collect)
 

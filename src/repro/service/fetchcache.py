@@ -148,8 +148,6 @@ class FetchCache:
         #: Largest cached entry seen, for the memory-bound report
         #: (advisory: updated without a lock).
         self.max_entry_rows = 0
-        #: Hits served (advisory counter; the obs layer exports it).
-        self.encoded_hits = 0
         # constraint value -> slot, and slot -> constraint.  Slots are
         # assigned under the maintenance lock and never reused.
         self._slots: dict[AccessConstraint, int] = {}
@@ -407,7 +405,6 @@ class FetchCache:
             cached = self._entries.get_many(cache_keys)
         missed = cached.count(None)
         served = len(cached) - missed
-        self.encoded_hits += served
         if not missed:
             self._observe(served, 0)
             return cached, [True] * served

@@ -1,10 +1,10 @@
 """One thread-safe bounded LRU map, shared by every service-layer cache.
 
-The plan cache, its source-text front, the answer cache and the
-fetch cache all need the same thing: a lock-guarded
-``OrderedDict`` with move-to-end on access, eviction past a capacity,
-and hit/miss/eviction counters.  Keeping a single implementation keeps
-their eviction and accounting behaviour identical.
+The plan cache, its source-text front and the fetch cache all need
+the same thing: a lock-guarded ``OrderedDict`` with move-to-end on
+access, eviction past a capacity, and hit/miss/eviction counters.
+Keeping a single implementation keeps their eviction and accounting
+behaviour identical.
 """
 
 from __future__ import annotations
@@ -103,12 +103,6 @@ class LruDict:
             while len(self._data) > self.capacity:
                 self._data.popitem(last=False)
                 self.evictions += 1
-
-    def discard(self, key) -> bool:
-        """Drop one entry if present; returns whether it was.  Not an
-        eviction (the caller invalidated it, it was not crowded out)."""
-        with self._lock:
-            return self._data.pop(key, None) is not None
 
     def record_hits(self, count: int) -> None:
         """Count hits decided outside the map (callers that validate a

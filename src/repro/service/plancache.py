@@ -27,7 +27,6 @@ ones.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 
 from ..core.bep import is_boundedly_evaluable
@@ -255,192 +254,6 @@ class PlanCache:
         earlier text's plan, a miss is a text that compiled (its shape,
         or itself when the shape is concrete)."""
         return CacheInfo.of(self._shapes, self.capacity)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-@dataclass
-class FetchProfile:
-    """What one compiled plan reads, extracted from its physical fetch
-    ops — the evidence behind an answer-cache entry's freshness.
-
-    Fetch ops are the *only* physical ops that touch stored data
-    (everything else transforms batches), so ``relations`` is the
-    complete read set of the plan, for every binding: binding a
-    template substitutes constants, never constraints.  ``maintainable``
-    says whether every fetched constraint is *exactly* attached to
-    ``access_schema`` — only then does the backend's delta stream
-    describe all changes observable through the plan's reads, letting
-    the answer cache ride out writes that change nothing the plan can
-    see.
-    """
-
-    relations: frozenset[str]
-    #: relation -> the constraints the plan fetches from it.
-    constraints: dict[str, frozenset]
-    maintainable: bool
-    #: The schema the verdict was computed against (identity matters:
-    #: a reattach voids the verdict, so stores re-check it).
-    schema: object = None
-
-    @classmethod
-    def of(cls, physical: PhysicalPlan,
-           access_schema: AccessSchema) -> "FetchProfile":
-        constraints: dict[str, set] = {}
-        for op in physical.fetch_ops():
-            constraints.setdefault(
-                op.constraint.relation_name, set()).add(op.constraint)
-        attached = list(access_schema) if access_schema is not None else []
-        maintainable = all(
-            any(candidate == constraint for candidate in attached)
-            for per_relation in constraints.values()
-            for constraint in per_relation)
-        return cls(relations=frozenset(constraints),
-                   constraints={relation: frozenset(per_relation)
-                                for relation, per_relation
-                                in constraints.items()},
-                   maintainable=maintainable,
-                   schema=access_schema)
-
-
-class AnswerCache:
-    """Materialized template answers, kept fresh by write deltas.
-
-    The plan cache amortizes *compilation*; this cache amortizes
-    *execution*: a repeated ``(compiled query, binding)`` pair returns
-    its answer set without touching the executor at all.  Soundness
-    rests on two independent mechanisms:
-
-    * every entry records the write generation of each relation its
-      plan fetches, read *before* the execution that produced the
-      answers; a lookup re-validates them and discards on any mismatch
-      — stale answers are unservable even if every other mechanism
-      fails;
-    * the backend's write-delta stream eagerly repairs or drops
-      entries: a delta that changes nothing observable through the
-      plan's (exactly-attached) constraints merely advances the
-      entry's recorded generation — the answer provably cannot have
-      changed — while an observable change, a wipe, or a gap drops the
-      entry.
-
-    >>> cache = AnswerCache(capacity=8)
-    >>> cache.info().size, cache.maintained_entries
-    (0, 0)
-    """
-
-    def __init__(self, capacity: int = 1024):
-        self.capacity = capacity
-        self._entries: LruDict = LruDict(capacity)
-        # Guards the relation -> keys registry and the counters; never
-        # held while calling into the backend (the delta listener runs
-        # under the backend's write lock).
-        self._lock = threading.Lock()
-        self._by_relation: dict[str, set] = {}
-        #: Entries dropped because a write observably changed a fetched
-        #: group (or the delta could not be applied exactly).
-        self.maintenance_invalidations = 0
-        #: Entry validations advanced past a write that changed nothing
-        #: the entry's plan can observe.
-        self.maintained_entries = 0
-
-    def lookup(self, db, key):
-        """The cached answers for ``key``, or ``None``.
-
-        Validates every recorded dependency generation against the
-        database before serving; a mismatch discards the entry (the
-        delta that should have dropped it was unappliable or raced the
-        store) and counts a miss.
-        """
-        entry = self._entries.get(key, count=False)
-        if entry is None:
-            self._entries.record_misses(1)
-            return None
-        answers, dependencies, _ = entry
-        for relation, generation in dependencies.items():
-            if db.generation(relation) != generation:
-                self._entries.discard(key)
-                with self._lock:
-                    self.maintenance_invalidations += 1
-                self._entries.record_misses(1)
-                return None
-        self._entries.record_hits(1)
-        return answers
-
-    def store(self, key, answers, dependencies: dict[str, int],
-              profile: FetchProfile) -> None:
-        """Cache ``answers`` for ``key``.
-
-        ``dependencies`` must be the per-relation generations read
-        *before* the execution that produced ``answers``: a write
-        landing mid-execution then leaves the entry's stamp behind the
-        current generation, so the lookup-time validation refuses it.
-        """
-        self._entries.put(key, (answers, dependencies, profile))
-        with self._lock:
-            for relation in profile.relations:
-                self._by_relation.setdefault(relation, set()).add(key)
-
-    def _on_delta(self, delta) -> None:
-        """The backend's write listener: repair or drop the entries
-        that depend on the written relation.  Runs on the writer's
-        thread under the backend's write lock — O(dependent entries),
-        never O(cache)."""
-        with self._lock:
-            keys = self._by_relation.get(delta.relation)
-            if not keys:
-                return
-            survivors = set()
-            maintained = dropped = 0
-            for key in keys:
-                entry = self._entries.get(key, count=False)
-                if entry is None:
-                    continue  # evicted: let the ghost registration go
-                _, dependencies, profile = entry
-                if self._survives(delta, dependencies, profile):
-                    dependencies[delta.relation] = delta.new_generation
-                    maintained += 1
-                    survivors.add(key)
-                else:
-                    self._entries.discard(key)
-                    dropped += 1
-            if survivors:
-                self._by_relation[delta.relation] = survivors
-            else:
-                del self._by_relation[delta.relation]
-            self.maintained_entries += maintained
-            self.maintenance_invalidations += dropped
-
-    @staticmethod
-    def _survives(delta, dependencies: dict[str, int],
-                  profile: FetchProfile) -> bool:
-        """Does the entry's answer set provably survive this write?
-
-        Only when the delta extends the entry's recorded generation
-        exactly (no gap, no wipe), the plan's constraints on this
-        relation are all exactly attached (so the delta sees what the
-        plan sees), and none of them gained or lost a distinct
-        projection.  A duplicate insert or a delete of a multiply-
-        witnessed row changes nothing observable through any
-        constraint, so the answers stand.
-        """
-        if not delta.maintainable or not profile.maintainable:
-            return False
-        if dependencies.get(delta.relation) != delta.old_generation:
-            return False
-        fetched = profile.constraints.get(delta.relation, frozenset())
-        for constraint, changes in delta.constraints.items():
-            if constraint in fetched and (changes.added or changes.removed):
-                return False
-        return True
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._by_relation.clear()
-
-    def info(self) -> CacheInfo:
-        return CacheInfo.of(self._entries, self.capacity)
 
     def __len__(self) -> int:
         return len(self._entries)

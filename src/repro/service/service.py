@@ -21,6 +21,10 @@ stage across requests:
 * :mod:`~repro.service.batch` fans requests across a thread pool and
   aggregates service-level metrics.
 
+The plan cache and the fetch cache are the service's only two caches.
+Answers are never materialized: every bounded request executes its
+plan, so its ``AccessStats`` always describe the reads that answered it.
+
 Queries that are *not* boundedly evaluable still get answers: the
 service transparently falls back to the scan-based evaluator and
 reports the scan accounting instead, so callers can see exactly which
@@ -51,8 +55,7 @@ from ..storage.database import Database
 from ..storage.statistics import TableStatistics
 from .batch import BatchReport, BatchRequest, run_batch
 from .fetchcache import CachingExecutor, FetchCache
-from .plancache import (AnswerCache, CacheInfo, CompiledQuery, FetchProfile,
-                        PlanCache)
+from .plancache import CacheInfo, CompiledQuery, PlanCache
 from .templates import (QueryTemplate, bind_physical_plan, bind_query,
                         check_bindings)
 
@@ -73,9 +76,6 @@ class ServiceResult:
     reason: str = ""
     stats: AccessStats | None = None
     scan_stats: ScanStats | None = None
-    #: Served straight from the answer cache: no execution ran, so
-    #: ``stats`` is all zeros (no index was touched).
-    answers_cached: bool = False
 
     def __post_init__(self):
         if (self.stats is None) == (self.scan_stats is None):
@@ -110,9 +110,6 @@ class ServiceStats:
     #: an earlier text with other constants (hits) or compiled (misses).
     plan_shapes: CacheInfo = field(default_factory=CacheInfo)
     fetch_cache: CacheInfo = field(default_factory=CacheInfo)
-    #: Counters of the (opt-in) materialized answer cache; all zeros
-    #: when ``answer_cache_size=0``.
-    answer_cache: CacheInfo = field(default_factory=CacheInfo)
     #: The storage engine's internal tallies
     #: (:meth:`~repro.storage.backend.StorageBackend.counters`) — empty
     #: for engines with nothing to report; WAL/fsync/snapshot/recovery
@@ -159,7 +156,6 @@ class BoundedQueryService:
                  access_schema: AccessSchema | None = None,
                  plan_cache_size: int = 256,
                  fetch_cache_size: int = 4096,
-                 answer_cache_size: int = 0,
                  registry: MetricsRegistry | None = None,
                  attach: bool = True):
         self.db = db
@@ -190,18 +186,6 @@ class BoundedQueryService:
         # stream: entries over exactly-attached constraints are then
         # maintained in place instead of cold-starting on every write.
         self.fetch_cache.attach_maintenance(db)
-        # Materialized answers are opt-in (answer_cache_size > 0):
-        # cached requests skip execution entirely, so their AccessStats
-        # report zero index accesses — workloads that audit per-request
-        # accounting should leave this off.
-        self.answer_cache: AnswerCache | None = None
-        if answer_cache_size > 0:
-            self.answer_cache = AnswerCache(answer_cache_size)
-            db.backend.add_write_listener(self.answer_cache._on_delta)
-        # Per-compiled-query fetch profiles (what the plan reads),
-        # voided wholesale when the attached schema changes.
-        self._fetch_profiles: dict[int, FetchProfile] = {}
-        self._profile_schema = None
         self._templates: dict[str, QueryTemplate] = {}
         self._lock = threading.Lock()
         self._requests = 0
@@ -330,7 +314,6 @@ class BoundedQueryService:
     def _run(self, entry: CompiledQuery, plan_cached: bool,
              params: Mapping[str, Hashable], start: float,
              where: str) -> ServiceResult:
-        answers_cached = False
         try:
             if entry.bounded:
                 # The hot path runs the *optimized physical* plan
@@ -341,32 +324,9 @@ class BoundedQueryService:
                     plan = bind_physical_plan(entry.physical,
                                               entry.parameters, params,
                                               where=where)
-                key = (self._answer_key(entry, params)
-                       if self.answer_cache is not None else None)
-                answers = (self.answer_cache.lookup(self.db, key)
-                           if key is not None else None)
-                if answers is not None:
-                    answers_cached = True
-                    stats, scan = AccessStats(), None
-                else:
-                    profile = dependencies = None
-                    if key is not None:
-                        # Dependency generations are read before the
-                        # execution they vouch for: a write landing
-                        # mid-run leaves the stamp behind, so the entry
-                        # can never validate as current.
-                        profile = self._fetch_profile(entry)
-                        dependencies = {
-                            relation: self.db.generation(relation)
-                            for relation in profile.relations}
-                    result = CachingExecutor(
-                        self.db, self.fetch_cache).execute(plan)
-                    answers, stats, scan = (result.answers, result.stats,
-                                            None)
-                    if key is not None and (self.db.access_schema
-                                            is profile.schema):
-                        self.answer_cache.store(key, answers, dependencies,
-                                                profile)
+                result = CachingExecutor(self.db,
+                                         self.fetch_cache).execute(plan)
+                answers, stats, scan = result.answers, result.stats, None
             else:
                 with span("bind"):
                     query = bind_query(entry.query, entry.parameters,
@@ -390,33 +350,10 @@ class BoundedQueryService:
         outcome = ServiceResult(answers=answers, bounded=entry.bounded,
                                 plan_cached=plan_cached, latency_s=latency,
                                 reason=entry.reason, stats=stats,
-                                scan_stats=scan,
-                                answers_cached=answers_cached)
+                                scan_stats=scan)
         if self._request_metrics is not None:
             self._request_metrics.observe(outcome)
         return outcome
-
-    def _answer_key(self, entry: CompiledQuery,
-                    params: Mapping[str, Hashable]):
-        """The answer-cache key for one bound request (the binding was
-        already checked hashable).  Each value carries its type, so
-        equal-comparing constants such as ``1`` and ``1.0`` keep the
-        answers they were computed with apart."""
-        return (entry.serial, tuple(sorted(
-            (name, type(value), value) for name, value in params.items())))
-
-    def _fetch_profile(self, entry: CompiledQuery) -> FetchProfile:
-        """``entry``'s fetch profile, memoized per compiled query
-        against the identity of the currently attached schema."""
-        schema = self.db.access_schema
-        if schema is not self._profile_schema:
-            self._fetch_profiles = {}
-            self._profile_schema = schema
-        profile = self._fetch_profiles.get(entry.serial)
-        if profile is None:
-            profile = FetchProfile.of(entry.physical, schema)
-            self._fetch_profiles[entry.serial] = profile
-        return profile
 
     def execute_batch(self, requests: Sequence[BatchRequest],
                       max_workers: int = 4,
@@ -442,12 +379,10 @@ class BoundedQueryService:
     # -- maintenance -------------------------------------------------------
 
     def clear_caches(self) -> None:
-        """Drop compiled plans, cached fetches and cached answers
-        (templates stay; bindings hold no state to drop)."""
+        """Drop compiled plans and cached fetches — the service's two
+        caches (templates stay; bindings hold no state to drop)."""
         self.plan_cache.clear()
         self.fetch_cache.clear()
-        if self.answer_cache is not None:
-            self.answer_cache.clear()
 
     def sweep_caches(self) -> int:
         """Purge fetch-cache entries whose write generation has gone
@@ -474,9 +409,6 @@ class BoundedQueryService:
                             plan_cache=self.plan_cache.info(),
                             plan_shapes=self.plan_cache.shape_info(),
                             fetch_cache=self.fetch_cache.info(),
-                            answer_cache=(self.answer_cache.info()
-                                          if self.answer_cache is not None
-                                          else CacheInfo()),
                             storage=backend.counters(),
                             storage_gauges=getattr(
                                 backend, "gauges", dict)())

@@ -111,7 +111,7 @@ class TestEncodedEntries:
         assert entries2[0] is entries[0]
         assert all(isinstance(column, memoryview) and column.readonly
                    for column in entries2[0][0])
-        assert cache.encoded_hits == 1
+        assert cache.info().hits == 1
 
     def test_writes_invalidate_encoded_entries_via_generation(
             self, db, constraint):

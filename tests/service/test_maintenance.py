@@ -1,6 +1,7 @@
 """Incremental cache maintenance under writes: the delta-driven edge
-cases — multi-entry deletes, fills racing writes, disk close/reopen,
-and answer-cache repair (protocol details in ``docs/ARCHITECTURE.md``).
+cases — multi-entry deletes, fills racing writes, disk close/reopen and
+late, gapped or missing deltas (protocol details in
+``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ import pytest
 
 from repro import AccessConstraint, AccessSchema, Database, Schema
 from repro.service import BoundedQueryService, FetchCache
-from repro.service.plancache import AnswerCache, FetchProfile
 from repro.storage.delta import ConstraintDelta, WriteDelta
 from repro.storage.disk import DiskBackend
 from repro.storage.encoding import readonly_view
@@ -288,72 +288,90 @@ class TestDiskReopen:
             db2.backend.close()
 
 
-class TestAnswerCache:
+class TestDeltaStream:
+    """Deltas that are not the next exact step of the stream: a late
+    one is already reflected, a gapped or wiped one invalidates only
+    the relation it names, and without the stream at all the epoch
+    check alone keeps stale entries unservable."""
 
-    def _profile(self, db, constraint):
-        return FetchProfile(relations=frozenset({constraint.relation_name}),
-                            constraints={constraint.relation_name:
-                                         frozenset({constraint})},
-                            maintainable=True,
-                            schema=db.access_schema)
-
-    def test_survives_only_exact_unobservable_deltas(self, db, by_a):
-        profile = self._profile(db, by_a)
-        dependencies = {"R": 5}
-        quiet = WriteDelta("R", 5, 6, {by_a: ConstraintDelta()})
-        assert AnswerCache._survives(quiet, dependencies, profile)
-        observable = WriteDelta(
-            "R", 5, 6,
-            {by_a: ConstraintDelta(added=[(0, (0, 3))])})
-        assert not AnswerCache._survives(observable, dependencies, profile)
-        gapped = WriteDelta("R", 7, 8, {by_a: ConstraintDelta()})
-        assert not AnswerCache._survives(gapped, dependencies, profile)
-        wipe = WriteDelta.wipe("R", 5, 6)
-        assert not AnswerCache._survives(wipe, dependencies, profile)
-
-    def test_unobservable_write_advances_entry_in_place(self):
-        schema = Schema.from_dict({"T": ("A", "B", "C")})
-        access = AccessSchema(schema,
-                              [AccessConstraint("T", ("A",), ("B",), 4)])
-        database = Database(schema, access)
-        database.insert("T", (1, 10, "x"))
-        constraint = access.constraints[0]
-        cache = AnswerCache(capacity=8)
-        database.backend.add_write_listener(cache._on_delta)
-        answers = frozenset({(10,)})
-        cache.store("k", answers, {"T": database.generation("T")},
-                    self._profile(database, constraint))
-        database.insert("T", (1, 10, "y"))  # same projection: repaired
-        assert cache.lookup(database, "k") == answers
-        assert cache.maintained_entries == 1
-        database.insert("T", (1, 11, "z"))  # new projection: dropped
-        assert cache.lookup(database, "k") is None
-        assert cache.maintenance_invalidations == 1
-
-    def test_service_answer_cache_end_to_end(self, db):
-        service = BoundedQueryService(db, answer_cache_size=16)
-        service.register_template("t", "Q(y) :- R(x, y), x = $a")
-        first = service.execute_template("t", {"a": 1})
-        assert not first.answers_cached
-        second = service.execute_template("t", {"a": 1})
-        assert second.answers_cached
-        assert second.answers == first.answers == {(10,), (11,)}
-        db.insert("R", (1, 12))  # observable: the entry must go
-        third = service.execute_template("t", {"a": 1})
-        assert not third.answers_cached
-        assert third.answers == {(10,), (11,), (12,)}
-        # Ineffective write: no generation bump, the entry stands.
+    def test_late_delta_is_already_reflected(self, db, by_a):
+        cache = FetchCache(capacity=32)
+        cache.attach_maintenance(db)
+        cache.lookup(db, by_a, (1,))
+        generation = db.generation("R")
         db.insert("R", (1, 12))
-        fourth = service.execute_template("t", {"a": 1})
-        assert fourth.answers_cached and fourth.answers == third.answers
+        one, twelve = db.dictionary.lookup_codes([1, 12])
+        # Redelivered with a change it never made: applying it would
+        # drop (1, 12) from the entry.
+        cache._on_delta(WriteDelta(
+            "R", generation, generation + 1,
+            {by_a: ConstraintDelta(removed=[(one, (one, twelve))])}))
+        rows, hit = cache.lookup(db, by_a, (1,))
+        assert hit and sorted(rows) == [(1, 10), (1, 11), (1, 12)]
+        assert cache.maintained_deltas == 1
+        assert cache.maintenance_fallbacks == 0
 
-    def test_lookup_validates_generations_independently(self, db, by_a):
-        """Even if the delta listener were never wired, a stale
-        dependency generation is unservable."""
-        cache = AnswerCache(capacity=8)  # deliberately not listening
-        cache.store("k", frozenset({(10,)}),
-                    {"R": db.generation("R")}, self._profile(db, by_a))
-        assert cache.lookup(db, "k") == frozenset({(10,)})
-        db.insert("R", (3, 30))
-        assert cache.lookup(db, "k") is None
+    def test_gapped_delta_invalidates_the_relation(self, db, by_a):
+        cache = FetchCache(capacity=32)
+        cache.attach_maintenance(db)
+        cache.lookup(db, by_a, (1,))
+        generation = db.generation("R")
+        cache._on_delta(WriteDelta("R", generation + 1, generation + 2,
+                                   {by_a: ConstraintDelta()}))
+        assert cache.maintenance_fallbacks == 1
         assert cache.maintenance_invalidations == 1
+        assert len(cache) == 0
+        rows, hit = cache.lookup(db, by_a, (1,))
+        assert not hit and sorted(rows) == [(1, 10), (1, 11)]
+
+    def test_wipe_invalidates_only_its_relation(self):
+        schema = Schema.from_dict({"R": ("A", "B"), "S": ("C", "D")})
+        access = AccessSchema(schema, [
+            AccessConstraint("R", ("A",), ("B",), 8),
+            AccessConstraint("S", ("C",), ("D",), 8),
+        ])
+        database = Database(schema, access)
+        database.insert("R", (1, 10))
+        database.insert("S", (2, 20))
+        by_a, by_c = access.constraints
+        cache = FetchCache(capacity=32)
+        cache.attach_maintenance(database)
+        cache.lookup(database, by_a, (1,))
+        cache.lookup(database, by_c, (2,))
+        generation = database.generation("R")
+        cache._on_delta(WriteDelta.wipe("R", generation, generation + 1))
+        assert cache.maintenance_invalidations == 1
+        assert len(cache) == 1
+        rows, hit = cache.lookup(database, by_c, (2,))
+        assert hit and rows == [(2, 20)]
+
+    def test_unheard_write_leaves_entries_unservable(self, db, by_a):
+        """With the listener unwired behind the cache's back, a write
+        moves the generation past the epoch: no entry is served."""
+        cache = FetchCache(capacity=32)
+        cache.attach_maintenance(db)
+        cache.lookup(db, by_a, (1,))
+        db.backend.remove_write_listener(cache._on_delta)
+        db.insert("R", (1, 12))
+        rows, hit = cache.lookup(db, by_a, (1,))
+        assert not hit and sorted(rows) == [(1, 10), (1, 11), (1, 12)]
+
+
+def test_service_repeats_are_warm_and_see_every_write(db):
+    service = BoundedQueryService(db)
+    service.register_template("t", "Q(y) :- R(x, y), x = $a")
+    first = service.execute_template("t", {"a": 1})
+    second = service.execute_template("t", {"a": 1})
+    assert second.answers == first.answers == {(10,), (11,)}
+    assert second.stats.fetch_cache_hits and not second.stats.tuples_fetched
+    db.insert("R", (1, 12))  # observable: the entry is maintained
+    third = service.execute_template("t", {"a": 1})
+    assert third.answers == {(10,), (11,), (12,)}
+    assert third.stats.fetch_cache_hits and not third.stats.tuples_fetched
+    generation = db.generation("R")
+    db.insert("R", (1, 12))  # ineffective: no generation bump
+    assert db.generation("R") == generation
+    fourth = service.execute_template("t", {"a": 1})
+    assert fourth.answers == third.answers
+    assert not fourth.stats.tuples_fetched
+

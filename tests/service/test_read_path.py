@@ -93,7 +93,7 @@ def test_unhashable_binding_is_refused_before_any_read(accident_schema,
     db = Database(accident_schema, accident_access,
                   backend=NoReads(accident_schema))
     db.insert_many("Accident", ACCIDENTS)
-    service = BoundedQueryService(db, answer_cache_size=8)
+    service = BoundedQueryService(db)
     service.register_template("t", TEMPLATES["by_date"])
     with pytest.raises(ServiceError, match=r"\$date is unhashable"):
         service.execute_template("t", {"date": []})

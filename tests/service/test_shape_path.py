@@ -203,27 +203,26 @@ class TestShapeTable:
         assert flat["repro_plan_cache_misses_total"] == 1
         assert "plan shapes: 1 hits / 1 misses" in str(service.stats())
 
-
-class TestAnswerCache:
-    def test_texts_of_one_shape_never_share_answers(self):
+    def test_texts_of_one_shape_keep_their_own_answers(self):
         db = database()
-        service = BoundedQueryService(db, answer_cache_size=16)
+        service = BoundedQueryService(db)
         texts = [f"Q(y) :- R(x, y), x = {value}"
                  for value in ("0", "1", "'1'", "1.0", "-1")]
-        for text in texts:
-            result = service.execute(text)
-            assert not result.answers_cached, text
-            assert result.answers == evaluate(parse_query(text), db), text
-        assert [service.execute(text).answers_cached
-                for text in texts] == [True] * len(texts)
-        shape_hit = service.execute("Q(y) :- R(x, y), x = 1")
-        assert shape_hit.plan_cached and shape_hit.answers_cached
+        first = [service.execute(text).answers for text in texts]
+        again = [service.execute(text) for text in texts]
+        assert all(result.plan_cached for result in again)
+        for text, answers, result in zip(texts, first, again):
+            expected = evaluate(parse_query(text), db)
+            assert answers == result.answers == expected, text
+        # One plan, but 1 and '1' still answer from their own rows.
+        assert first[1] == {("a'b",), (-1,)} and first[2] == {(0,)}
 
-    def test_integer_and_float_constants_keep_their_answers(self):
+    def test_integer_and_float_constants_keep_their_types(self):
         # 7 is never stored, so the answer echoes the text's constant.
-        service = BoundedQueryService(database(), answer_cache_size=16)
+        service = BoundedQueryService(database())
         as_int = service.execute("Q(x) :- R(y, z), y = 0, x = 7")
         as_float = service.execute("Q(x) :- R(y, z), y = 0, x = 7.0")
-        assert as_float.plan_cached and not as_float.answers_cached
+        assert as_float.plan_cached
         assert [type(x) for (x,) in as_int.answers] == [int]
         assert [type(x) for (x,) in as_float.answers] == [float]
+

@@ -3,8 +3,10 @@ constraint resolution projections, and write/read races."""
 
 from __future__ import annotations
 
+import queue
 import tempfile
 import threading
+import time
 
 import pytest
 
@@ -48,6 +50,34 @@ BACKEND_FACTORIES = [
     pytest.param(lambda schema: _procshard_backend(
         schema, workers=2, fanout_threshold=None), id="procshard-local"),
 ]
+
+
+class _Held(AccessConstraint):
+    """``R(A -> B, 1024)`` whose backend-facing steps each run one
+    queued callback first, to hold a race window open: an engine calls
+    ``validate_against`` under its lock while the indexes an attach
+    builds are unpublished, and the structural match reads a requested
+    constraint's ``y_set`` after it has read the attached schema."""
+
+    def __init__(self):
+        super().__init__("R", ("A",), ("B",), 1024)
+        object.__setattr__(self, "holds", queue.SimpleQueue())
+
+    def _hold(self) -> None:
+        try:
+            hold = self.holds.get_nowait()
+        except queue.Empty:
+            return
+        hold()
+
+    def validate_against(self, schema):
+        self._hold()
+        return super().validate_against(schema)
+
+    @property
+    def y_set(self):
+        self._hold()
+        return super().y_set
 
 
 @pytest.fixture
@@ -382,55 +412,93 @@ class TestWriteReadRaces:
 
     def test_attach_racing_writes_and_reads_stays_consistent(
             self, factory):
-        """Re-attaching the access schema while writers insert and
-        readers fetch: every stored row must end up reachable through
-        the live indexes, and readers must never crash or get a
-        permanently poisoned constraint resolution."""
+        """Re-attaching the access schema while a writer inserts and
+        two readers fetch: every stored row must stay reachable through
+        the live indexes, and readers must never crash or keep a
+        poisoned memoized constraint resolution.
+
+        The race is bounded and its windows are held open.  Each round
+        the writer (this thread) hands the attacher one fresh,
+        structurally equal schema, inserts a batch starting while the
+        attach holds the engine with its new indexes unpublished, and
+        checks every row so far once the attach is done.  Meanwhile a
+        reader's resolution of ``probe`` is held open across the next
+        attach, so it lands in the memo against a replaced schema."""
         schema = Schema.from_dict({"R": ("A", "B")})
         constraint = AccessConstraint("R", ("A",), ("B",), 1024)
-        aschema = AccessSchema(schema, [constraint])
-        db = Database(schema, aschema, backend=factory(schema))
-        done = threading.Event()
+        db = Database(schema, AccessSchema(schema, [constraint]),
+                      backend=factory(schema))
+        probe = _Held()
+        keys = [(a,) for a in range(7)]
+        rounds, batch, timeout = 10, 30, 10
+        unpublished, attached, held = (
+            [threading.Event() for _ in range(rounds + 1)]
+            for _ in range(3))
+        attaches: queue.SimpleQueue = queue.SimpleQueue()
+        stop = threading.Event()
         errors: list[BaseException] = []
-        # A re-created constraint, resolved structurally — the memoized
-        # resolution is what an attach race could poison.
-        probe = AccessConstraint("R", ("A",), ("B",), 1024)
-
-        def writer():
-            try:
-                for i in range(300):
-                    db.insert("R", (i % 7, i))
-            finally:
-                done.set()
 
         def attacher():
-            while not done.is_set():
-                db.attach_access_schema(aschema)
+            for r, access in iter(attaches.get, None):
+                db.attach_access_schema(access)
+                attached[r].set()
 
         def reader():
-            while not done.is_set():
-                try:
-                    db.fetch_many(probe, [(a,) for a in range(7)])
-                except BaseException as error:  # noqa: BLE001
-                    errors.append(error)
-                    return
+            while not stop.is_set():
+                db.fetch_many(probe, keys)
 
-        threads = [threading.Thread(target=writer),
-                   threading.Thread(target=attacher),
-                   threading.Thread(target=reader),
-                   threading.Thread(target=reader)]
+        def hold_attach(r):
+            def hold():
+                unpublished[r].set()
+                time.sleep(0.005)  # the writer enters insert_rows
+            return hold
+
+        def hold_resolution(r):
+            def hold():
+                held[r].set()
+                attached[r + 1].wait(timeout)
+            return hold
+
+        def recording(work):
+            def run():
+                try:
+                    work()
+                except Exception as error:  # reported by the main thread
+                    errors.append(error)
+            return run
+
+        threads = [threading.Thread(target=recording(work))
+                   for work in (attacher, reader, reader)]
         for thread in threads:
             thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
+        inserted: set[tuple] = set()
+        try:
+            for r in range(rounds):
+                assert r == 0 or held[r - 1].wait(timeout), errors
+                if r + 1 < rounds:
+                    probe.holds.put(hold_resolution(r))
+                fresh = _Held()
+                access = AccessSchema(schema, [fresh])
+                fresh.holds.put(hold_attach(r))
+                attaches.put((r, access))
+                assert unpublished[r].wait(timeout), errors
+                for i in range(r * batch, (r + 1) * batch):
+                    db.insert("R", (i % 7, i))
+                    inserted.add((i % 7, i))
+                assert attached[r].wait(timeout), errors
+                assert {row for group in db.fetch_many(constraint, keys)
+                        for row in group} == inserted, f"round {r}"
+        finally:
+            attaches.put(None)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
+        assert set(db.relation_tuples("R")) == inserted
         # The memoized probe resolution still answers correctly.
-        for requested in (constraint, probe):
-            fetched = {row
-                       for rows in db.fetch_many(requested,
-                                                 [(a,) for a in range(7)])
-                       for row in rows}
-            assert fetched == set(db.relation_tuples("R"))
+        assert {row for group in db.fetch_many(probe, keys)
+                for row in group} == inserted
 
     def test_write_after_warm_cache_is_always_visible(self, factory):
         db, plan = self._setup(factory)
