@@ -15,6 +15,9 @@ independent rewrite rules, each recorded in an
   fetch, filtering rows as they arrive from storage;
 * ``projection-pushdown`` — collapses projection chains and prunes
   columns that no downstream op reads, narrowing join inputs;
+* ``key-projection`` — fetches read their keys through a projection
+  in place, and a hash join against a one-column projection becomes a
+  semi-join against that column's set;
 * ``common-subplan`` — hash-consing over the DAG, eliminating
   duplicate fetches and shared sub-plans across UCQ disjuncts;
 * ``dead-step`` — drops steps no longer reachable from the result;
@@ -29,7 +32,7 @@ from .physical import (BatchFetchOp, BoundPlan, ColCheck, ConstCheck,
                        ConstScanOp, CrossJoinOp, DifferenceOp,
                        DistinctUnionOp, EmptyScanOp, FilterOp, FusedFetchOp,
                        GatherOp, HashJoinOp, PhysicalOp, PhysicalPlan,
-                       UnitScanOp)
+                       SemiJoinOp, UnitScanOp)
 from .pipeline import (DEFAULT_RULES, OptimizationTrace, RuleFiring,
                        ensure_physical, optimize)
 from .specialize import SpecializedPlan, specialized_plan
@@ -37,8 +40,8 @@ from .specialize import SpecializedPlan, specialized_plan
 __all__ = [
     "PhysicalPlan", "BoundPlan", "PhysicalOp", "UnitScanOp", "EmptyScanOp",
     "ConstScanOp", "BatchFetchOp", "FusedFetchOp", "GatherOp", "FilterOp",
-    "HashJoinOp", "CrossJoinOp", "DistinctUnionOp", "DifferenceOp",
-    "ConstCheck", "ColCheck",
+    "HashJoinOp", "SemiJoinOp", "CrossJoinOp", "DistinctUnionOp",
+    "DifferenceOp", "ConstCheck", "ColCheck",
     "optimize", "ensure_physical", "OptimizationTrace", "RuleFiring",
     "DEFAULT_RULES",
     "SpecializedPlan", "specialized_plan",

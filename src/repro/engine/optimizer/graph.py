@@ -23,11 +23,11 @@ from .physical import (BatchFetchOp, Check, ColCheck, ConstCheck,
                        ConstScanOp, CrossJoinOp, DifferenceOp,
                        DistinctUnionOp, EmptyScanOp, FilterOp, FusedFetchOp,
                        GatherOp, HashJoinOp, PhysicalOp, PhysicalPlan,
-                       UnitScanOp)
+                       SemiJoinOp, UnitScanOp)
 
 # Node kinds; "rename" disappears at lowering (it becomes a project).
 KINDS = ("unit", "empty", "const", "fetch", "project", "filter",
-         "cross", "hashjoin", "union", "diff")
+         "cross", "hashjoin", "semijoin", "union", "diff")
 
 
 @dataclass(eq=False)
@@ -45,8 +45,12 @@ class Node:
     filters: tuple[Condition, ...] = ()           # fetch (fused residuals)
     src_columns: tuple[str, ...] = ()             # project
     conditions: tuple[Condition, ...] = ()        # filter
-    pairs: tuple[tuple[str, str], ...] = ()       # hashjoin (lcol, rcol)
-    build: str = "right"                          # hashjoin
+    # hashjoin: (lcol, rcol) pairs.  semijoin: one (key column of
+    # inputs[0], probe column of inputs[1]) pair.
+    pairs: tuple[tuple[str, str], ...] = ()
+    # hashjoin: the side the table is built on.  semijoin: the side of
+    # the output the key column is emitted on.
+    build: str = "right"
 
 
 class Graph:
@@ -195,6 +199,8 @@ def estimate_rows(graph: Graph, statistics=None) -> dict[int, int | None]:
         elif node.kind in ("cross", "hashjoin"):
             bound = (None if ins[0] is None or ins[1] is None
                      else ins[0] * ins[1])
+        elif node.kind == "semijoin":
+            bound = ins[1]  # a subset of the probe side's rows
         elif node.kind == "union":
             bound = None if any(b is None for b in ins) else sum(ins)
         elif node.kind == "diff":
@@ -269,6 +275,13 @@ def finalize(graph: Graph, *, logical=None, trace=None,
                 index_of[id(left)], index_of[id(right)],
                 tuple(column_index(left.columns, a) for a, _ in node.pairs),
                 tuple(column_index(right.columns, b) for _, b in node.pairs),
+                node.build, node.columns)
+        elif node.kind == "semijoin":
+            keys, probe = node.inputs
+            (key, probe_key), = node.pairs
+            op = SemiJoinOp(
+                index_of[id(keys)], column_index(keys.columns, key),
+                index_of[id(probe)], column_index(probe.columns, probe_key),
                 node.build, node.columns)
         elif node.kind == "union":
             op = DistinctUnionOp(tuple(index_of[id(s)] for s in node.inputs),

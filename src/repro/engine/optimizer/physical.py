@@ -4,7 +4,8 @@ Where logical ops address columns by *name*, physical ops carry
 pre-resolved *positions*, so the executor never does string lookups on
 the hot path.  Selections appear as tuples of checks
 (:class:`ConstCheck` / :class:`ColCheck`); equi-joins as
-:class:`HashJoinOp` with key positions and a chosen build side; fetches
+:class:`HashJoinOp` with key positions and a chosen build side, or as
+:class:`SemiJoinOp` when one side is a one-column key set; fetches
 optionally carry fused residual checks (:class:`FusedFetchOp`) applied
 to rows as they arrive from storage.
 
@@ -201,6 +202,29 @@ class HashJoinOp(PhysicalOp):
                           for a, b in zip(self.left_key, self.right_key))
         return (f"hash-join(T{self.left}, T{self.right}; {pairs}; "
                 f"build={self.build})")
+
+
+@dataclass(frozen=True)
+class SemiJoinOp(PhysicalOp):
+    """Equi-join against a one-column projection, run as a semi-join:
+    the ``probe`` rows whose key is in the set of ``T<keys>``'s
+    ``key_position`` column, with that key repeated as the first
+    (``side="left"``) or last (``"right"``) output column — where the
+    hash join it replaces put the projection's column."""
+
+    keys: int
+    key_position: int
+    probe: int
+    probe_position: int
+    side: str  # "left" | "right"
+    out_columns: tuple[str, ...]
+
+    def inputs(self) -> tuple[int, ...]:
+        return (self.keys, self.probe)
+
+    def __str__(self) -> str:
+        return (f"semi-join(T{self.probe}[{self.probe_position}] in "
+                f"T{self.keys}[{self.key_position}]; key={self.side})")
 
 
 @dataclass(frozen=True)

@@ -16,23 +16,25 @@ from ..plan import Plan
 from .graph import finalize, lower_plan
 from .physical import PhysicalPlan
 from .rules import (CommonSubplanElimination, DeadStepElimination,
-                    JoinInputOrdering, ProductSelectToHashJoin,
-                    ProjectionPushdown, Rule, SelectIntoFetchPushdown,
-                    TrivialProductElimination)
+                    JoinInputOrdering, KeyProjectionFolding,
+                    ProductSelectToHashJoin, ProjectionPushdown, Rule,
+                    SelectIntoFetchPushdown, TrivialProductElimination)
 
 #: The default pass order.  Trivial products go first (they put filters
 #: directly over fetches), then join discovery (it exposes fetch-side
 #: filters).  Sharing runs *before* fetch fusion: a fetch merged across
 #: disjuncts saves an index lookup — the paper's currency — which beats
 #: fusing a residual filter into each copy; fusion then applies only to
-#: fetches that stayed single-consumer.  Pruning, cleanup and build-side
-#: ordering close the pipeline.
+#: fetches that stayed single-consumer.  Pruning, then key-projection
+#: folding (which reads through the projections pruning leaves on fetch
+#: and join inputs), cleanup and build-side ordering close the pipeline.
 DEFAULT_RULES: tuple[type, ...] = (
     TrivialProductElimination,
     ProductSelectToHashJoin,
     CommonSubplanElimination,
     SelectIntoFetchPushdown,
     ProjectionPushdown,
+    KeyProjectionFolding,
     DeadStepElimination,
     JoinInputOrdering,
 )

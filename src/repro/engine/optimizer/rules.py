@@ -5,14 +5,16 @@ and reports how many times it fired.  Rules preserve *set-semantics
 results* — every rewrite is one of the classical algebraic identities
 (σ distributes over ×; σ commutes with fetch materialization; π can be
 pushed below ⨝ for columns nothing downstream reads; identical
-subexpressions denote identical tables) — so optimized and unoptimized
+subexpressions denote identical tables; a set of keys is the same set
+read through a projection or in place) — so optimized and unoptimized
 plans are answer-identical on every instance (property-tested in
 ``tests/engine/test_optimizer_property.py``).
 
 None of the rules adds data access: fetches are only merged (hash
 consing), narrowed (fused residual checks filter *after* the index
-lookup, which the access accounting already counted), or dropped (dead
-steps), so the builder's cost certificate remains a sound bound for the
+lookup, which the access accounting already counted), re-pointed at a
+projection's source (the same distinct keys) or dropped (dead steps),
+so the builder's cost certificate remains a sound bound for the
 physical plan.
 """
 
@@ -505,6 +507,70 @@ class CommonSubplanElimination(Rule):
         except TypeError:  # unhashable payload (e.g. exotic constant)
             return None
         return signature
+
+
+def _distinct(columns: tuple[str, ...]) -> bool:
+    return len(set(columns)) == len(columns)
+
+
+class KeyProjectionFolding(Rule):
+    """Read key columns in place instead of through a projection.
+
+    Two consumers read a projection only as a set of keys, so the
+    deduplicated batch it would build is wasted (late materialization):
+
+    * a fetch over a projection reads its X-columns from the
+      projection's source, mapped through ``src_columns``.  A fetch
+      dedups its keys itself, so π-then-fetch equals fetch-on-source;
+    * a one-pair hash join whose left (else right) input is a
+      one-column projection becomes a ``semijoin``: that side is
+      ``set(column)`` of the projection's source, the other side is
+      filtered by membership, and the key is emitted where the join
+      put the projection's column.  The rows are the join's: the
+      projected side was deduped, so each probe row matched at most
+      once.
+
+    ``dead-step`` then drops the projections nothing reads.  A fetch
+    still sees the same distinct keys, so data access is unchanged.
+    """
+
+    name = "key-projection"
+
+    def apply(self, graph: Graph) -> int:
+        fired = 0
+        for node in graph.topo():
+            if node.kind == "fetch":
+                fired += self._fold_fetch(node)
+            elif node.kind == "hashjoin" and len(node.pairs) == 1:
+                fired += self._semijoin(graph, node)
+        return fired
+
+    @staticmethod
+    def _fold_fetch(fetch: Node) -> int:
+        fired = 0
+        source = fetch.inputs[0]
+        while (source.kind == "project" and _distinct(source.columns)
+               and _distinct(source.inputs[0].columns)):
+            src_of = dict(zip(source.columns, source.src_columns))
+            fetch.x_columns = tuple(src_of[c] for c in fetch.x_columns)
+            source = source.inputs[0]
+            fetch.inputs = [source]
+            fired += 1
+        return fired
+
+    @staticmethod
+    def _semijoin(graph: Graph, join: Node) -> int:
+        (left_key, right_key), = join.pairs
+        left, right = join.inputs
+        for side, keys, probe, probe_key in (("left", left, right, right_key),
+                                             ("right", right, left, left_key)):
+            if (keys.kind == "project" and len(keys.columns) == 1
+                    and _distinct(keys.inputs[0].columns)):
+                graph.replace(join, graph.add(Node(
+                    "semijoin", [keys.inputs[0], probe], join.columns,
+                    pairs=((keys.src_columns[0], probe_key),), build=side)))
+                return 1
+        return 0
 
 
 class DeadStepElimination(Rule):

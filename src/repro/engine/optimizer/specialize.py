@@ -28,6 +28,7 @@ the final batch.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress
 
 from ...errors import ExecutionError
 from ...obs.trace import span
@@ -35,8 +36,8 @@ from ..columns import Batch, deduped_batch
 from .physical import (BatchFetchOp, BoundPlan, ConstCheck, ConstScanOp,
                        CrossJoinOp, DifferenceOp, DistinctUnionOp,
                        EmptyScanOp, FilterOp, FusedFetchOp, GatherOp,
-                       HashJoinOp, PhysicalPlan, UnitScanOp, op_constants,
-                       op_label)
+                       HashJoinOp, PhysicalPlan, SemiJoinOp, UnitScanOp,
+                       op_constants, op_label)
 
 __all__ = ["SpecializedPlan", "specialize", "specialized_plan"]
 
@@ -300,6 +301,30 @@ def _make_hash_join(op, plan, slots):
     return step
 
 
+def _make_semi_join(op, plan, slots):
+    keys_source, key_position = op.keys, op.key_position
+    probe_source, probe_position = op.probe, op.probe_position
+    out_columns = op.out_columns
+    key_left = op.side == "left"
+
+    def step(batches, consts, executor, stats):
+        keys = set(batches[keys_source].cols[key_position])
+        probe = batches[probe_source]
+        cols, length = probe.cols, probe.length
+        column = cols[probe_position]
+        # A probe side fetched by these very keys matches in full: then
+        # its columns are shared, not copied.
+        if not all(map(keys.__contains__, column)):
+            selected = list(compress(range(length),
+                                     map(keys.__contains__, column)))
+            cols = [list(map(col.__getitem__, selected)) for col in cols]
+            length = len(selected)
+        key = cols[probe_position]
+        return Batch(out_columns, [key, *cols] if key_left else [*cols, key],
+                     length, probe.distinct)
+    return step
+
+
 def _make_cross(op, plan, slots):
     left_source, right_source = op.left, op.right
     out_columns = op.out_columns
@@ -371,6 +396,7 @@ _FACTORIES = {
     BatchFetchOp: _make_fetch,
     FusedFetchOp: _make_fetch,
     HashJoinOp: _make_hash_join,
+    SemiJoinOp: _make_semi_join,
     CrossJoinOp: _make_cross,
     DistinctUnionOp: _make_union,
     DifferenceOp: _make_difference,

@@ -13,7 +13,7 @@ from repro.engine import (ColEq, ConstEq, ConstOp, FetchOp, Plan, ProductOp,
                           build_bounded_plan, build_union_plan, execute_plan,
                           interpret_logical, optimize)
 from repro.engine.optimizer import (CrossJoinOp, FusedFetchOp, HashJoinOp,
-                                    PhysicalPlan)
+                                    PhysicalPlan, SemiJoinOp)
 from repro.query import parse_cq, parse_ucq
 from repro.query.terms import Param
 from repro.service.templates import bind_physical_plan
@@ -83,7 +83,8 @@ def test_join_becomes_hash_join_without_products(world):
     plan = bounded_plan("Q(z) :- R(x, y), S(y, z), x = 1", aschema)
     physical = optimize(plan)
     kinds = [type(op) for op in physical.steps]
-    assert HashJoinOp in kinds
+    # A one-column key side makes the hash join a semi-join.
+    assert SemiJoinOp in kinds
     assert CrossJoinOp not in kinds
     assert execute_plan(physical, db).answers == {("x",), ("y",)}
 
@@ -186,9 +187,10 @@ def test_projection_pushdown_narrows_join_inputs(world):
     plan = bounded_plan("Q(z) :- R(x, y), S(y, z), x = 1", aschema)
     physical = optimize(plan)
     assert "projection-pushdown" in physical.trace.fired_rules()
-    joins = [op for op in physical.steps if isinstance(op, HashJoinOp)]
+    joins = [op for op in physical.steps
+             if isinstance(op, (HashJoinOp, SemiJoinOp))]
     # Every join output is at most as wide as the logical σ(×) pair's.
-    assert all(len(op.out_columns) <= 4 for op in joins)
+    assert joins and all(len(op.out_columns) <= 4 for op in joins)
 
 
 # -- physical-plan binding ----------------------------------------------------

@@ -49,8 +49,9 @@ def test_explain_bounded_shows_full_pipeline(db_dir, capsys):
     assert "cost estimate:" in out
     # The rules that must fire on the paper's Q0 join plan.
     assert "product-to-hash-join" in out
-    assert "select-into-fetch" in out
-    assert "hash-join" in out and "fused-fetch" in out
+    assert "select-into-fetch" in out and "key-projection" in out
+    physical = out.split("physical plan")[1]
+    assert "semi-join(" in physical and "fused-fetch(" in physical
     # The logical IR's products are gone from the physical plan.
     assert " x " in out.split("optimizer:")[0]
     assert "cross(" not in out.split("physical plan")[1]
