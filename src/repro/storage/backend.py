@@ -14,9 +14,11 @@ protocol:
   ``fetch_flat`` — are adapters over it, written once here;
 * ``scan(relation)`` — the full-scan path bounded plans avoid (kept
   separate so benchmarks can tell the two apart);
-* ``insert_rows`` / ``delete_rows`` — set-semantics bulk writes whose
-  per-relation ``generation`` bumps *after* the index updates, the
-  ordering read-side caches rely on;
+* ``insert_rows`` / ``delete_rows`` / ``clear`` — set-semantics bulk
+  writes whose per-relation ``generation`` bumps *after* the index
+  updates, the ordering read-side caches rely on.  Every engine's
+  writes run one loop, :meth:`MemoryBackend._write`, with one engine
+  hook on the effective rows before they apply;
 * ``generation(relation)`` — the write epoch keying those caches.
 
 This module ships :class:`MemoryBackend` — one dict of rows plus one
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..errors import ExecutionError, StorageError
 from ..obs.trace import span
@@ -415,11 +417,12 @@ class StorageBackend(ABC):
 
 class MemoryBackend(StorageBackend):
     """The original single-store engine: one dict of rows per relation
-    plus one :class:`AccessIndex` per attached constraint.
+    plus one :class:`AccessIndex` per attached constraint, and the one
+    write loop every engine's writes run (:meth:`_write`).
 
     A single lock serializes structural mutation and lookup snapshots;
-    it is held only for the dict operations themselves, never across
-    user code.
+    it is held for the dict operations and the write hooks (a WAL
+    append, a shipment), never across user code.
     """
 
     def __init__(self, schema: Schema):
@@ -461,69 +464,104 @@ class MemoryBackend(StorageBackend):
             self._notify_wipes()
 
     def insert_rows(self, relation_name: str, rows: Iterable[Row]) -> int:
-        store = self._rows[relation_name]
-        added = 0
-        with self._lock:
-            # The index list must be read under the lock: a concurrent
-            # attach_access_schema swaps in rebuilt indexes, and rows
-            # registered on the discarded ones would be lost.
-            indexes = self.indexes_for(relation_name)
-            encode_row = self.dictionary.encode_row
-            recorder = self._recorder(relation_name)
-            for row in rows:
-                if row in store:
-                    continue
-                store[row] = None
-                if indexes:
-                    # Encode once per row, not once per index.
-                    coded = encode_row(row)
-                    for index in indexes:
-                        if index.add(row, coded) and recorder is not None:
-                            recorder.added(index, coded)
-                added += 1
-            if added:
-                old = self._generations[relation_name]
-                self._generations[relation_name] = old + 1
-                if recorder is not None:
-                    self._notify(recorder.finish(old, old + 1))
-        return added
+        return self._write("i", relation_name, rows)
 
     def delete_rows(self, relation_name: str, rows: Iterable[Row]) -> int:
-        store = self._rows[relation_name]
-        removed = 0
-        with self._lock:
-            indexes = self.indexes_for(relation_name)
-            encode_row = self.dictionary.encode_row
-            recorder = self._recorder(relation_name)
-            for row in rows:
-                if row not in store:
-                    continue
-                del store[row]
-                coded = (encode_row(row)
-                         if indexes and recorder is not None else None)
-                for index in indexes:
-                    if index.remove(row, coded) and recorder is not None:
-                        recorder.removed(index, coded)
-                removed += 1
-            if removed:
-                # After the index updates, like insert: a concurrent
-                # reader at the pre-bump epoch may see the deletion
-                # early (benign), never cache deleted rows post-bump.
-                old = self._generations[relation_name]
-                self._generations[relation_name] = old + 1
-                if recorder is not None:
-                    self._notify(recorder.finish(old, old + 1))
-        return removed
+        return self._write("d", relation_name, rows)
 
     def clear(self) -> None:
+        self._write("c")
+
+    def _write(self, op: str, relation_name: str | None = None,
+               rows: Iterable[Row] = (),
+               outer_hook: Callable | None = None) -> int:
+        """The one write loop: insert (``"i"``), delete (``"d"``) or
+        clear (``"c"``, every relation), returning the effective row
+        count.
+
+        Under the lock it keeps the *effective* rows (set semantics),
+        hands them to :meth:`_pre_apply` with the post-write
+        generations, applies them to rows and indexes (recording
+        projection deltas while someone listens), and bumps the
+        generations last: a concurrent reader at the pre-bump epoch may
+        see the write early (benign), never a pre-write index state
+        under the post-bump epoch.  A hook that raises aborts the write
+        before anything applies.  An engine wrapping this one (the
+        process-sharded coordinator) passes its own hook as
+        ``outer_hook``, which runs first on the same effective rows.
+        """
+        batch = dict.fromkeys(map(tuple, rows))
+        deleting = op == "d"
         with self._lock:
-            for store in self._rows.values():
-                store.clear()
-            for index in self._indexes.values():
-                index.remove_all()
-            for name in self._generations:
-                self._generations[name] += 1
-            self._notify_wipes()
+            if op == "c":
+                effective, touched = [], list(self._rows)
+            else:
+                store = self._rows[relation_name]
+                effective = [row for row in batch
+                             if (row in store) == deleting]
+                if not effective:
+                    return 0
+                touched = [relation_name]
+            generations = {name: self._generations[name] + 1
+                           for name in touched}
+            if outer_hook is not None:
+                outer_hook(op, relation_name, effective)
+            self._pre_apply(op, relation_name, effective, generations)
+            recorder = None
+            if op == "c":
+                for store in self._rows.values():
+                    store.clear()
+                for index in self._indexes.values():
+                    index.remove_all()
+            else:
+                recorder = self._apply(store, relation_name, effective,
+                                       deleting)
+            self._generations.update(generations)
+            if op == "c":
+                self._notify_wipes()
+            elif recorder is not None:
+                generation = generations[relation_name]
+                self._notify(recorder.finish(generation - 1, generation))
+        return len(effective)
+
+    def _apply(self, store: dict, relation_name: str, rows: list[Row],
+               deleting: bool) -> DeltaRecorder | None:
+        """Apply effective rows to one relation's row set and indexes
+        (callers hold the lock); returns the batch's delta recorder, or
+        None when nobody listens."""
+        if deleting:
+            for row in rows:
+                del store[row]
+        else:
+            store.update(dict.fromkeys(rows))
+        # The index list must be read under the lock: a concurrent
+        # attach_access_schema swaps in rebuilt indexes, and rows
+        # registered on the discarded ones would be lost.
+        indexes = self.indexes_for(relation_name)
+        recorder = self._recorder(relation_name)
+        if not indexes:
+            return recorder
+        encode_row = self.dictionary.encode_row
+        for row in rows:
+            # Encode once per row, not once per index; a delete needs the
+            # codes only for its delta (the index encodes lazily).
+            coded = (encode_row(row)
+                     if recorder is not None or not deleting else None)
+            for index in indexes:
+                if deleting:
+                    if index.remove(row, coded) and recorder is not None:
+                        recorder.removed(index, coded)
+                elif index.add(row, coded) and recorder is not None:
+                    recorder.added(index, coded)
+        return recorder
+
+    def _pre_apply(self, op: str, relation_name: str | None,
+                   rows: list[Row], generations: dict[str, int]) -> None:
+        """The engine hook :meth:`_write` runs on the effective rows,
+        under the write lock, before anything applies; ``generations``
+        maps each touched relation to its post-write generation.  The
+        disk engine appends its WAL record here; memory has no hook.
+        """
 
     # -- reads -------------------------------------------------------------
 

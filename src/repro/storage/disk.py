@@ -51,7 +51,7 @@ import pathlib
 import shutil
 import time
 import zlib
-from typing import Callable, Iterable
+from typing import Callable
 
 try:
     import fcntl
@@ -123,6 +123,32 @@ def scan_frame_bytes(data: bytes) -> tuple[list, int]:
         offset = end + 1
         valid = offset
     return records, valid
+
+
+def replay_record(record, stores: dict, generations: dict,
+                  add: Callable, remove: Callable) -> None:
+    """Apply one WAL record: the replay recovery and replication share.
+
+    ``stores`` maps relation names to row dicts, and ``add`` /
+    ``remove`` ``(relation, store, row)`` move one row in or out.
+    Records are absolute membership assignments and generations only
+    move forward, so re-applying a record changes nothing.
+    """
+    op = record[0]
+    if op == "c":
+        _, moved = record
+        for store in stores.values():
+            store.clear()
+    elif op == "i" or op == "d":
+        _, relation, generation, rows = record
+        apply, store = (add if op == "i" else remove), stores[relation]
+        for row in rows:
+            apply(relation, store, tuple(row))
+        moved = {relation: generation}
+    else:
+        raise ValueError(f"unknown WAL record kind {op!r}")
+    for relation, generation in moved.items():
+        generations[relation] = max(generations[relation], int(generation))
 
 
 class DiskBackend(MemoryBackend):
@@ -273,28 +299,9 @@ class DiskBackend(MemoryBackend):
         """Apply one WAL record to the in-memory store (no indexes are
         attached during recovery, so only rows and generations move)."""
         try:
-            op = record[0]
-            if op == "i" or op == "d":
-                _, relation_name, generation, rows = record
-                store = self._rows[relation_name]
-                if op == "i":
-                    for row in rows:
-                        store[tuple(row)] = None
-                else:
-                    for row in rows:
-                        store.pop(tuple(row), None)
-                self._generations[relation_name] = max(
-                    self._generations[relation_name], int(generation))
-            elif op == "c":
-                _, generations = record
-                for store in self._rows.values():
-                    store.clear()
-                for relation_name, generation in generations.items():
-                    self._generations[relation_name] = max(
-                        self._generations[relation_name], int(generation))
-            else:
-                raise StorageError(
-                    f"{self._wal_path}: unknown WAL record kind {op!r}")
+            replay_record(record, self._rows, self._generations,
+                          lambda _, store, row: store.setdefault(row),
+                          lambda _, store, row: store.pop(row, None))
         except (KeyError, TypeError, ValueError, IndexError) as error:
             raise StorageError(
                 f"{self._wal_path}: WAL record {record!r} does not fit "
@@ -348,8 +355,15 @@ class DiskBackend(MemoryBackend):
             counters["wal_fsync_seconds_total"] += (
                 time.perf_counter() - appended)
 
-    @staticmethod
-    def _check_rows(rows: list[Row]) -> None:
+    # -- writes: MemoryBackend's loop, with the WAL as its hook -------------
+
+    def _pre_apply(self, op: str, relation_name: str | None,
+                   rows: list[Row], generations: dict[str, int]) -> None:
+        """Refuse rows JSON cannot carry, then append the write's WAL
+        record — ahead of every in-memory mutation it describes."""
+        if op == "c":
+            self._log(["c", generations])
+            return
         for row in rows:
             for value in row:
                 # bool before int is irrelevant here: both are durable.
@@ -358,71 +372,8 @@ class DiskBackend(MemoryBackend):
                         f"row {row!r} contains a {type(value).__name__}; "
                         "the disk backend stores only JSON scalars "
                         "(str, int, float, bool, None)")
-
-    # -- writes (WAL first, then the MemoryBackend structures) -------------
-
-    def insert_rows(self, relation_name: str, rows: Iterable[Row]) -> int:
-        store = self._rows[relation_name]
-        batch = dict.fromkeys(tuple(row) for row in rows)
-        with self._lock:
-            fresh = [row for row in batch if row not in store]
-            if not fresh:
-                return 0
-            self._check_rows(fresh)
-            generation = self._generations[relation_name] + 1
-            self._log(["i", relation_name, generation,
-                       [list(row) for row in fresh]])
-            indexes = self.indexes_for(relation_name)
-            encode_row = self.dictionary.encode_row
-            recorder = self._recorder(relation_name)
-            for row in fresh:
-                store[row] = None
-                if indexes:
-                    coded = encode_row(row)  # once per row, all indexes
-                    for index in indexes:
-                        if index.add(row, coded) and recorder is not None:
-                            recorder.added(index, coded)
-            self._generations[relation_name] = generation
-            if recorder is not None:
-                self._notify(recorder.finish(generation - 1, generation))
-        return len(fresh)
-
-    def delete_rows(self, relation_name: str, rows: Iterable[Row]) -> int:
-        store = self._rows[relation_name]
-        batch = dict.fromkeys(tuple(row) for row in rows)
-        with self._lock:
-            present = [row for row in batch if row in store]
-            if not present:
-                return 0
-            generation = self._generations[relation_name] + 1
-            self._log(["d", relation_name, generation,
-                       [list(row) for row in present]])
-            indexes = self.indexes_for(relation_name)
-            encode_row = self.dictionary.encode_row
-            recorder = self._recorder(relation_name)
-            for row in present:
-                del store[row]
-                coded = (encode_row(row)
-                         if indexes and recorder is not None else None)
-                for index in indexes:
-                    if index.remove(row, coded) and recorder is not None:
-                        recorder.removed(index, coded)
-            self._generations[relation_name] = generation
-            if recorder is not None:
-                self._notify(recorder.finish(generation - 1, generation))
-        return len(present)
-
-    def clear(self) -> None:
-        with self._lock:
-            generations = {name: generation + 1
-                           for name, generation in self._generations.items()}
-            self._log(["c", generations])
-            for store in self._rows.values():
-                store.clear()
-            for index in self._indexes.values():
-                index.remove_all()
-            self._generations.update(generations)
-            self._notify_wipes()
+        self._log([op, relation_name, generations[relation_name],
+                   [list(row) for row in rows]])
 
     # -- snapshots ---------------------------------------------------------
 

@@ -28,13 +28,15 @@ Topology and ownership:
   — the staleness signal that keeps the generation-keyed fetch cache
   sound.
 
-Write ordering (the cache-soundness contract): worker shipments happen
-*before* the inner store applies and bumps the generation, so any
-reader that observes the new generation is guaranteed to see the new
-rows on every worker; a reader at the old generation may see them
-early, the same benign direction the in-process engines document.  A
-failed inner write triggers a compensating (inverse) shipment; a
-failed worker is respawned and rebuilt from the authoritative store.
+Write ordering (the cache-soundness contract): writes run the inner
+store's one write loop with shipping as its outer hook, ahead of the
+store's own, so workers receive a batch *before* the inner store logs
+it, applies it and bumps the generation.  Any reader that observes the
+new generation is guaranteed to see the new rows on every worker; a
+reader at the old generation may see them early, the same benign
+direction the in-process engines document.  A write that fails after
+shipping (the disk WAL refusing it, say) leaves the workers rebuilt
+from the store; a failed worker is respawned and rebuilt from it too.
 
 Fetches below ``fanout_threshold`` keys are served from the
 coordinator's own store — pipe round trips only pay for themselves on
@@ -474,22 +476,12 @@ class ProcessShardedBackend(StorageBackend):
         specs = []
         rows_by_cid: dict[int, list] = {}
         shipped = 0
-        encode_row = self.dictionary.encode_row
-        workers = self.workers
-        for cid, constraint, x_positions, y_positions in self._specs:
-            x_len = len(x_positions)
-            width = x_len + len(y_positions)
-            specs.append((cid, x_len, width))
-            rows = rows_by_cid[cid] = []
-            scalar = x_len == 1
-            for row in self._store.scan(constraint.relation_name):
-                coded = encode_row(row)
-                key = (coded[x_positions[0]] if scalar
-                       else tuple(coded[p] for p in x_positions))
-                if hash(key) % workers != i:
-                    continue
-                rows.append(tuple(coded[p] for p in x_positions)
-                            + tuple(coded[p] for p in y_positions))
+        for spec in self._specs:
+            cid, constraint, x_positions, y_positions = spec
+            width = len(x_positions) + len(y_positions)
+            specs.append((cid, len(x_positions), width))
+            rows = rows_by_cid[cid] = self._placed(
+                spec, self._store.scan(constraint.relation_name))[i]
             shipped += len(rows) * width * 8
         values = self.dictionary.values_from(0)
         # Bootstrap must complete even under an expired request
@@ -564,85 +556,72 @@ class ProcessShardedBackend(StorageBackend):
     def remove_write_listener(self, listener) -> None:
         self._store.remove_write_listener(listener)
 
-    # -- writes (ship to workers, then apply to the store) -----------------
+    # -- writes: the store's one write loop, with shipping as its hook -----
+
+    # Every write runs the inner store's loop under _write_lock, with
+    # _ship_write as its outer hook: the loop ships the effective rows
+    # before the store's own hook (the disk WAL) runs, then applies them
+    # and bumps the generation.  Ship-before-WAL: a shipment that failed
+    # after the append would leave the log holding a write the store
+    # never applied.  Ship-before-bump is intended too: a reader that
+    # observes the new generation finds the new rows on every worker,
+    # and a reader at the old one may see them early — at most one
+    # write early (tests/storage/test_replica_race.py), the benign
+    # direction in-process readers are allowed too.  Shipping after the
+    # bump would let a reader cache pre-write worker rows under the
+    # post-write epoch.
 
     def insert_rows(self, relation_name: str, rows: Iterable[Row]) -> int:
-        batch = dict.fromkeys(tuple(row) for row in rows)
-        with self._write_lock:
-            store = self._store
-            fresh = [row for row in batch
-                     if not store.contains(relation_name, row)]
-            if not fresh:
-                return 0
-            check = getattr(store, "_check_rows", None)
-            if check is not None:  # fail before anything ships
-                check(fresh)
-            self._ship_write(relation_name, fresh, deleting=False)
-            try:
-                return store.insert_rows(relation_name, fresh)
-            except BaseException:
-                # Workers applied a batch the store rejected: undo it
-                # so the shards never drift ahead of the truth.
-                self._ship_write(relation_name, fresh, deleting=True)
-                raise
+        return self._write("i", relation_name, rows)
 
     def delete_rows(self, relation_name: str, rows: Iterable[Row]) -> int:
-        batch = dict.fromkeys(tuple(row) for row in rows)
-        with self._write_lock:
-            store = self._store
-            present = [row for row in batch
-                       if store.contains(relation_name, row)]
-            if not present:
-                return 0
-            self._ship_write(relation_name, present, deleting=True)
-            try:
-                return store.delete_rows(relation_name, present)
-            except BaseException:
-                self._ship_write(relation_name, present, deleting=False)
-                raise
+        return self._write("d", relation_name, rows)
 
     def clear(self) -> None:
-        with self._write_lock:
-            for peer in self._worker_peers:
-                if peer is None:
-                    continue
-                try:
-                    # Write-plane op: deadline-immune like every other
-                    # shipped mutation (half-cleared shards would drift
-                    # from the authoritative store).
-                    self._request(peer, ("clear",), 0,
-                                  use_deadline=False)
-                except _PeerFailure as failure:
-                    raise StorageError(
-                        f"shard worker failed during clear: "
-                        f"{failure}") from failure
-            self._store.clear()
+        self._write("c")
 
-    def _ship_write(self, relation_name: str, rows: list[Row],
-                    deleting: bool) -> None:
-        """Project + encode the batch per constraint, bucket by shard
-        and ship one ``write`` op (with its dictionary delta) to every
-        touched worker.  Callers hold ``_write_lock``."""
+    def _write(self, op: str, relation_name: str | None = None,
+               rows: Iterable[Row] = ()) -> int:
+        """Run the store's write loop with shipping as its outer hook.
+        If the write fails, every worker is rebuilt from the store: an
+        inverse shipment cannot undo a partly shipped batch, since
+        deleting a row a worker never received would decrement another
+        row's witness count."""
+        with self._write_lock:
+            try:
+                return self._store._write(op, relation_name, rows,
+                                          self._ship_write)
+            except BaseException:
+                if self._workers_live():
+                    for i in range(self.workers):
+                        try:
+                            self._bootstrap_worker(i)
+                        except _PeerFailure:
+                            self._worker_peers[i].poisoned = True
+                raise
+
+    def _ship_write(self, op: str, relation_name: str | None,
+                    rows: list[Row]) -> None:
+        """The outer hook on the store's write loop.  Ship a clear to
+        every worker; otherwise project + encode the batch per
+        constraint, bucket by shard and ship one ``write`` op (with its
+        dictionary delta) to every touched worker."""
         if not self._specs or not self._workers_live():
             return
         workers = self.workers
-        encode_row = self.dictionary.encode_row
+        if op == "c":
+            for w in range(workers):
+                self._ship_write_one(w, None, 0)
+            return
+        deleting = op == "d"
         ops: list[list] = [[] for _ in range(workers)]
         shipped = [0] * workers
-        for cid, constraint, x_positions, y_positions in self._specs:
+        for spec in self._specs:
+            cid, constraint, x_positions, y_positions = spec
             if constraint.relation_name != relation_name:
                 continue
-            scalar = len(x_positions) == 1
             width = len(x_positions) + len(y_positions)
-            buckets: list[list] = [[] for _ in range(workers)]
-            for row in rows:
-                coded = encode_row(row)
-                key = (coded[x_positions[0]] if scalar
-                       else tuple(coded[p] for p in x_positions))
-                buckets[hash(key) % workers].append(
-                    tuple(coded[p] for p in x_positions)
-                    + tuple(coded[p] for p in y_positions))
-            for w, bucket in enumerate(buckets):
+            for w, bucket in enumerate(self._placed(spec, rows)):
                 if bucket:
                     ops[w].append((cid, deleting, bucket))
                     shipped[w] += len(bucket) * width * 8
@@ -650,7 +629,28 @@ class ProcessShardedBackend(StorageBackend):
             if ops[w]:
                 self._ship_write_one(w, ops[w], shipped[w])
 
-    def _ship_write_one(self, w: int, ops: list, shipped: int) -> None:
+    def _placed(self, spec: tuple, rows: Iterable[Row]) -> list[list]:
+        """Encode ``rows``, project each onto ``spec``'s ``X∪Y`` codes
+        and bucket it by the worker its X-key codes place it on — the
+        one placement writes and bootstraps share."""
+        _, _, x_positions, y_positions = spec
+        encode_row = self.dictionary.encode_row
+        workers = self.workers
+        scalar = len(x_positions) == 1
+        buckets: list[list] = [[] for _ in range(workers)]
+        for row in rows:
+            coded = encode_row(row)
+            key = (coded[x_positions[0]] if scalar
+                   else tuple(coded[p] for p in x_positions))
+            buckets[hash(key) % workers].append(
+                tuple(coded[p] for p in x_positions)
+                + tuple(coded[p] for p in y_positions))
+        return buckets
+
+    def _ship_write_one(self, w: int, ops: "list | None",
+                        shipped: int) -> None:
+        """Ship worker ``w`` its ``write`` ops, or a ``clear`` when
+        ``ops`` is None."""
         # Write shipping ignores the ambient request deadline: once a
         # batch starts crossing pipes it must land everywhere or be
         # compensated — aborting halfway would leave shards drifted
@@ -658,10 +658,11 @@ class ProcessShardedBackend(StorageBackend):
         # writes belongs before this point.
         for attempt in (0, 1):
             peer = self._worker_peers[w]
-            delta = self.dictionary.values_from(peer.known_values)
+            delta = ([] if ops is None
+                     else self.dictionary.values_from(peer.known_values))
+            request = ("clear",) if ops is None else ("write", ops, delta)
             try:
-                self._request(peer, ("write", ops, delta), shipped,
-                              use_deadline=False)
+                self._request(peer, request, shipped, use_deadline=False)
                 peer.known_values += len(delta)
                 return
             except _PeerFailure as failure:

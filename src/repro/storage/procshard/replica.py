@@ -3,8 +3,9 @@
 A replica is a process holding a full copy of the database, kept
 current by the coordinator *shipping* the writer's WAL instead of the
 replica tailing files itself — the unit of replication is the byte
-range, parsed with exactly the recovery scanner
-(:func:`~repro.storage.disk.scan_frame_bytes`).  That buys the torn-
+range, parsed and applied with exactly the recovery scanner and replay
+(:func:`~repro.storage.disk.scan_frame_bytes`,
+:func:`~repro.storage.disk.replay_record`).  That buys the torn-
 tail guarantee for free: a chunk that ends mid-record is consumed only
 up to its last intact frame, the replica reports how many bytes it
 took, and the coordinator re-ships the rest later.
@@ -37,7 +38,7 @@ MemoryBackend` oracle without spawning processes.
 
 from __future__ import annotations
 
-from ..disk import scan_frame_bytes
+from ..disk import replay_record, scan_frame_bytes
 from ..indexes import gather_codes
 from .worker import CodeIndex, serve_loop
 
@@ -126,29 +127,11 @@ class ReplicaState:
                 "generations": dict(self.generations)}
 
     def _apply_record(self, record) -> None:
-        op = record[0]
-        if op == "i" or op == "d":
-            _, relation, generation, rows = record
-            store = self.stores[relation]
-            if op == "i":
-                for row in rows:
-                    self._add_row(relation, store, tuple(row))
-            else:
-                for row in rows:
-                    self._remove_row(relation, store, tuple(row))
-            self.generations[relation] = max(
-                self.generations[relation], int(generation))
-        elif op == "c":
-            _, generations = record
-            for store in self.stores.values():
-                store.clear()
+        replay_record(record, self.stores, self.generations,
+                      self._add_row, self._remove_row)
+        if record[0] == "c":
             for _, _, _, index in self.indexes.values():
                 index.remove_all()
-            for relation, generation in generations.items():
-                self.generations[relation] = max(
-                    self.generations[relation], int(generation))
-        else:
-            raise ReplicaError(f"unknown WAL record kind {op!r}")
 
     # Membership checks make re-application convergent (bootstrap may
     # replay WAL records the snapshot already contains), and they keep

@@ -193,15 +193,6 @@ class TestFetch:
 
 
 class TestWriteGenerations:
-    def test_insert_bumps_generation_once_per_effective_write(
-            self, schema, aschema):
-        db = Database(schema, aschema)
-        before = db.generation("R")
-        db.insert("R", (1, "a"))
-        assert db.generation("R") == before + 1
-        db.insert("R", (1, "a"))  # duplicate: not an effective write
-        assert db.generation("R") == before + 1
-
     def test_insert_bumps_generation_after_index_updates(
             self, schema, aschema):
         """A reader observing the post-write epoch must also see the new

@@ -230,8 +230,7 @@ class TestKillPoints:
             (scan_frame_bytes(data)[0], len(data))
 
 
-def wal_bootstrap_payload(backend: DiskBackend, aschema, *,
-                          wal: bytes = b"") -> dict:
+def wal_bootstrap_payload(backend: DiskBackend, aschema) -> dict:
     """A WAL-only replica bootstrap payload (no snapshot yet) — the
     shape ProcessShardedBackend._bootstrap_replica ships."""
     specs = []
@@ -242,7 +241,7 @@ def wal_bootstrap_payload(backend: DiskBackend, aschema, *,
     return {"segments": {},
             "generations": {name: 0
                             for name in backend.schema.relation_names()},
-            "wal": wal, "values": backend.dictionary.values_from(0),
+            "wal": b"", "values": backend.dictionary.values_from(0),
             "specs": specs, "snapshot_id": backend._snapshot_id}
 
 
@@ -289,36 +288,6 @@ class TestReplicationKillPoints:
                     for name, store in replica.stores.items()} == \
                 states[-1]
         reference.close()
-
-    def test_replica_restart_catches_up_from_snapshot_plus_tail(
-            self, schema, aschema, tmp_path):
-        """A replica that restarts (fresh state) after the writer
-        compacted must rebuild from the published snapshot and the
-        shipped tail — the exact recovery path a reopened DiskBackend
-        takes."""
-        from repro.storage.procshard import ReplicaState
-        writer = DiskBackend(schema, tmp_path)
-        writer.attach_access_schema(aschema)
-        writer.insert_rows("R", [(i % 3, f"pre{i}", i) for i in range(9)])
-        snap_dir = writer.snapshot()
-        writer.insert_rows("R", [(7, "post", 1)])
-        writer.delete_rows("R", [(0, "pre0", 0)])
-
-        manifest = json.loads((snap_dir / "manifest.json").read_text())
-        payload = wal_bootstrap_payload(
-            writer, aschema, wal=(tmp_path / "wal.log").read_bytes())
-        payload["segments"] = {
-            name: (snap_dir / f"{name}.seg").read_bytes()
-            for name in schema.relation_names()}
-        payload["generations"] = manifest["generations"]
-
-        restarted = ReplicaState()  # fresh process: nothing carried over
-        result = restarted.bootstrap(payload)
-        assert {name: set(store)
-                for name, store in restarted.stores.items()} == \
-            state_of(writer, schema)
-        assert result["generations"] == writer._generations
-        writer.close()
 
     def test_generations_monotone_across_replica_fleet(
             self, schema, aschema, tmp_path):
@@ -429,42 +398,6 @@ class TestDurabilityContract:
         manifest.unlink()
         with pytest.raises(StorageError, match="missing"):
             DiskBackend(schema, tmp_path)
-
-    def test_oracle_equivalence_under_mixed_traffic(self, schema, aschema,
-                                                    tmp_path):
-        """Disk and memory backends fed identical effective writes agree
-        on every relation and every bounded fetch, before and after a
-        restart."""
-        disk_db = open_db(schema, aschema, tmp_path)
-        oracle = Database(schema, aschema)
-        import random
-        rng = random.Random(11)
-        live: list[tuple] = []
-        for step in range(120):
-            if live and rng.random() < 0.3:
-                victim = rng.choice(live)
-                disk_db.delete("R", victim)
-                oracle.delete("R", victim)
-                live.remove(victim)
-            else:
-                row = (rng.randrange(6), f"b{rng.randrange(9)}", step)
-                disk_db.insert("R", row)
-                oracle.insert("R", row)
-                live.append(row)
-            if step == 60:
-                disk_db.backend.snapshot()
-        assert set(disk_db.relation_tuples("R")) == \
-            set(oracle.relation_tuples("R"))
-        disk_db.backend.close()
-
-        reopened = open_db(schema, aschema, tmp_path)
-        assert set(reopened.relation_tuples("R")) == \
-            set(oracle.relation_tuples("R"))
-        constraint = aschema.constraints[0]
-        keys = [(a,) for a in range(6)]
-        assert [set(rows) for rows in reopened.fetch_many(constraint, keys)] \
-            == [set(rows) for rows in oracle.fetch_many(constraint, keys)]
-        reopened.backend.close()
 
 
 class TestServiceRestart:

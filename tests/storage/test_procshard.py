@@ -247,36 +247,6 @@ class TestReplicaState:
         assert replica.snapshot_id == writer._snapshot_id == 1
         writer.close()
 
-    def test_torn_tail_shipped_mid_segment_at_every_offset(
-            self, schema, aschema, tmp_path):
-        """Truncate the shipped WAL chunk at *every* byte boundary: the
-        replica must consume exactly the intact prefix, stay a valid
-        prefix-state of the oracle, and converge once the remainder is
-        shipped."""
-        writer = disk_fixture(schema, aschema, tmp_path,
-                              rows=ROWS[:12])
-        writer.delete_rows("R", ROWS[:3])
-        wal = writer._wal_path.read_bytes()
-        payload = bootstrap_payload(writer, aschema, after_snapshot=False)
-        final = sorted(writer.scan("R"))
-        for cut in range(len(wal) + 1):
-            replica = ReplicaState()
-            empty = dict(payload)
-            empty["wal"] = b""  # bootstrap ships values; WAL by hand
-            replica.bootstrap(empty)
-            first = replica.apply_wal(wal[:cut], [])
-            assert first["consumed"] <= cut
-            assert replica.wal_offset == first["consumed"]
-            # Generations never exceed the writer's.
-            assert all(replica.generations[name] <= generation
-                       for name, generation
-                       in writer._generations.items())
-            second = replica.apply_wal(wal[first["consumed"]:], [])
-            assert first["consumed"] + second["consumed"] == len(wal)
-            assert sorted(replica.stores["R"]) == final
-            assert replica.generations == writer._generations
-        writer.close()
-
     def test_generation_monotonicity_and_convergent_reapply(
             self, schema, aschema, tmp_path):
         """Re-shipping an already-applied byte range must be a no-op
