@@ -308,13 +308,6 @@ class StorageBackend(ABC):
         except ValueError:
             pass
 
-    def _recorder(self, relation_name: str) -> DeltaRecorder | None:
-        """A fresh per-batch recorder, or None when nobody listens
-        (the common case — write paths then skip delta bookkeeping)."""
-        if not self._write_listeners:
-            return None
-        return DeltaRecorder(relation_name)
-
     def _notify(self, delta: WriteDelta) -> None:
         """Deliver one delta to every listener (callers hold the lock
         that orders the relation's generation bumps)."""
@@ -538,7 +531,9 @@ class MemoryBackend(StorageBackend):
         # attach_access_schema swaps in rebuilt indexes, and rows
         # registered on the discarded ones would be lost.
         indexes = self.indexes_for(relation_name)
-        recorder = self._recorder(relation_name)
+        # Nobody listens (the common case): skip delta bookkeeping.
+        recorder = (DeltaRecorder(relation_name)
+                    if self._write_listeners else None)
         if not indexes:
             return recorder
         encode_row = self.dictionary.encode_row

@@ -31,12 +31,14 @@ Topology and ownership:
 Write ordering (the cache-soundness contract): writes run the inner
 store's one write loop with shipping as its outer hook, ahead of the
 store's own, so workers receive a batch *before* the inner store logs
-it, applies it and bumps the generation.  Any reader that observes the
-new generation is guaranteed to see the new rows on every worker; a
-reader at the old generation may see them early, the same benign
-direction the in-process engines document.  A write that fails after
-shipping (the disk WAL refusing it, say) leaves the workers rebuilt
-from the store; a failed worker is respawned and rebuilt from it too.
+it, applies it and bumps the generation: any reader that observes the
+new generation is guaranteed to see the new rows on every worker.
+Writes and attaches keep a write sequence odd while they run, and a
+read that overlapped one is repeated once it is done, so no reader
+sees shipped rows before their generation — procshard reads are as
+exact as the in-process engines'.  A write that fails after shipping
+(the disk WAL refusing it, say) leaves the workers rebuilt from the
+store; a failed worker is respawned and rebuilt from it too.
 
 Fetches below ``fanout_threshold`` keys are served from the
 coordinator's own store — pipe round trips only pay for themselves on
@@ -51,6 +53,7 @@ import multiprocessing
 import threading
 import time
 import weakref
+from contextlib import contextmanager
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -213,6 +216,8 @@ class ProcessShardedBackend(StorageBackend):
                            reset_after_s=breaker_reset_after_s)
             for _ in range(replicas)]
         self._write_lock = threading.RLock()
+        # Odd while a write or attach holds _write_lock (see _writing).
+        self._write_seq = 0
         self._worker_peers: list[_Peer | None] = [None] * workers
         self._replica_peers: list[_Peer | None] = [None] * replicas
         # id(attached constraint) -> wire constraint id, plus the
@@ -446,8 +451,19 @@ class ProcessShardedBackend(StorageBackend):
 
     # -- attach: spawn + bootstrap the fleet -------------------------------
 
-    def attach_access_schema(self, access_schema: AccessSchema) -> None:
+    @contextmanager
+    def _writing(self):
+        """Hold the write lock with the write sequence odd, so a read
+        that overlaps the write can tell (see :meth:`read_codes`)."""
         with self._write_lock:
+            self._write_seq += 1
+            try:
+                yield
+            finally:
+                self._write_seq += 1
+
+    def attach_access_schema(self, access_schema: AccessSchema) -> None:
+        with self._writing():
             self._store.attach_access_schema(access_schema)
             self.access_schema = access_schema
             self._reset_resolutions()
@@ -563,13 +579,11 @@ class ProcessShardedBackend(StorageBackend):
     # before the store's own hook (the disk WAL) runs, then applies them
     # and bumps the generation.  Ship-before-WAL: a shipment that failed
     # after the append would leave the log holding a write the store
-    # never applied.  Ship-before-bump is intended too: a reader that
-    # observes the new generation finds the new rows on every worker,
-    # and a reader at the old one may see them early — at most one
-    # write early (tests/storage/test_replica_race.py), the benign
-    # direction in-process readers are allowed too.  Shipping after the
-    # bump would let a reader cache pre-write worker rows under the
-    # post-write epoch.
+    # never applied.  Ship-before-bump: shipping after the bump would
+    # let a reader cache pre-write worker rows under the post-write
+    # epoch.  The rows a worker holds between ship and bump are never
+    # served, because read_codes repeats any read that overlapped a
+    # write (tests/storage/test_replica_race.py).
 
     def insert_rows(self, relation_name: str, rows: Iterable[Row]) -> int:
         return self._write("i", relation_name, rows)
@@ -587,7 +601,7 @@ class ProcessShardedBackend(StorageBackend):
         inverse shipment cannot undo a partly shipped batch, since
         deleting a row a worker never received would decrement another
         row's witness count."""
-        with self._write_lock:
+        with self._writing():
             try:
                 return self._store._write(op, relation_name, rows,
                                           self._ship_write)
@@ -690,6 +704,25 @@ class ProcessShardedBackend(StorageBackend):
 
     def read_codes(self, constraint: AccessConstraint, keys: Sequence
                    ) -> tuple[list, list[int], "Sequence | None"]:
+        """Route one read.  A read that overlapped a write or an attach
+        may hold rows shipped but not yet committed under a generation
+        (or answered under a retired constraint id), so it waits the
+        write out and reads again: worker reads are exactly as fresh as
+        the store's.  The lock is not held while reading, so resolving
+        the constraint never waits on a writer."""
+        while True:
+            seq = self._write_seq
+            if not seq % 2:
+                result = self._route_read(constraint, keys)
+                if seq == self._write_seq:
+                    return result
+            with self._write_lock:
+                if self._write_seq % 2:
+                    # Odd under the lock: this thread is the writer.
+                    return self._route_read(constraint, keys)
+
+    def _route_read(self, constraint: AccessConstraint, keys: Sequence
+                    ) -> tuple[list, list[int], "Sequence | None"]:
         resolution, entry = self._store._resolved_indexes(constraint)
         _, attached, key_perm, row_proj, dedup = resolution
         cid = self._cids.get(id(attached))
