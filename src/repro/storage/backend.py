@@ -443,12 +443,11 @@ class MemoryBackend(StorageBackend):
             # Bulk-encode each relation's rows exactly once, no matter
             # how many constraints index it.
             with span("encode"):
-                encode_row = self.dictionary.encode_row
                 for name, relation_indexes in by_relation.items():
-                    for row in self._rows[name]:
-                        coded = encode_row(row)
-                        for index in relation_indexes:
-                            index.add(row, coded)
+                    coded_rows = self.dictionary.encode_rows(
+                        list(self._rows[name]))
+                    for index in relation_indexes:
+                        index.add_coded(coded_rows)
             self._indexes = indexes
             self.access_schema = access_schema
             self._reset_resolutions()
@@ -536,18 +535,13 @@ class MemoryBackend(StorageBackend):
                     if self._write_listeners else None)
         if not indexes:
             return recorder
-        encode_row = self.dictionary.encode_row
-        for row in rows:
-            # Encode once per row, not once per index; a delete needs the
-            # codes only for its delta (the index encodes lazily).
-            coded = (encode_row(row)
-                     if recorder is not None or not deleting else None)
-            for index in indexes:
-                if deleting:
-                    if index.remove(row, coded) and recorder is not None:
-                        recorder.removed(index, coded)
-                elif index.add(row, coded) and recorder is not None:
-                    recorder.added(index, coded)
+        # Encode the batch once, not once per index.
+        coded_rows = self.dictionary.encode_rows(rows)
+        for index in indexes:
+            changed = (index.remove_coded(coded_rows) if deleting
+                       else index.add_coded(coded_rows))
+            if changed and recorder is not None:
+                recorder.record(index, changed, deleting)
         return recorder
 
     def _pre_apply(self, op: str, relation_name: str | None,
@@ -584,7 +578,7 @@ class MemoryBackend(StorageBackend):
                           ) -> Iterator[tuple[Row, int]]:
         _, index = self._resolved_indexes(constraint)
         with self._lock:
-            snapshot = [(x, index.group_size(x)) for x in index.x_values()]
+            snapshot = list(index.groups())
         return iter(snapshot)
 
     def indexes_for(self, relation_name: str) -> list[AccessIndex]:

@@ -27,9 +27,19 @@ from ..errors import ConstraintViolation, SchemaError
 from ..schema.access import AccessConstraint, AccessSchema
 from ..schema.relation import Schema
 from .backend import MemoryBackend, StorageBackend
-from .indexes import AccessIndex
+from .indexes import AccessIndex, row_projector
 
 Row = tuple
+
+
+def distinct_y_groups(rows: Iterable[Row], x_positions: Sequence[int],
+                      y_positions: Sequence[int]) -> dict[Row, set[Row]]:
+    """Each X-projection of ``rows`` with its distinct Y-projections."""
+    x_of, y_of = row_projector(x_positions), row_projector(y_positions)
+    groups: dict[Row, set[Row]] = {}
+    for row in rows:
+        groups.setdefault(x_of(row), set()).add(y_of(row))
+    return groups
 
 
 class Database:
@@ -172,10 +182,11 @@ class Database:
                         and candidate.y_set == constraint.y_set):
                     return self._backend.constraint_groups(candidate)
         relation = constraint.validate_against(self.schema)
-        index = AccessIndex(constraint, relation)
-        for row in self._backend.scan(constraint.relation_name):
-            index.add(row)
-        return ((x, index.group_size(x)) for x in index.x_values())
+        groups = distinct_y_groups(
+            self._backend.scan(constraint.relation_name),
+            constraint.x_positions(relation),
+            constraint.y_positions(relation))
+        return ((x, len(ys)) for x, ys in groups.items())
 
     # -- reading -------------------------------------------------------------------
 

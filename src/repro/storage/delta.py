@@ -4,11 +4,10 @@ Bounded fetch results are X-key-indexed sets of distinct ``X∪Y``
 projections, so the unit of change a read-side cache cares about is not
 "row inserted/deleted" but "projection appeared/disappeared under this
 X-key of this constraint's index".  The indexes already know the
-difference — :meth:`~repro.storage.indexes.AccessIndex.add` and
-``remove`` refcount witness rows per projection — so backends can emit
-*exact* group-level deltas at no extra bookkeeping cost: a projection
-shared by several stored rows changes nothing until its last witness
-goes.
+difference — :class:`~repro.storage.indexes.CodeIndex` counts the
+witness rows of each projection — so backends can emit *exact*
+group-level deltas at no extra bookkeeping cost: a projection shared
+by several stored rows changes nothing until its last witness goes.
 
 One :class:`WriteDelta` describes one effective write batch (one
 generation bump) of one relation.  Backends emit it *inside* the lock
@@ -95,11 +94,11 @@ WriteListener = Callable[[WriteDelta], None]
 class DeltaRecorder:
     """Accumulates one write batch's projection changes.
 
-    Backends create one per observed write batch and feed it every
-    ``(index, coded_row)`` whose :meth:`AccessIndex.add`/``remove``
-    reported a projection-level effect; :meth:`finish` seals the
-    recording into a :class:`WriteDelta` once the generation bump is
-    known.
+    Backends create one per observed write batch and feed it, per
+    index, the coded rows whose :meth:`AccessIndex.add_coded` or
+    ``remove_coded`` reported a projection-level effect;
+    :meth:`finish` seals the recording into a :class:`WriteDelta` once
+    the generation bump is known.
     """
 
     __slots__ = ("relation", "_constraints")
@@ -110,12 +109,9 @@ class DeltaRecorder:
 
     @staticmethod
     def _change(index, coded_row: Sequence[int]) -> Change:
-        x_positions = index.x_positions
-        key_code = (coded_row[x_positions[0]] if index.scalar_key
-                    else tuple(coded_row[i] for i in x_positions))
-        row_codes = (tuple(coded_row[i] for i in x_positions)
-                     + tuple(coded_row[i] for i in index.y_positions))
-        return (key_code, row_codes)
+        row_codes = index.project(coded_row)
+        return (row_codes[0] if index.scalar_key
+                else row_codes[:len(index.x_positions)], row_codes)
 
     def _delta(self, index) -> ConstraintDelta:
         delta = self._constraints.get(index.constraint)
@@ -123,13 +119,13 @@ class DeltaRecorder:
             delta = self._constraints[index.constraint] = ConstraintDelta()
         return delta
 
-    def added(self, index, coded_row: Sequence[int]) -> None:
-        """A new distinct projection appeared under the row's X-key."""
-        self._delta(index).added.append(self._change(index, coded_row))
-
-    def removed(self, index, coded_row: Sequence[int]) -> None:
-        """The row was the last witness of its projection."""
-        self._delta(index).removed.append(self._change(index, coded_row))
+    def record(self, index, coded_rows: Sequence[Sequence[int]],
+               removed: bool) -> None:
+        """The rows' projections appeared under their X-keys — or, when
+        ``removed``, the rows were their projections' last witnesses."""
+        delta = self._delta(index)
+        (delta.removed if removed else delta.added).extend(
+            self._change(index, coded) for coded in coded_rows)
 
     def finish(self, old_generation: int,
                new_generation: int) -> WriteDelta:

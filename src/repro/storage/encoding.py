@@ -28,6 +28,7 @@ from __future__ import annotations
 import sys
 import threading
 from array import array
+from itertools import chain, filterfalse
 from typing import Hashable, Iterable, Sequence
 
 #: The machine layout of every encoded column: signed 64-bit ints.
@@ -61,6 +62,10 @@ def extend_column(out: array, column) -> None:
         out.extend(column)
 
 
+#: A key of no caller's type (see ``ValueDictionary.__init__``).
+_ANY_KEY = object()
+
+
 class ValueDictionary:
     """Append-only interning table from hashable values to dense codes.
 
@@ -84,7 +89,11 @@ class ValueDictionary:
     __slots__ = ("_codes", "_values", "_lock")
 
     def __init__(self) -> None:
-        self._codes: dict[Hashable, int] = {}
+        # Start in CPython's any-key table layout: a str-only dict
+        # resizes to three times its size at its first other key, so a
+        # batch load reaching its ints late would keep a larger table.
+        self._codes: dict[Hashable, int] = {_ANY_KEY: 0}
+        del self._codes[_ANY_KEY]
         self._values: list[Hashable] = []
         self._lock = threading.Lock()
 
@@ -111,6 +120,37 @@ class ValueDictionary:
             return tuple(codes[value] for value in row)
         except KeyError:
             return tuple(self.encode(value) for value in row)
+
+    def encode_rows(self, rows: Sequence[Sequence[Hashable]]
+                    ) -> list[tuple[int, ...]]:
+        """Encode a batch of stored rows — exactly the codes
+        :meth:`encode_row` row after row would give.
+
+        New values are interned in row-major first-sight order under
+        one lock hold, with C-level loops, and published values first,
+        codes second, as :meth:`encode` does.
+
+        >>> d = ValueDictionary()
+        >>> d.encode_rows([("x", 1), (True, "y")])
+        [(0, 1), (1, 2)]
+        """
+        codes = self._codes
+        lookup = codes.__getitem__
+        try:
+            return [tuple(map(lookup, row)) for row in rows]
+        except KeyError:
+            pass
+        with self._lock:
+            # dict.fromkeys dedups as encode's lookups do (1, True and
+            # 1.0 are one key; distinct NaN objects two) and keeps each
+            # key's first-seen object, the one encode would intern.
+            fresh = list(filterfalse(
+                codes.__contains__,
+                dict.fromkeys(chain.from_iterable(rows))))
+            start = len(self._values)
+            self._values.extend(fresh)
+            codes.update(zip(fresh, range(start, start + len(fresh))))
+        return [tuple(map(lookup, row)) for row in rows]
 
     def lookup_codes(self, values: Sequence[Hashable]) -> list[int]:
         """The codes of ``values`` *without interning* — the read

@@ -2,74 +2,55 @@
 
 An access constraint ``R(X -> Y, N)`` promises an index on ``X`` for
 ``Y``: given an ``X``-value ``a``, retrieve ``D_Y(X = a)`` without
-scanning ``R`` (paper, Section 2).  :class:`AccessIndex` is that index:
-a hash map from ``X``-projections to the set of distinct ``Y``-
-projections (plus the combined ``X∪Y`` rows the ``fetch`` plan operator
-returns).
+scanning ``R`` (paper, Section 2).
 
-When built with a :class:`~repro.storage.encoding.ValueDictionary`
-(every shipped backend does this), the index *additionally* maintains
-an encoded mirror of each group: per ``X``-key, one ``array('q')``
-column per ``X∪Y`` attribute holding dictionary codes, pre-built at
-insert time.  Keys into the encoded mirror are bare int codes when
-``|X| == 1`` (the hot case) and code tuples otherwise.
+Indexes hold dictionary codes only (dictionary-coded storage in the
+sense of Abadi, Madden and Ferreira, SIGMOD 2006).  :class:`CodeIndex`
+is the one witness-counted code-group index that every engine, shard
+worker and replica keeps: per ``X``-key, one ``array('q')`` column per
+``X∪Y`` attribute holding the distinct projections, each counted by
+its witness rows.  Keys are bare int codes when ``|X| == 1`` (the hot
+case) and code tuples otherwise.  :class:`AccessIndex` binds one to a
+constraint over a relation and decodes on the way out of its
+value-level reads, which tests and cardinality validation use.
 
-:func:`gather_codes` is the one read over such a mirror — here and in
-the process-sharded worker's :class:`~repro.storage.procshard.worker.
-CodeIndex` alike: a key batch in, concatenated code columns plus
-per-key row counts out (compressed sparse row), with one probe of the
-whole batch and one C-level join per column.  Every engine's
-``read_codes`` ends in it.  :meth:`AccessIndex.lookup` stays as the
-value-level oracle tests rebuild indexes with.
+:func:`gather_codes` is the one read over a code-group map: a key
+batch in, concatenated code columns plus per-key row counts out
+(compressed sparse row), with one probe of the whole batch and one
+C-level join per column.  Every engine's ``read_codes`` ends in it.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from array import array
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 from ..errors import ConstraintViolation
 from ..schema.access import AccessConstraint
 from ..schema.relation import RelationSchema
-from .encoding import ValueDictionary, int_column
-
-Tuple = tuple
+from .encoding import COLUMN_TYPECODE, ValueDictionary, int_column
 
 
 class _EncodedGroup:
-    """One X-key's rows as pre-built code columns.
+    """One X-key's distinct ``X∪Y`` projections as code columns.
 
-    ``pos`` maps each distinct Y-code tuple to its row position so a
-    deletion can swap-remove in O(columns) — row order within a group
-    is meaningless under set semantics, so the swap is free.
+    ``pos`` maps each projection's Y-key (a bare code when ``|Y| == 1``,
+    a code tuple otherwise) to its row, so a deletion can swap-remove
+    in O(columns) — row order within a group is meaningless under set
+    semantics.  ``extra`` counts the witnesses beyond the first of the
+    Y-keys that more than one stored row produces, and stays None
+    until one does: a projection with one witness costs its position
+    and nothing else.
     """
 
-    __slots__ = ("cols", "pos")
+    __slots__ = ("cols", "pos", "extra")
 
-    def __init__(self, width: int):
-        self.cols = [int_column() for _ in range(width)]
-        self.pos: dict[Tuple, int] = {}
-
-    def append(self, row_codes: Sequence[int], y_key: Tuple) -> None:
-        self.pos[y_key] = len(self.cols[0]) if self.cols else len(self.pos)
-        for column, code in zip(self.cols, row_codes):
-            column.append(code)
-
-    def discard(self, y_key: Tuple, y_start: int) -> None:
-        position = self.pos.pop(y_key, None)
-        if position is None or not self.cols:
-            return
-        last = len(self.cols[0]) - 1
-        if position != last:
-            for column in self.cols:
-                column[position] = column[last]
-            moved = tuple(column[position]
-                          for column in self.cols[y_start:])
-            self.pos[moved] = position
-        for column in self.cols:
-            column.pop()
-
-    def __len__(self) -> int:
-        return len(self.cols[0]) if self.cols else len(self.pos)
+    def __init__(self, row_codes: Sequence[int], y_key):
+        """A group holding its first projection, ``row_codes``."""
+        self.cols = [array(COLUMN_TYPECODE, (code,)) for code in row_codes]
+        self.pos: dict = {y_key: 0}
+        self.extra: dict | None = None
 
 
 def gather_codes(groups: dict, width: int, keys: Sequence,
@@ -106,150 +87,198 @@ def gather_codes(groups: dict, width: int, keys: Sequence,
     return [int_column(b"".join(column)) for column in zip(*parts)], counts
 
 
-class AccessIndex:
-    """The index for one access constraint over one relation instance.
+class CodeIndex:
+    """One constraint's witness-counted code groups.
 
-    ``lookup`` implements the paper's ``fetch`` primitive: for an
-    X-value, return the distinct ``X∪Y`` projections, in deterministic
-    insertion order.  The number of distinct Y-values per X-value is the
-    quantity the cardinality bound constrains; ``max_group_size`` exposes
-    the observed maximum so instances can be validated.
+    Rows arrive as ``X∪Y`` code tuples: the first ``x_len`` codes are
+    the X-key, the rest the Y-key.  ``encoded`` maps each key to its
+    :class:`_EncodedGroup` — what :func:`gather_codes` reads.
+    """
+
+    __slots__ = ("x_len", "width", "scalar_key", "scalar_y", "encoded")
+
+    def __init__(self, x_len: int, width: int):
+        self.x_len = x_len
+        self.width = width
+        self.scalar_key = x_len == 1
+        self.scalar_y = width - x_len == 1
+        self.encoded: dict = {}
+
+    def _keys(self, row_codes: Sequence[int]) -> tuple:
+        """The X-key and Y-key of one ``X∪Y`` code row."""
+        x_len = self.x_len
+        return (row_codes[0] if self.scalar_key
+                else tuple(row_codes[:x_len]),
+                row_codes[x_len] if self.scalar_y
+                else tuple(row_codes[x_len:]))
+
+    def add(self, row_codes: Sequence[int]) -> bool:
+        """Register one stored row's projection.
+
+        Returns True exactly when the projection is new (the row is its
+        first witness) — the effect write-delta emission reports to
+        read-side caches; a further witness changes no fetch result.
+        """
+        key, y_key = self._keys(row_codes)
+        group = self.encoded.get(key)
+        if group is None:
+            self.encoded[key] = _EncodedGroup(row_codes, y_key)
+            return True
+        if y_key in group.pos:
+            extra = group.extra
+            if extra is None:
+                group.extra = {y_key: 1}
+            else:
+                extra[y_key] = extra.get(y_key, 0) + 1
+            return False
+        group.pos[y_key] = len(group.pos)
+        for column, code in zip(group.cols, row_codes):
+            column.append(code)
+        return True
+
+    def remove(self, row_codes: Sequence[int]) -> bool:
+        """Unregister one stored row's projection (callers pass only
+        rows they actually deleted, once per deletion).
+
+        Returns True exactly when the projection *disappeared* (the row
+        was its last witness) — the dual of :meth:`add`'s return.
+        """
+        key, y_key = self._keys(row_codes)
+        group = self.encoded.get(key)
+        if group is None:
+            return False
+        pos = group.pos
+        position = pos.get(y_key)
+        if position is None:
+            return False
+        extra = group.extra
+        if extra is not None and y_key in extra:
+            witnesses = extra.pop(y_key)
+            if witnesses > 1:
+                extra[y_key] = witnesses - 1
+            elif not extra:
+                group.extra = None
+            return False
+        del pos[y_key]
+        if not pos:
+            del self.encoded[key]
+            return True
+        cols = group.cols
+        last = len(pos)
+        if position != last:
+            for column in cols:
+                column[position] = column[last]
+            pos[self._keys([column[position] for column in cols])[1]] = \
+                position
+        for column in cols:
+            column.pop()
+        return True
+
+    def remove_all(self) -> None:
+        self.encoded.clear()
+
+    def group_count(self) -> int:
+        return len(self.encoded)
+
+
+def row_projector(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A C-level projection of a row onto ``positions``, always a tuple."""
+    if len(positions) == 1:
+        position = positions[0]
+        return lambda row: (row[position],)
+    return itemgetter(*positions) if positions else (lambda row: ())
+
+
+class AccessIndex:
+    """The index for one access constraint over one relation instance:
+    a :class:`CodeIndex` over the relation's encoded rows.
+
+    ``lookup`` implements the paper's ``fetch`` primitive for one
+    X-value, decoded.  The number of distinct Y-values per X-value is
+    the quantity the cardinality bound constrains; :meth:`groups` and
+    ``max_group_size`` expose it so instances can be validated.  An
+    index built without a ``dictionary`` interns into a private one.
     """
 
     def __init__(self, constraint: AccessConstraint, relation: RelationSchema,
                  dictionary: ValueDictionary | None = None):
         self.constraint = constraint
-        self.relation = relation
-        self.dictionary = dictionary
+        self.dictionary = (dictionary if dictionary is not None
+                           else ValueDictionary())
         self.x_positions = constraint.x_positions(relation)
         self.y_positions = constraint.y_positions(relation)
-        #: Width of a fetched row (and of every encoded group column).
-        self.width = len(self.x_positions) + len(self.y_positions)
-        #: Encoded keys are bare int codes exactly when ``|X| == 1``.
-        self.scalar_key = len(self.x_positions) == 1
-        # x-projection -> ordered dict of distinct y-projections, each
-        # mapped to the number of stored rows producing it.  The count
-        # makes row deletion exact: a projection disappears only when
-        # its last witness row is removed (X∪Y may be a strict subset
-        # of the relation's attributes, so projections can be shared).
-        self._groups: dict[Tuple, dict[Tuple, int]] = {}
-        # code key -> _EncodedGroup mirror (None without a dictionary:
-        # ad-hoc validation indexes skip the columnar machinery).
-        self.encoded: dict | None = (
-            {} if dictionary is not None else None)
+        self.codes = CodeIndex(len(self.x_positions),
+                               len(self.x_positions) + len(self.y_positions))
+        #: Width of a fetched row (and of every group column).
+        self.width = self.codes.width
+        #: Code keys are bare int codes exactly when ``|X| == 1``.
+        self.scalar_key = self.codes.scalar_key
+        #: code key -> _EncodedGroup, what :func:`gather_codes` reads.
+        self.encoded = self.codes.encoded
+        #: A coded relation row -> its X∪Y code row.
+        self.project = row_projector(self.x_positions + self.y_positions)
 
     def add(self, row: Sequence,
             coded_row: Sequence[int] | None = None) -> bool:
-        """Register one stored row.
+        """Register one stored row (``coded_row``: its codes, if known);
+        True exactly when its ``X∪Y`` projection is new."""
+        return bool(self.add_coded(
+            [coded_row or self.dictionary.encode_row(row)]))
 
-        Backends that bulk-encode pass ``coded_row`` (the full
-        relation row as dictionary codes, computed once per row across
-        all of the relation's indexes); otherwise the index encodes
-        on demand — either way a value is interned exactly once.
+    def add_coded(self, coded_rows: Sequence[Sequence[int]]) -> list:
+        """Register a batch of stored rows, given as full code rows;
+        returns the ones whose projection is new."""
+        add, project = self.codes.add, self.project
+        return [coded for coded in coded_rows if add(project(coded))]
 
-        Returns True exactly when a *new distinct projection* appeared
-        (the row is its group's first witness) — the projection-level
-        effect write-delta emission reports to read-side caches; a
-        row whose ``X∪Y`` projection was already witnessed changes no
-        fetch result and returns False.
-        """
-        x_value = tuple(row[i] for i in self.x_positions)
-        y_value = tuple(row[i] for i in self.y_positions)
-        group = self._groups.setdefault(x_value, {})
-        count = group.get(y_value, 0)
-        group[y_value] = count + 1
-        if count:
-            return False
-        if self.encoded is None:
-            return True
-        # First witness of this X∪Y projection: mirror it encoded.
-        if coded_row is None:
-            coded_row = self.dictionary.encode_row(row)
-        key = (coded_row[self.x_positions[0]] if self.scalar_key
-               else tuple(coded_row[i] for i in self.x_positions))
-        entry = self.encoded.get(key)
-        if entry is None:
-            entry = self.encoded[key] = _EncodedGroup(self.width)
-        y_key = tuple(coded_row[i] for i in self.y_positions)
-        entry.append([coded_row[i] for i in self.x_positions]
-                     + [coded_row[i] for i in self.y_positions], y_key)
-        return True
-
-    def remove(self, row: Sequence,
-               coded_row: Sequence[int] | None = None) -> bool:
-        """Unregister one stored row (callers pass only rows they
-        actually deleted, exactly once per deletion).
-
-        Returns True exactly when the row's distinct projection
-        *disappeared* (it was the last witness) — the dual of
-        :meth:`add`'s return.  ``coded_row`` may be passed by callers
-        that already encoded the row (delta emission does); otherwise
-        the index encodes on demand, and only when the encoded mirror
-        actually needs updating.
-        """
-        x_value = tuple(row[i] for i in self.x_positions)
-        y_value = tuple(row[i] for i in self.y_positions)
-        group = self._groups.get(x_value)
-        if group is None:
-            return False
-        count = group.get(y_value)
-        if count is None:
-            return False
-        if count > 1:
-            group[y_value] = count - 1
-            return False
-        del group[y_value]
-        if not group:
-            del self._groups[x_value]
-        if self.encoded is None:
-            return True
-        if coded_row is None:
-            coded_row = self.dictionary.encode_row(row)
-        key = (coded_row[self.x_positions[0]] if self.scalar_key
-               else tuple(coded_row[i] for i in self.x_positions))
-        entry = self.encoded.get(key)
-        if entry is not None:
-            entry.discard(tuple(coded_row[i] for i in self.y_positions),
-                          len(self.x_positions))
-            if not entry.pos:
-                del self.encoded[key]
-        return True
+    def remove_coded(self, coded_rows: Sequence[Sequence[int]]) -> list:
+        """Unregister a batch of deleted rows, given as full code rows;
+        returns the ones whose projection disappeared."""
+        remove, project = self.codes.remove, self.project
+        return [coded for coded in coded_rows if remove(project(coded))]
 
     def remove_all(self) -> None:
-        self._groups.clear()
-        if self.encoded is not None:
-            self.encoded.clear()
+        self.codes.remove_all()
 
-    def lookup(self, x_value: Tuple) -> list[Tuple]:
-        """Distinct ``X∪Y`` projections for one X-value (possibly empty).
+    def _group(self, x_value: tuple) -> _EncodedGroup | None:
+        """The group of one X-value, looked up without interning."""
+        codes = self.dictionary.lookup_codes(x_value)
+        if any(code < 0 for code in codes):
+            return None  # a value never stored
+        return self.encoded.get(codes[0] if self.scalar_key
+                                else tuple(codes))
 
-        The returned rows concatenate the X-value with each distinct
-        Y-value, matching the ``fetch(X ∈ T, R, Y)`` operator that
-        returns ``D_XY(X = a)``.
-        """
-        group = self._groups.get(tuple(x_value))
+    def lookup(self, x_value: tuple) -> list[tuple]:
+        """Distinct ``X∪Y`` projections for one X-value (possibly empty),
+        decoded — the ``fetch(X ∈ T, R, Y)`` operator's ``D_XY(X = a)``."""
+        group = self._group(x_value)
         if group is None:
             return []
-        return [x_value + y_value for y_value in group]
+        decode = self.dictionary.decode
+        return list(zip(*[list(map(decode, column))
+                          for column in group.cols]))
 
-    def group_size(self, x_value: Tuple) -> int:
-        group = self._groups.get(tuple(x_value))
-        return 0 if group is None else len(group)
+    def group_size(self, x_value: tuple) -> int:
+        group = self._group(x_value)
+        return 0 if group is None else len(group.pos)
+
+    def groups(self) -> Iterator[tuple[tuple, int]]:
+        """``(x_value, distinct-Y count)`` per X-key, decoded."""
+        decode = self.dictionary.decode
+        for key, group in self.encoded.items():
+            yield ((decode(key),) if self.scalar_key
+                   else tuple(map(decode, key))), len(group.pos)
 
     def max_group_size(self) -> int:
-        if not self._groups:
-            return 0
-        return max(len(group) for group in self._groups.values())
-
-    def x_values(self) -> Iterator[Tuple]:
-        return iter(self._groups)
+        return max((len(group.pos) for group in self.encoded.values()),
+                   default=0)
 
     def validate(self, db_size: int) -> None:
         """Raise :class:`ConstraintViolation` if some group exceeds the bound."""
         limit = self.constraint.bound(db_size)
-        for x_value, group in self._groups.items():
-            if len(group) > limit:
-                raise ConstraintViolation(self.constraint, x_value, len(group))
+        for x_value, size in self.groups():
+            if size > limit:
+                raise ConstraintViolation(self.constraint, x_value, size)
 
     def __len__(self) -> int:
-        return len(self._groups)
+        return len(self.encoded)

@@ -220,10 +220,10 @@ class ProcessShardedBackend(StorageBackend):
         self._write_seq = 0
         self._worker_peers: list[_Peer | None] = [None] * workers
         self._replica_peers: list[_Peer | None] = [None] * replicas
-        # id(attached constraint) -> wire constraint id, plus the
-        # per-constraint projection specs workers index by.
+        # id(attached constraint) -> wire constraint id, plus each
+        # wire id with the store's index, whose X∪Y layout workers use.
         self._cids: dict[int, int] = {}
-        self._specs: list[tuple] = []  # (cid, constraint, x_pos, y_pos)
+        self._specs: list[tuple[int, AccessIndex]] = []
         self._rr = 0  # round-robin cursor over writer+replica targets
         self._closed = False
         self._counters: dict[str, int | float] = {
@@ -467,14 +467,10 @@ class ProcessShardedBackend(StorageBackend):
             self._store.attach_access_schema(access_schema)
             self.access_schema = access_schema
             self._reset_resolutions()
-            self._cids = {}
-            self._specs = []
-            for cid, constraint in enumerate(access_schema):
-                index = self._store._indexes[id(constraint)]
-                self._cids[id(constraint)] = cid
-                self._specs.append((cid, constraint,
-                                    tuple(index.x_positions),
-                                    tuple(index.y_positions)))
+            self._cids = {id(constraint): cid for cid, constraint
+                          in enumerate(access_schema)}
+            self._specs = [(cid, self._store._indexes[id(constraint)])
+                           for cid, constraint in enumerate(access_schema)]
             for i in range(self.workers):
                 self._bootstrap_worker(i)
             for i in range(self.replicas):
@@ -491,14 +487,16 @@ class ProcessShardedBackend(StorageBackend):
             peer = self._worker_peers[i] = self._spawn(i, "w")
         specs = []
         rows_by_cid: dict[int, list] = {}
+        coded: dict[str, list] = {}
         shipped = 0
-        for spec in self._specs:
-            cid, constraint, x_positions, y_positions = spec
-            width = len(x_positions) + len(y_positions)
-            specs.append((cid, len(x_positions), width))
-            rows = rows_by_cid[cid] = self._placed(
-                spec, self._store.scan(constraint.relation_name))[i]
-            shipped += len(rows) * width * 8
+        for cid, index in self._specs:
+            specs.append((cid, len(index.x_positions), index.width))
+            name = index.constraint.relation_name
+            if name not in coded:
+                coded[name] = self.dictionary.encode_rows(
+                    self._store.scan(name))
+            rows = rows_by_cid[cid] = self._placed(index, coded[name])[i]
+            shipped += len(rows) * index.width * 8
         values = self.dictionary.values_from(0)
         # Bootstrap must complete even under an expired request
         # deadline: an un-rebuilt shard would poison every later
@@ -534,10 +532,9 @@ class ProcessShardedBackend(StorageBackend):
             "generations": manifest["generations"],
             "wal": wal,
             "values": values,
-            "specs": [(cid, constraint.relation_name,
-                       list(x_positions), list(y_positions))
-                      for cid, constraint, x_positions, y_positions
-                      in self._specs],
+            "specs": [(cid, index.constraint.relation_name,
+                       list(index.x_positions), list(index.y_positions))
+                      for cid, index in self._specs],
             "snapshot_id": store._snapshot_id,
         }
         shipped = sum(len(seg) for seg in segments.values()) + len(wal)
@@ -545,6 +542,9 @@ class ProcessShardedBackend(StorageBackend):
             result = self._request(peer, ("bootstrap", payload), shipped,
                                    use_deadline=False)
         except _PeerFailure:
+            # The replica may hold half of the new state next to the
+            # old generations and offset: never read from it, replace it.
+            peer.poisoned = True
             return False
         peer.known_values = len(values)
         peer.wal_offset = result["wal_offset"]
@@ -630,35 +630,30 @@ class ProcessShardedBackend(StorageBackend):
         deleting = op == "d"
         ops: list[list] = [[] for _ in range(workers)]
         shipped = [0] * workers
-        for spec in self._specs:
-            cid, constraint, x_positions, y_positions = spec
-            if constraint.relation_name != relation_name:
+        coded = None
+        for cid, index in self._specs:
+            if index.constraint.relation_name != relation_name:
                 continue
-            width = len(x_positions) + len(y_positions)
-            for w, bucket in enumerate(self._placed(spec, rows)):
+            if coded is None:
+                coded = self.dictionary.encode_rows(rows)
+            for w, bucket in enumerate(self._placed(index, coded)):
                 if bucket:
                     ops[w].append((cid, deleting, bucket))
-                    shipped[w] += len(bucket) * width * 8
+                    shipped[w] += len(bucket) * index.width * 8
         for w in range(workers):
             if ops[w]:
                 self._ship_write_one(w, ops[w], shipped[w])
 
-    def _placed(self, spec: tuple, rows: Iterable[Row]) -> list[list]:
-        """Encode ``rows``, project each onto ``spec``'s ``X∪Y`` codes
-        and bucket it by the worker its X-key codes place it on — the
-        one placement writes and bootstraps share."""
-        _, _, x_positions, y_positions = spec
-        encode_row = self.dictionary.encode_row
+    def _placed(self, index: AccessIndex, coded_rows: list) -> list[list]:
+        """Project encoded rows onto ``index``'s ``X∪Y`` codes and bucket
+        each by the worker its X-key codes place it on — the one
+        placement writes and bootstraps share."""
         workers = self.workers
-        scalar = len(x_positions) == 1
+        x_len = len(index.x_positions)
         buckets: list[list] = [[] for _ in range(workers)]
-        for row in rows:
-            coded = encode_row(row)
-            key = (coded[x_positions[0]] if scalar
-                   else tuple(coded[p] for p in x_positions))
-            buckets[hash(key) % workers].append(
-                tuple(coded[p] for p in x_positions)
-                + tuple(coded[p] for p in y_positions))
+        for coded in map(index.project, coded_rows):
+            key = coded[0] if x_len == 1 else coded[:x_len]
+            buckets[hash(key) % workers].append(coded)
         return buckets
 
     def _ship_write_one(self, w: int, ops: "list | None",

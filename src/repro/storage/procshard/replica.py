@@ -39,8 +39,8 @@ MemoryBackend` oracle without spawning processes.
 from __future__ import annotations
 
 from ..disk import replay_record, scan_frame_bytes
-from ..indexes import gather_codes
-from .worker import CodeIndex, serve_loop
+from ..indexes import CodeIndex, gather_codes, row_projector
+from .worker import serve_loop
 
 Row = tuple
 
@@ -59,7 +59,7 @@ class ReplicaState:
         self.generations: dict[str, int] = {}
         self.values: list = []
         self.codes: dict = {}
-        # cid -> (relation, x_positions, y_positions, CodeIndex)
+        # cid -> (relation, X∪Y projection of a coded row, CodeIndex)
         self.indexes: dict[int, tuple] = {}
         self.wal_offset = 0
         self.snapshot_id = -1
@@ -89,24 +89,32 @@ class ReplicaState:
         self.values = []
         self.codes = {}
         self.extend_values(payload["values"])
-        self.indexes = {
-            cid: (relation, tuple(x_positions), tuple(y_positions),
-                  CodeIndex(len(x_positions),
-                            len(x_positions) + len(y_positions)))
-            for cid, relation, x_positions, y_positions
-            in payload["specs"]}
+        # Rows and generations first, indexes after, as disk recovery
+        # then attach do: the tail may replay rows deleted before their
+        # relation was indexed, whose values the coordinator never
+        # interned, so only the surviving rows can be encoded.
+        self.indexes = {}
         for relation, segment in payload["segments"].items():
             rows, valid = scan_frame_bytes(segment)
             if valid < len(segment):
                 raise ReplicaError(
                     f"shipped snapshot segment for {relation!r} is "
                     f"damaged at byte {valid}")
-            store = self.stores[relation]
-            for row in rows:
-                self._add_row(relation, store, tuple(row))
+            self.stores[relation].update(dict.fromkeys(map(tuple, rows)))
         self.wal_offset = 0
         self.snapshot_id = int(payload["snapshot_id"])
         self.apply_wal(payload["wal"], [])
+        coded: dict[str, list] = {}
+        for cid, relation, x_positions, y_positions in payload["specs"]:
+            if relation not in coded:
+                coded[relation] = list(map(self._encode,
+                                           self.stores[relation]))
+            project = row_projector((*x_positions, *y_positions))
+            index = CodeIndex(len(x_positions),
+                              len(x_positions) + len(y_positions))
+            for row_codes in map(project, coded[relation]):
+                index.add(row_codes)
+            self.indexes[cid] = (relation, project, index)
         return {"wal_offset": self.wal_offset,
                 "generations": dict(self.generations)}
 
@@ -130,7 +138,7 @@ class ReplicaState:
         replay_record(record, self.stores, self.generations,
                       self._add_row, self._remove_row)
         if record[0] == "c":
-            for _, _, _, index in self.indexes.values():
+            for _, _, index in self.indexes.values():
                 index.remove_all()
 
     # Membership checks make re-application convergent (bootstrap may
@@ -139,32 +147,22 @@ class ReplicaState:
     # the row actually entered/left the store.
 
     def _add_row(self, relation: str, store: dict, row: Row) -> None:
-        if row in store:
-            return
-        store[row] = None
-        coded = None
-        for spec_relation, x_positions, y_positions, index \
-                in self.indexes.values():
-            if spec_relation != relation:
-                continue
-            if coded is None:
-                coded = self._encode(row)
-            index.add(tuple(coded[i] for i in x_positions)
-                      + tuple(coded[i] for i in y_positions))
+        if row not in store:
+            store[row] = None
+            self._index_row(relation, row, True)
 
     def _remove_row(self, relation: str, store: dict, row: Row) -> None:
-        if row not in store:
-            return
-        del store[row]
+        if row in store:
+            del store[row]
+            self._index_row(relation, row, False)
+
+    def _index_row(self, relation: str, row: Row, adding: bool) -> None:
         coded = None
-        for spec_relation, x_positions, y_positions, index \
-                in self.indexes.values():
-            if spec_relation != relation:
-                continue
-            if coded is None:
-                coded = self._encode(row)
-            index.remove(tuple(coded[i] for i in x_positions)
-                         + tuple(coded[i] for i in y_positions))
+        for spec_relation, project, index in self.indexes.values():
+            if spec_relation == relation:
+                if coded is None:
+                    coded = self._encode(row)
+                (index.add if adding else index.remove)(project(coded))
 
     # -- serving -----------------------------------------------------------
 
@@ -172,7 +170,7 @@ class ReplicaState:
         op = request[0]
         if op == "read":
             _, cid, keys, row_proj, dedup = request
-            index = self.indexes[cid][3]
+            index = self.indexes[cid][2]
             return gather_codes(index.encoded, index.width, keys,
                                 row_proj, dedup)
         if op == "wal":

@@ -9,12 +9,11 @@ layout and ships only the resulting code tuples.  The one read op,
 row counts — the engines' ``read_codes`` shape, reused as the RPC
 surface.
 
-:class:`CodeIndex` mirrors :class:`~repro.storage.indexes.AccessIndex`
-witness-count semantics in code space: an ``X∪Y`` projection survives
-until its last witness row is deleted.  Both keep the same encoded
-group map and are read by the same
-:func:`~repro.storage.indexes.gather_codes`, so a worker answer is
-bit-identical to the in-process index's.
+Each attached constraint's shard is a
+:class:`~repro.storage.indexes.CodeIndex`, the witness-counted
+code-group index every in-process ``AccessIndex`` keeps, read by the
+same :func:`~repro.storage.indexes.gather_codes` — so a worker answer
+is bit-identical to the in-process index's.
 
 ``worker_main`` is the spawn-safe process entry point: a plain
 module-level request loop over a :class:`multiprocessing.Connection`.
@@ -25,76 +24,8 @@ exits when the pipe closes (coordinator death) or on ``("stop",)``.
 from __future__ import annotations
 
 import time
-from typing import Sequence
 
-from ..indexes import _EncodedGroup, gather_codes
-
-Codes = tuple  # one stored row as a tuple of X∪Y dictionary codes
-
-
-class CodeIndex:
-    """One constraint's shard-local index, keyed and stored as codes.
-
-    Keys follow the encoded-boundary convention: a bare int code when
-    ``|X| == 1``, a code tuple otherwise.
-    """
-
-    __slots__ = ("x_len", "width", "scalar_key", "_counts", "encoded")
-
-    def __init__(self, x_len: int, width: int):
-        self.x_len = x_len
-        self.width = width
-        self.scalar_key = x_len == 1
-        # key -> {y-code tuple -> witness count}; the count makes
-        # deletion exact when X∪Y projects several stored rows onto
-        # one code tuple (same contract as AccessIndex._groups).
-        self._counts: dict = {}
-        self.encoded: dict[object, _EncodedGroup] = {}
-
-    def key_of(self, row_codes: Sequence[int]):
-        return (row_codes[0] if self.scalar_key
-                else tuple(row_codes[:self.x_len]))
-
-    def add(self, row_codes: Codes) -> None:
-        key = self.key_of(row_codes)
-        y_key = tuple(row_codes[self.x_len:])
-        group = self._counts.setdefault(key, {})
-        count = group.get(y_key, 0)
-        group[y_key] = count + 1
-        if count:
-            return
-        entry = self.encoded.get(key)
-        if entry is None:
-            entry = self.encoded[key] = _EncodedGroup(self.width)
-        entry.append(row_codes, y_key)
-
-    def remove(self, row_codes: Codes) -> None:
-        key = self.key_of(row_codes)
-        y_key = tuple(row_codes[self.x_len:])
-        group = self._counts.get(key)
-        if group is None:
-            return
-        count = group.get(y_key)
-        if count is None:
-            return
-        if count > 1:
-            group[y_key] = count - 1
-            return
-        del group[y_key]
-        if not group:
-            del self._counts[key]
-        entry = self.encoded.get(key)
-        if entry is not None:
-            entry.discard(y_key, self.x_len)
-            if not entry.pos:
-                del self.encoded[key]
-
-    def remove_all(self) -> None:
-        self._counts.clear()
-        self.encoded.clear()
-
-    def group_count(self) -> int:
-        return len(self._counts)
+from ..indexes import CodeIndex, gather_codes
 
 
 class WorkerState:

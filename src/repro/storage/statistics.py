@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .database import Database
+from .database import Database, distinct_y_groups
 
 
 @dataclass(frozen=True)
@@ -47,16 +47,9 @@ def max_group_cardinality(db: Database, relation_name: str,
     With ``X`` empty this is simply the number of distinct Y-projections.
     """
     relation = db.schema.relation(relation_name)
-    x_positions = relation.positions(x)
-    y_positions = relation.positions(y)
-    groups: dict[tuple, set] = {}
-    for row in db.relation_tuples(relation_name):
-        x_value = tuple(row[i] for i in x_positions)
-        y_value = tuple(row[i] for i in y_positions)
-        groups.setdefault(x_value, set()).add(y_value)
-    if not groups:
-        return 0
-    return max(len(values) for values in groups.values())
+    groups = distinct_y_groups(db.relation_tuples(relation_name),
+                               relation.positions(x), relation.positions(y))
+    return max(map(len, groups.values()), default=0)
 
 
 def distinct_count(db: Database, relation_name: str,

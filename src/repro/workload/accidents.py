@@ -120,27 +120,33 @@ def simple_accidents(scale: AccidentScale | None = None,
                   backend=backend_factory(schema) if backend_factory
                   else None)
 
+    # Rows are collected in generation order and loaded with one write
+    # per relation.
+    rows: dict[str, list[tuple]] = {
+        name: [] for name in schema.relation_names()}
     aid = cid = vid = 0
     for date in _dates(scale.days):
         accidents_today = rng.randint(1, scale.max_accidents_per_day)
         for _ in range(accidents_today):
             aid += 1
             district = rng.choice(DISTRICTS)
-            db.insert("Accident", (f"a{aid}", district, date))
+            rows["Accident"].append((f"a{aid}", district, date))
             n_casualties = min(scale.max_casualties, max(1, round(
                 rng.expovariate(1.0 / scale.mean_casualties))))
             for _ in range(n_casualties):
                 cid += 1
                 vid += 1
-                db.insert("Vehicle", (
+                rows["Vehicle"].append((
                     f"v{vid}",
                     f"driver{rng.randrange(10 ** 6)}",
                     rng.randint(17, 90),
                 ))
-                db.insert("Casualty", (
+                rows["Casualty"].append((
                     f"c{cid}", f"a{aid}",
                     rng.choice(CASUALTY_CLASSES), f"v{vid}",
                 ))
+    for name, relation_rows in rows.items():
+        db.insert_many(name, relation_rows)
     return db
 
 
@@ -193,11 +199,13 @@ def extended_accidents(scale: AccidentScale | None = None,
     db = Database(schema, backend=backend_factory(schema)
                   if backend_factory else None)
 
+    rows: dict[str, list[tuple]] = {
+        name: [] for name in schema.relation_names()}
     aid = cid = vid = 0
     for date in _dates(scale.days):
         for _ in range(rng.randint(1, scale.max_accidents_per_day)):
             aid += 1
-            db.insert("Accident", (
+            rows["Accident"].append((
                 f"a{aid}", rng.choice(DISTRICTS), date,
                 rng.choices(SEVERITIES, weights=[1, 5, 20])[0],
                 rng.choices(WEATHER, weights=[10, 5, 1, 1, 2])[0],
@@ -208,13 +216,15 @@ def extended_accidents(scale: AccidentScale | None = None,
             for _ in range(n_casualties):
                 cid += 1
                 vid += 1
-                db.insert("Vehicle", (
+                rows["Vehicle"].append((
                     f"v{vid}", rng.choice(MAKES),
                     f"driver{rng.randrange(10 ** 6)}",
                     rng.randint(17, 90),
                 ))
-                db.insert("Casualty", (
+                rows["Casualty"].append((
                     f"c{cid}", f"a{aid}", rng.choice(CASUALTY_CLASSES),
                     rng.choice(AGE_BANDS), f"v{vid}",
                 ))
+    for name, relation_rows in rows.items():
+        db.insert_many(name, relation_rows)
     return db

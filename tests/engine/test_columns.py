@@ -3,11 +3,12 @@ integer columns, and encoded batches."""
 
 from __future__ import annotations
 
+import sys
 import threading
 from array import array
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.engine.columns import Batch, column_index, deduped_batch
 from repro.errors import ExecutionError
@@ -28,6 +29,14 @@ adversarial_values = st.one_of(
     st.integers(-5, 5),
     st.integers(0, 10 ** 9),
 )
+
+
+#: Two distinct NaN objects: unequal to everything, themselves included,
+#: so a dict keys them apart (two codes) and each by identity.
+NAN_A, NAN_B = float("nan"), float("nan")
+
+#: Values whose dict equality differs from their identity.
+QUIRKS = [1, True, 1.0, 0, False, NAN_A, NAN_B, "1"]
 
 
 class TestValueDictionary:
@@ -75,6 +84,71 @@ class TestValueDictionary:
         # Code equality must mean value equality, database-wide.
         for value, code in zip(values, codes):
             assert dictionary.encode(value) == code
+
+    # A batch is one relation's rows: one arity, so a column-major
+    # interning order would show.
+    @given(batches=st.lists(st.integers(1, 4).flatmap(
+        lambda arity: st.lists(st.lists(
+            st.one_of(st.sampled_from(QUIRKS), adversarial_values),
+            min_size=arity, max_size=arity), max_size=8)), max_size=4))
+    @example(batches=[[[1, True, 1.0], [NAN_A, NAN_B, NAN_A]]])
+    @settings(max_examples=60, deadline=None)
+    def test_encode_rows_matches_row_at_a_time_encode_row(self, batches):
+        batched, sequential = ValueDictionary(), ValueDictionary()
+        for batch in batches:
+            rows = [tuple(row) for row in batch]
+            assert batched.encode_rows(rows) == [
+                sequential.encode_row(row) for row in rows]
+            # The same first-seen objects, in the same code order.
+            assert len(batched._values) == len(sequential._values)
+            assert all(a is b for a, b in
+                       zip(batched._values, sequential._values))
+
+    def test_encode_rows_keys_values_as_a_dict_does(self):
+        dictionary = ValueDictionary()
+        assert dictionary.encode_rows(
+            [(1, True, 1.0), (NAN_A, NAN_B, NAN_A)]) == [(0, 0, 0),
+                                                          (1, 2, 1)]
+        assert type(dictionary.decode(0)) is int  # the first seen
+        assert dictionary.encode_rows([(True,), (NAN_B,)]) == [(0,), (2,)]
+
+    def test_concurrent_batch_and_single_interning_agree(self):
+        """Threads interning overlapping batches and single values under
+        a short switch interval: every thread sees the same code for a
+        value, codes stay dense, and each decodes to its value."""
+        dictionary = ValueDictionary()
+        rows = [(f"v{i % 97}", i % 13, f"w{i % 31}") for i in range(600)]
+        results: dict[int, list] = {}
+
+        def intern(start: int):
+            rotated = rows[start:] + rows[:start]
+            if start % 2:
+                results[start] = list(map(dictionary.encode_row, rotated))
+            else:
+                results[start] = [
+                    coded for i in range(0, len(rows), 50)
+                    for coded in dictionary.encode_rows(rotated[i:i + 50])]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=intern, args=(7 * n,))
+                       for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8
+        by_row: dict = {}
+        for start, result in results.items():
+            for row, coded in zip(rows[start:] + rows[:start], result):
+                assert by_row.setdefault(row, coded) == coded
+        assert len(dictionary) == 97 + 13 + 31
+        assert all(tuple(map(dictionary.decode, coded)) == row
+                   for row, coded in by_row.items())
 
     def test_concurrent_interning_agrees(self):
         dictionary = ValueDictionary()

@@ -201,13 +201,13 @@ class TestWriteGenerations:
         db = Database(schema, aschema)
         index = db._indexes_for("R")[0]
         observed = []
-        original_add = index.add
+        original_add_coded = index.add_coded
 
-        def recording_add(row, coded_row=None):
+        def recording_add_coded(coded_rows):
             observed.append(db.generation("R"))
-            original_add(row, coded_row)
+            return original_add_coded(coded_rows)
 
-        index.add = recording_add
+        index.add_coded = recording_add_coded
         before = db.generation("R")
         db.insert("R", (1, "a"))
         assert observed == [before]

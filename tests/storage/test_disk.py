@@ -472,3 +472,25 @@ class TestWorkloadFactory:
             assert set(reopened.relation_tuples(name)) == \
                 set(oracle.relation_tuples(name))
         reopened.backend.close()
+
+    def test_a_generated_instance_loads_in_one_wal_record_per_relation(
+            self, tmp_path):
+        """The generator bulk-loads: one write, so one WAL record, per
+        relation, and the reopened directory holds the same rows in the
+        same per-relation order."""
+        scale = AccidentScale(days=4, max_accidents_per_day=6)
+        disk_db = simple_accidents(
+            scale, backend_factory=disk_backend_factory(tmp_path))
+        counters = disk_db.backend.counters()
+        assert counters["wal_records_total"] == 3
+        assert [record[:3] for record in scan_frames(
+            tmp_path / "wal.log")[0]] == [
+            ["i", name, 1] for name in disk_db.schema.relation_names()]
+        loaded = {name: disk_db.relation_tuples(name)
+                  for name in disk_db.schema.relation_names()}
+        disk_db.backend.close()
+
+        reopened = DiskBackend(disk_db.schema, tmp_path)
+        assert reopened.counters()["replay_records_total"] == 3
+        assert {name: reopened.scan(name) for name in loaded} == loaded
+        reopened.close()

@@ -14,8 +14,10 @@ from __future__ import annotations
 import tempfile
 import threading
 from array import array
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import AccessConstraint, AccessSchema, Schema
 from repro.errors import StorageError
@@ -69,10 +71,23 @@ def oracle(schema, aschema, rows=ROWS):
     return backend
 
 
+def witnesses(index: CodeIndex) -> Counter:
+    """Each stored ``X∪Y`` code row of a :class:`CodeIndex`, counted by
+    its witness rows."""
+    counts: Counter = Counter()
+    for group in index.encoded.values():
+        extra = group.extra or {}
+        for y_key, position in group.pos.items():
+            row = tuple(column[position] for column in group.cols)
+            counts[row] = 1 + extra.get(y_key, 0)
+        assert all(len(column) == len(group.pos) for column in group.cols)
+    return counts
+
+
 class TestCodeIndex:
-    """CodeIndex must mirror AccessIndex witness-count semantics — both
-    are read by the same ``gather_codes``, so a worker's answer is only
-    correct because their groups stay in lockstep."""
+    """One witness-counted code-group index serves the in-process
+    engines (inside AccessIndex), the shard workers and the replicas,
+    all read by the same ``gather_codes``."""
 
     def _pair(self, schema):
         constraint = AccessConstraint("R", ("A",), ("B", "C"), 64)
@@ -88,28 +103,80 @@ class TestCodeIndex:
             access.add(row, coded)
             code.add(tuple(coded))
 
-    def test_witness_count_parity_with_access_index(self, schema):
-        """Rows sharing an X∪Y projection, then deletions: the two
-        indexes keep the same witness counts and the same groups."""
-        constraint = AccessConstraint("R", ("A",), ("B",), 64)
-        dictionary = ValueDictionary()
-        access = AccessIndex(constraint, constraint.validate_against(schema),
-                             dictionary)
-        code = CodeIndex(x_len=1, width=2)
-        rows = [(i % 3, i % 2, i) for i in range(24)]
-        for row in rows:
-            access.add(row)
-            code.add(dictionary.encode_row(row)[:2])
-        for row in rows[::3]:
-            access.remove(row)
-            code.remove(dictionary.encode_row(row)[:2])
-        encode = dictionary.encode
-        assert code._counts == {
-            encode(x): {(encode(y),): count for (y,), count in group.items()}
-            for (x,), group in access._groups.items()}
-        keys = [encode(k) for k in range(4)]
-        assert gather_codes(code.encoded, 2, keys) == \
-            gather_codes(access.encoded, 2, keys)
+    @given(ops=st.lists(st.tuples(st.booleans(),
+                                  st.tuples(st.integers(0, 2),
+                                            st.integers(0, 1),
+                                            st.integers(0, 3))),
+                        max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_every_user_of_the_index_matches_a_row_set_model(self, ops):
+        """Random inserts and deletes on a small domain, applied to a
+        disk writer (its indexes are the memory engine's), a shard
+        worker fed the coordinator's shipments and a replica fed the
+        writer's WAL.  After every write each one's code groups hold
+        exactly the distinct projections of the model's rows, each with
+        as many witnesses as model rows produce it, and all three
+        answer a read of every key alike.  ``R(A -> B)`` and
+        ``R(B -> A)`` drop ``C``, so witness counts exceed 1."""
+        schema = Schema.from_dict({"R": ("A", "B", "C")})
+        relation = schema.relation("R")
+        access = AccessSchema(schema, [
+            AccessConstraint("R", ("A",), ("B",), 64),
+            AccessConstraint("R", ("B",), ("A",), 64),
+            AccessConstraint("R", ("C",), ("B", "A"), 64),
+        ])
+        layouts = [constraint.x_positions(relation)
+                   + constraint.y_positions(relation)
+                   for constraint in access]
+        with tempfile.TemporaryDirectory() as data_dir:
+            writer = DiskBackend(schema, data_dir)
+            writer.attach_access_schema(access)
+            dictionary = writer.dictionary
+            worker = WorkerState()
+            worker.handle(("attach", [
+                (cid, len(constraint.x), len(layout))
+                for cid, (constraint, layout)
+                in enumerate(zip(access, layouts))], {}, []))
+            replica = ReplicaState()
+            replica.bootstrap({
+                "segments": {}, "generations": {"R": 0}, "wal": b"",
+                "values": [], "snapshot_id": 0,
+                "specs": [(cid, "R", list(constraint.x_positions(relation)),
+                           list(constraint.y_positions(relation)))
+                          for cid, constraint in enumerate(access)]})
+            model: set = set()
+            shipped_values = wal_offset = 0
+            for inserting, row in ops:
+                effective = (row in model) != inserting
+                write = writer.insert_rows if inserting \
+                    else writer.delete_rows
+                assert write("R", [row]) == effective
+                if not effective:
+                    continue
+                (model.add if inserting else model.remove)(row)
+                delta = dictionary.values_from(shipped_values)
+                shipped_values += len(delta)
+                coded = dictionary.encode_row(row)
+                worker.handle(("write", [
+                    (cid, not inserting, [tuple(coded[p] for p in layout)])
+                    for cid, layout in enumerate(layouts)], delta))
+                wal = writer._wal_path.read_bytes()[wal_offset:]
+                wal_offset += replica.apply_wal(wal, delta)["consumed"]
+                for cid, (constraint, layout) in enumerate(
+                        zip(access, layouts)):
+                    expected = Counter(
+                        tuple(dictionary.encode(row[p]) for p in layout)
+                        for row in model)
+                    users = (writer._indexes[id(constraint)].codes,
+                             worker.indexes[cid],
+                             replica.indexes[cid][2])
+                    for index in users:
+                        assert witnesses(index) == expected, constraint
+                    keys = list(users[0].encoded)
+                    answers = [gather_codes(index.encoded, index.width, keys)
+                               for index in users]
+                    assert answers[1:] == answers[:1] * 2
+            writer.close()
 
     def test_witness_counts_survive_projection_collapse(self, schema):
         access, code, dictionary = self._pair(schema)
@@ -123,7 +190,7 @@ class TestCodeIndex:
             gather_codes(access.encoded, 3, [key], (2,), True)
         # Removing one witness must not drop the projected group.
         coded = dictionary.encode_row((1, "a", 10))
-        access.remove((1, "a", 10))
+        access.remove_coded([coded])
         code.remove(tuple(coded))
         got = gather_codes(code.encoded, 3, [key])
         assert got == gather_codes(access.encoded, 3, [key])
@@ -290,6 +357,27 @@ class TestReplicaState:
         assert replica.generations == writer._generations
         writer.close()
 
+    def test_bootstrap_replays_rows_whose_values_were_never_interned(
+            self, schema, aschema, tmp_path):
+        """S rows written and cleared while S had no index were never
+        interned by the writer; a later schema indexing S must still
+        bootstrap, from the rows that survive."""
+        r_only = AccessSchema(schema, [aschema.constraints[0]])
+        writer = disk_fixture(schema, r_only, tmp_path, rows=ROWS[:3])
+        writer.insert_rows("S", [("never-interned",)])
+        writer.clear()
+        writer.insert_rows("R", ROWS[3:5])
+        writer.attach_access_schema(aschema)
+        assert "never-interned" not in writer.dictionary
+        replica = ReplicaState()
+        replica.bootstrap(
+            bootstrap_payload(writer, aschema, after_snapshot=False))
+        assert sorted(replica.stores["R"]) == sorted(ROWS[3:5])
+        assert not replica.stores["S"]
+        assert witnesses(replica.indexes[0][2]) == witnesses(
+            writer._indexes[id(aschema.constraints[0])].codes)
+        writer.close()
+
 
 class TestProcessShardedBackend:
     """End-to-end coordinator behaviour that conformance cannot reach:
@@ -429,6 +517,28 @@ class TestReplicatedBackend:
         assert counters["replica_catchups_total"] > 0
         assert counters["replica_wal_bytes_shipped_total"] > 0
         assert backend.gauges()["replicas_alive"] == 1
+        backend.close()
+
+    def test_reattach_never_serves_rows_a_clear_removed(self, schema,
+                                                        aschema):
+        """The shrunk sequence of an intermittent conformance failure:
+        R rows, S rows written while S had no index, a clear, then two
+        attaches, the second indexing S.  The replica's bootstrap used
+        to fail on the never-interned S values, and the replica served
+        the half-replayed R rows the clear had removed."""
+        tmp = tempfile.TemporaryDirectory(prefix="repro-procshard-")
+        r_only = AccessSchema(schema, [aschema.constraints[0]])
+        backend = self._replicated(schema, r_only, tmp)
+        backend.insert_rows("R", ROWS[:3])
+        backend.insert_rows("S", [("never-interned",)])
+        backend.clear()
+        backend.attach_access_schema(r_only)
+        backend.attach_access_schema(aschema)
+        constraint = aschema.constraints[0]
+        keys = sorted({(row[0],) for row in ROWS[:3]})
+        for _ in range(2 * (backend.replicas + 1)):
+            assert backend.fetch_flat(constraint, keys) == []
+        assert backend.counters()["replica_reads_total"] > 0
         backend.close()
 
     def test_writer_compaction_forces_replica_rebootstrap(
