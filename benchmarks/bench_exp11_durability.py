@@ -33,7 +33,6 @@ from repro.engine.executor import AccessStats, Executor
 from repro.obs import MetricsRegistry, attach_storage_collector
 from repro.query import parse_query
 from repro.storage.disk import DiskBackend, disk_backend_factory
-from repro.storage.statistics import TableStatistics
 from repro.workload.accidents import AccidentScale, simple_accidents
 
 from _harness import ExperimentLog, timed
@@ -82,13 +81,12 @@ def accident_queries(db):
 
 
 def compile_plans(db, queries):
-    statistics = TableStatistics.from_database(db)
     plans = []
     for label, text in queries:
         decision = is_boundedly_evaluable(parse_query(text),
                                           db.access_schema)
         assert decision.is_yes, f"{label} must be bounded: {decision.reason}"
-        plans.append((label, optimize(decision.witness["plan"], statistics)))
+        plans.append((label, optimize(decision.witness["plan"])))
     return plans
 
 

@@ -43,7 +43,6 @@ from repro.schema.access import AccessConstraint, AccessSchema
 from repro.schema.relation import Schema
 from repro.storage.database import Database
 from repro.storage.procshard import ProcessShardedBackend
-from repro.storage.statistics import TableStatistics
 
 from _harness import ExperimentLog, timed, timed_median
 
@@ -144,13 +143,12 @@ def decoded_multisets(db, encoded_out):
 
 
 def compile_plans(db, queries):
-    statistics = TableStatistics.from_database(db)
     plans = []
     for label, text in queries:
         decision = is_boundedly_evaluable(parse_query(text),
                                           db.access_schema)
         assert decision.is_yes, f"{label} must be bounded: {decision.reason}"
-        plans.append((label, optimize(decision.witness["plan"], statistics)))
+        plans.append((label, optimize(decision.witness["plan"])))
     return plans
 
 

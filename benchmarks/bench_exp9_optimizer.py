@@ -41,7 +41,6 @@ from repro.engine.executor import AccessStats
 from repro.engine.optimizer.specialize import specialized_plan
 from repro.query import parse_query
 from repro.storage.encoding import ValueDictionary, int_column
-from repro.storage.statistics import TableStatistics
 from repro.workload.accidents import AccidentScale, simple_accidents
 from repro.workload.social import (CITIES, INTERESTS, SocialScale,
                                    relational_social)
@@ -110,7 +109,6 @@ def social_queries(db: Database):
 
 
 def run_workload(name, db, queries, log, failures):
-    statistics = TableStatistics.from_database(db)
     rows = []
     deltas = defaultdict(lambda: [0, 0])  # rule -> [fired, steps removed]
     total_logical = total_physical = 0.0
@@ -119,7 +117,7 @@ def run_workload(name, db, queries, log, failures):
         decision = is_boundedly_evaluable(query, db.access_schema)
         assert decision.is_yes, f"{label} must be bounded: {decision.reason}"
         plan = decision.witness["plan"]
-        physical = optimize(plan, statistics)
+        physical = optimize(plan)
         for firing in physical.trace.firings:
             deltas[firing.rule][0] += firing.fired
             deltas[firing.rule][1] += (firing.steps_before
@@ -161,14 +159,12 @@ def run_workload(name, db, queries, log, failures):
 
 
 def compiled_plans(db, queries):
-    statistics = TableStatistics.from_database(db)
     plans = []
     for label, text in queries:
         decision = is_boundedly_evaluable(parse_query(text),
                                           db.access_schema)
         assert decision.is_yes, f"{label} must be bounded"
-        plans.append((label, optimize(decision.witness["plan"],
-                                      statistics)))
+        plans.append((label, optimize(decision.witness["plan"])))
     return plans
 
 

@@ -9,7 +9,7 @@ BoundedQueryService` is built for.  This demo:
 2. registers two templates (drivers involved on a district+day; the
    district of a given accident);
 3. fires a skewed stream of requests — a few hot bindings dominate, a
-   long tail of cold ones — through a concurrent batch;
+   long tail of cold ones — through a batch;
 4. inserts fresh accidents mid-stream and shows the fetch cache
    invalidating (no stale answers), then prints the service counters.
 
@@ -55,7 +55,7 @@ def main() -> None:
             requests.append(BatchRequest(
                 template="district", params={"aid": row[0]}))
 
-    report = service.execute_batch(requests, max_workers=8)
+    report = service.execute_batch(requests)
     print()
     print("-- steady-state traffic " + "-" * 40)
     print(report.summary())

@@ -7,7 +7,7 @@ Usage (after ``pip install -e .`` the ``repro`` entry point is on PATH;
     repro explain  --db DIR "Q(x) :- R(x, y), y = 1"
     repro run      --db DIR [--backend procshard --shard-workers W] "Q(x) :- ..."
     repro discover --db DIR [--max-bound N]
-    repro batch    --db DIR [--workers K] [--backend disk --data-dir D] requests.json
+    repro batch    --db DIR [--backend disk --data-dir D] requests.json
     repro bench-service --db DIR [--requests N] [--write-fraction F] "Q(x) :- ..."
     repro stats    --db DIR [--backend disk --data-dir D]
     repro serve    --db DIR [--port P] [--workers K] [--budget B]
@@ -322,7 +322,7 @@ def cmd_batch(args) -> int:
         print("no requests in file", file=sys.stderr)
         return 1
     with _maybe_trace(args):
-        report = service.execute_batch(requests, max_workers=args.workers)
+        report = service.execute_batch(requests)
     for outcome in report.outcomes:
         name = outcome.request.describe()
         if not outcome.ok:
@@ -505,8 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--db", required=True)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
-    serve.add_argument("--workers", type=int, default=4,
-                       help="executor threads running queries")
+    serve.add_argument("--workers", type=int, default=1,
+                       help="executor threads running queries (more "
+                            "than one pays only for blocking backends)")
     serve.add_argument("--queue-depth", dest="queue_depth", type=int,
                        default=16,
                        help="admitted requests allowed to wait beyond "
@@ -531,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch = sub.add_parser(
         "batch", help="serve a JSON file of requests through the service")
     batch.add_argument("--db", required=True)
-    batch.add_argument("--workers", type=int, default=4)
     batch.add_argument("--plan-cache", type=int, default=256)
     batch.add_argument("--fetch-cache", type=int, default=4096)
     batch.add_argument("--verbose", action="store_true")

@@ -38,7 +38,6 @@ from ..deadline import current_deadline
 from ..errors import ExecutionError
 from ..obs.trace import span
 from ..storage.database import Database
-from ..storage.statistics import TableStatistics
 from .columns import Batch, column_index
 from .optimizer.physical import BoundPlan, PhysicalPlan
 from .optimizer.pipeline import ensure_physical
@@ -146,8 +145,7 @@ class Executor:
         if isinstance(plan, Plan):
             if not plan.steps:
                 raise ExecutionError("cannot execute an empty plan")
-            plan = ensure_physical(
-                plan, lambda: TableStatistics.from_database(self.db))
+            plan = ensure_physical(plan)
         if isinstance(plan, (PhysicalPlan, BoundPlan)):
             return BoundPlan.of(plan)
         raise ExecutionError(

@@ -20,9 +20,11 @@ independent rewrite rules, each recorded in an
   semi-join against that column's set;
 * ``common-subplan`` — hash-consing over the DAG, eliminating
   duplicate fetches and shared sub-plans across UCQ disjuncts;
-* ``dead-step`` — drops steps no longer reachable from the result;
-* ``join-ordering`` — picks each hash join's build side from
-  statistics-derived row estimates.
+* ``dead-step`` — drops steps no longer reachable from the result.
+
+No rule reads instance statistics: a covered query's row bounds come
+from its access constraints alone (the cost certificate), so a plan's
+steps depend on the query and the access schema only.
 
 Optimization happens *once* per (query, access schema); the physical
 plan is what services cache and executors run.

@@ -16,9 +16,9 @@ from ..plan import Plan
 from .graph import finalize, lower_plan
 from .physical import PhysicalPlan
 from .rules import (CommonSubplanElimination, DeadStepElimination,
-                    JoinInputOrdering, KeyProjectionFolding,
-                    ProductSelectToHashJoin, ProjectionPushdown, Rule,
-                    SelectIntoFetchPushdown, TrivialProductElimination)
+                    KeyProjectionFolding, ProductSelectToHashJoin,
+                    ProjectionPushdown, SelectIntoFetchPushdown,
+                    TrivialProductElimination)
 
 #: The default pass order.  Trivial products go first (they put filters
 #: directly over fetches), then join discovery (it exposes fetch-side
@@ -27,7 +27,7 @@ from .rules import (CommonSubplanElimination, DeadStepElimination,
 #: fusing a residual filter into each copy; fusion then applies only to
 #: fetches that stayed single-consumer.  Pruning, then key-projection
 #: folding (which reads through the projections pruning leaves on fetch
-#: and join inputs), cleanup and build-side ordering close the pipeline.
+#: and join inputs) and cleanup close the pipeline.
 DEFAULT_RULES: tuple[type, ...] = (
     TrivialProductElimination,
     ProductSelectToHashJoin,
@@ -36,7 +36,6 @@ DEFAULT_RULES: tuple[type, ...] = (
     ProjectionPushdown,
     KeyProjectionFolding,
     DeadStepElimination,
-    JoinInputOrdering,
 )
 
 
@@ -81,37 +80,24 @@ class OptimizationTrace:
         return self.explain()
 
 
-def _instantiate(rules, statistics) -> list[Rule]:
-    instances: list[Rule] = []
-    for rule in rules:
-        if rule is JoinInputOrdering:
-            instances.append(JoinInputOrdering(statistics))
-        elif isinstance(rule, Rule):
-            instances.append(rule)
-        else:
-            instances.append(rule())
-    return instances
-
-
 def optimize(plan: Plan, statistics=None,
              rules=DEFAULT_RULES) -> PhysicalPlan:
     """Lower ``plan``, run the rule pipeline, emit a physical plan.
 
     ``statistics`` is an optional
-    :class:`~repro.storage.statistics.TableStatistics` — or a zero-arg
-    callable producing one, resolved only now that optimization is
-    actually happening (cache-hit paths never pay for a snapshot).  It
-    sharpens the row estimates behind join ordering and the per-step
-    bounds shown by ``repro explain``.  ``rules`` may be overridden
-    (e.g. with ``()``) to get a direct, unoptimized lowering for A/B
-    comparison.
+    :class:`~repro.storage.statistics.TableStatistics`, or a zero-arg
+    callable producing one.  It only caps the per-step ``[rows <= N]``
+    estimates that ``repro explain`` prints; the steps themselves
+    depend on the plan and the access constraints alone.  ``rules`` may
+    be overridden (e.g. with ``()``) to get a direct, unoptimized
+    lowering for A/B comparison.
     """
     with span("optimize"):
         if callable(statistics):
             statistics = statistics()
         graph = lower_plan(plan)
         trace = OptimizationTrace(logical_steps=len(plan))
-        for rule in _instantiate(rules, statistics):
+        for rule in (rule_type() for rule_type in rules):
             before = len(graph.topo())
             fired = rule.apply(graph)
             trace.firings.append(RuleFiring(rule.name, fired, before,
@@ -122,7 +108,7 @@ def optimize(plan: Plan, statistics=None,
         return physical
 
 
-def ensure_physical(plan, statistics=None) -> PhysicalPlan:
+def ensure_physical(plan) -> PhysicalPlan:
     """``plan`` as a physical plan, optimizing (and memoizing on the
     logical plan object) when needed.
 
@@ -134,6 +120,6 @@ def ensure_physical(plan, statistics=None) -> PhysicalPlan:
     cached = getattr(plan, "_physical_cache", None)
     if cached is not None and cached[0] == len(plan.steps):
         return cached[1]
-    physical = optimize(plan, statistics)
+    physical = optimize(plan)
     plan._physical_cache = (len(plan.steps), physical)
     return physical

@@ -591,37 +591,3 @@ class DeadStepElimination(Rule):
                           if id(node) in live]
         return len(dead)
 
-
-class JoinInputOrdering(Rule):
-    """Pick each hash join's build side from row estimates.
-
-    The build side should be the smaller input: a smaller hash table,
-    and probing streams the bigger batch through.  Estimates come from
-    the same Q-and-A bounds the cost certificate uses, evaluated
-    against :class:`~repro.storage.statistics.TableStatistics` when
-    provided (relation sizes cap fetch estimates).  Fires only when
-    both sides are estimable and disagree with the current choice.
-    """
-
-    name = "join-ordering"
-
-    def __init__(self, statistics=None):
-        self.statistics = statistics
-
-    def apply(self, graph: Graph) -> int:
-        from .graph import estimate_rows
-
-        bounds = estimate_rows(graph, self.statistics)
-        fired = 0
-        for node in graph.topo():
-            if node.kind != "hashjoin":
-                continue
-            left_rows = bounds[id(node.inputs[0])]
-            right_rows = bounds[id(node.inputs[1])]
-            if left_rows is None or right_rows is None:
-                continue
-            build = "left" if left_rows < right_rows else "right"
-            if build != node.build:
-                node.build = build
-                fired += 1
-        return fired

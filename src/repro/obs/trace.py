@@ -10,7 +10,7 @@ nothing is recorded.  That is what keeps tracing off the warm hot path
 When a tracer *is* active (``with Tracer() as t:``), spans nest via a
 per-thread stack: the first span a thread opens becomes a **root**,
 inner spans become its children, and a finished root is appended to
-the tracer.  Concurrent batch workers therefore each contribute their
+the tracer.  Concurrent server threads therefore each contribute their
 own root trees — activation is process-wide, nesting is per-thread.
 
 The stage vocabulary used across the repo (see README,

@@ -68,8 +68,10 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 8080
-    #: Executor threads actually running queries.
-    workers: int = 4
+    #: Executor threads actually running queries.  One by default: a
+    #: query is pure-Python work under the GIL, so more threads pay
+    #: only when the backend blocks (disk reads, shard RPCs).
+    workers: int = 1
     #: Requests allowed to wait for a thread beyond the running ones;
     #: anything past workers + queue_depth is shed with 429.
     queue_depth: int = 16

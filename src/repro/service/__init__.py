@@ -1,5 +1,5 @@
 """Persistent bounded-evaluation service: plan cache, templates,
-fetch cache and concurrent batch execution.
+fetch cache and batch execution.
 
 The one-shot pipeline recomputes the paper's static analysis on every
 call; this package turns it into a long-lived service that amortizes

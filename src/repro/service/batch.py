@@ -1,11 +1,11 @@
-"""Concurrent batch execution and service-level metrics.
+"""Batch execution and service-level metrics.
 
 A batch is a list of :class:`BatchRequest`s — raw query texts or
-``(template, params)`` bindings — executed across a
-``ThreadPoolExecutor``.  Requests are independent reads: plans are
-immutable once compiled, the executor materializes its own tables, and
-both caches take their own locks, so requests parallelize without
-coordination.
+``(template, params)`` bindings — executed in order on the calling
+thread.  A warm request is pure-Python work under the GIL, so worker
+threads only add contention: a thread pool of 2 or 4 workers ran
+slower than this loop.  The caches still take their own locks, since
+``repro serve --workers N`` runs concurrent readers.
 
 Per-request :class:`~repro.engine.executor.AccessStats` are aggregated
 into a :class:`BatchReport` with the numbers a service operator watches:
@@ -16,7 +16,6 @@ and cache hit rates.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Hashable, Mapping, Sequence
 
@@ -85,7 +84,6 @@ class BatchReport:
 
     outcomes: list[RequestOutcome] = field(default_factory=list)
     wall_s: float = 0.0
-    workers: int = 1
 
     # -- derived metrics ---------------------------------------------------
 
@@ -150,7 +148,7 @@ class BatchReport:
         totals = self.access_totals()
         lines = [
             f"{self.requests} requests ({self.errors} errors, "
-            f"{self.bounded_requests} bounded) on {self.workers} workers "
+            f"{self.bounded_requests} bounded) "
             f"in {self.wall_s * 1e3:.1f}ms "
             f"({self.throughput_rps:.0f} req/s)",
             f"latency p50 {self.p50_ms:.2f}ms  p95 {self.p95_ms:.2f}ms  "
@@ -163,9 +161,8 @@ class BatchReport:
 
 
 def run_batch(service, requests: Sequence[BatchRequest],
-              max_workers: int = 4,
               fail_fast: bool = False) -> BatchReport:
-    """Execute ``requests`` concurrently against ``service``.
+    """Execute ``requests`` in order against ``service``.
 
     Outcomes keep the input order.  Library errors
     (:class:`~repro.errors.ReproError`) are captured per request;
@@ -186,11 +183,6 @@ def run_batch(service, requests: Sequence[BatchRequest],
             return RequestOutcome(request, error=str(error))
 
     start = time.perf_counter()
-    if max_workers <= 1 or len(requests) <= 1:
-        outcomes = [run_one(request) for request in requests]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(run_one, requests))
-    wall = time.perf_counter() - start
-    return BatchReport(outcomes=outcomes, wall_s=wall,
-                       workers=max(1, max_workers))
+    outcomes = [run_one(request) for request in requests]
+    return BatchReport(outcomes=outcomes,
+                       wall_s=time.perf_counter() - start)

@@ -163,10 +163,9 @@ class PlanCache:
         object; parameter placeholders are compiled as opaque constants,
         so one compilation serves every binding of a template.  The
         optimizer runs as the pipeline's last stage, so cached entries
-        carry a ready-to-execute physical plan; ``statistics``
-        (:class:`~repro.storage.statistics.TableStatistics`, or a
-        zero-arg callable producing one — taken only on a miss) steers
-        its join ordering when provided.
+        carry a ready-to-execute physical plan; ``statistics`` is
+        passed to :func:`~repro.engine.optimizer.optimize` on a miss,
+        where it only caps the plan's printed row estimates.
         """
         key = PlanCacheKey(query_fingerprint(query, access_schema.schema),
                            access_schema.fingerprint())
@@ -199,8 +198,7 @@ class PlanCache:
         return entry, False
 
     def compile_text(self, text: str, access_schema: AccessSchema,
-                     parse, statistics=None
-                     ) -> tuple[CompiledQuery, bool, dict]:
+                     parse) -> tuple[CompiledQuery, bool, dict]:
         """Like :meth:`compile` for source text, keyed on the text's
         *shape* (:func:`~repro.query.parser.lift_literals`).
 
@@ -226,13 +224,12 @@ class PlanCache:
             except ParseError:
                 parse(text)  # the same error, located in the caller's text
                 raise
-            entry, cached = self.compile(query, access_schema, statistics)
+            entry, cached = self.compile(query, access_schema)
             self._shapes.put(key, entry)
         if literals and not entry.bounded:
             # A concrete shape: the verdict for the text may differ.
             self._shapes.record_misses(1)
-            entry, cached = self.compile(parse(text), access_schema,
-                                         statistics)
+            entry, cached = self.compile(parse(text), access_schema)
             return entry, cached, {}
         if found:
             self._shapes.record_hits(1)

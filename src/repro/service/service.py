@@ -18,8 +18,8 @@ stage across requests:
 * a :class:`~repro.service.fetchcache.FetchCache` memoizes the (small,
   provably bounded) per-X-value fetch results, invalidated by the
   database's per-relation write generations;
-* :mod:`~repro.service.batch` fans requests across a thread pool and
-  aggregates service-level metrics.
+* :mod:`~repro.service.batch` runs a list of requests and aggregates
+  service-level metrics.
 
 The plan cache and the fetch cache are the service's only two caches.
 Answers are never materialized: every bounded request executes its
@@ -52,7 +52,6 @@ from ..query.ast import CQ, UCQ, PositiveQuery
 from ..query.parser import parse_query
 from ..schema.access import AccessSchema
 from ..storage.database import Database
-from ..storage.statistics import TableStatistics
 from .batch import BatchReport, BatchRequest, run_batch
 from .fetchcache import CachingExecutor, FetchCache
 from .plancache import CacheInfo, CompiledQuery, PlanCache
@@ -211,19 +210,10 @@ class BoundedQueryService:
         """Compile (or fetch from the plan cache) a query or query text."""
         if isinstance(query, str):
             entry, _, _ = self.plan_cache.compile_text(
-                query, self.access_schema, parse_query, self._statistics)
+                query, self.access_schema, parse_query)
         else:
-            entry, _ = self.plan_cache.compile(query, self.access_schema,
-                                               self._statistics)
+            entry, _ = self.plan_cache.compile(query, self.access_schema)
         return entry
-
-    def _statistics(self) -> TableStatistics:
-        """A fresh cardinality snapshot for the optimizer's join
-        ordering.  Passed as a *callable* to the plan cache, so it is
-        taken only when a compilation actually runs — warm requests
-        never pay for it.  Staleness is harmless (physical choices
-        only), so no invalidation is needed."""
-        return TableStatistics.from_database(self.db)
 
     def register_template(self, name: str, text: str,
                           replace: bool = False) -> QueryTemplate:
@@ -233,8 +223,7 @@ class BoundedQueryService:
         bindings only substitute constants into the compiled plan.
         """
         query = parse_query(text)
-        entry, _ = self.plan_cache.compile(query, self.access_schema,
-                                           self._statistics)
+        entry, _ = self.plan_cache.compile(query, self.access_schema)
         if (entry.parameters and not entry.bounded
                 and not isinstance(query, (CQ, UCQ, PositiveQuery))):
             # The scan fallback binds parameters into positive ASTs
@@ -288,16 +277,14 @@ class BoundedQueryService:
         with span("request"), deadline_scope(deadline):
             if isinstance(query, str):
                 entry, cached, values = self.plan_cache.compile_text(
-                    query, self.access_schema, parse_query,
-                    self._statistics)
+                    query, self.access_schema, parse_query)
                 if values:
                     if params:  # the text declares no parameters
                         check_bindings(frozenset(), params, "execute")
                     params = values
             else:
                 entry, cached = self.plan_cache.compile(query,
-                                                        self.access_schema,
-                                                        self._statistics)
+                                                        self.access_schema)
             return self._run(entry, cached, params or {}, start,
                              where="execute")
 
@@ -356,11 +343,9 @@ class BoundedQueryService:
         return outcome
 
     def execute_batch(self, requests: Sequence[BatchRequest],
-                      max_workers: int = 4,
                       fail_fast: bool = False) -> BatchReport:
-        """Run many requests concurrently; see :mod:`repro.service.batch`."""
-        return run_batch(self, requests, max_workers=max_workers,
-                         fail_fast=fail_fast)
+        """Run many requests in order; see :mod:`repro.service.batch`."""
+        return run_batch(self, requests, fail_fast=fail_fast)
 
     # -- admission accounting (the serving tier records, we count) ---------
 

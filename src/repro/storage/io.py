@@ -52,6 +52,9 @@ def load_relation_csv(db: Database, relation_name: str, path) -> int:
     Raises :class:`SchemaError` for an unknown relation or mismatched
     header, :class:`StorageError` for a missing file or a row whose
     shape disagrees with the schema (with the offending line number).
+    The whole file is checked before anything loads, so a bad row loads
+    nothing of the relation; the rows then go in as one
+    :meth:`Database.insert_many`.  Returns the number of data rows read.
     """
     if relation_name not in db.schema.relation_names():
         raise SchemaError(
@@ -72,7 +75,7 @@ def load_relation_csv(db: Database, relation_name: str, path) -> int:
         if header != relation.attributes:
             raise SchemaError(
                 f"{path}: CSV header {header} does not match {relation}")
-        count = 0
+        rows = []
         for raw in reader:
             if not raw:
                 continue  # blank line
@@ -81,9 +84,9 @@ def load_relation_csv(db: Database, relation_name: str, path) -> int:
                     f"{path}, line {reader.line_num}: row has "
                     f"{len(raw)} fields but {relation} expects "
                     f"{relation.arity}: {raw!r}")
-            db.insert(relation_name, tuple(_narrow(v) for v in raw))
-            count += 1
-    return count
+            rows.append(tuple(map(_narrow, raw)))
+    db.insert_many(relation_name, rows)
+    return len(rows)
 
 
 def _narrow(value: str):

@@ -20,11 +20,13 @@ from .database import Database, distinct_y_groups
 class TableStatistics:
     """A cheap snapshot of instance-level cardinalities.
 
-    The optimizer's join-ordering rule consumes this: ``db_size``
-    evaluates non-constant cardinality functions, ``relation_sizes``
-    cap fetch-output estimates (a fetch can never return more distinct
-    projections than the relation holds).  Statistics only steer
-    physical choices — a stale snapshot can cost speed, never answers.
+    Its one use is the per-step ``[rows <= N]`` estimates that
+    ``repro explain`` prints: ``db_size`` evaluates non-constant
+    cardinality functions, ``relation_sizes`` cap fetch-output
+    estimates (a fetch can never return more distinct projections than
+    the relation holds).  No physical choice reads it — a plan's steps
+    follow from the query and the access constraints alone — so no
+    request path takes a snapshot.
     """
 
     db_size: int = 0

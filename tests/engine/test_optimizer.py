@@ -138,28 +138,6 @@ def test_dead_steps_are_counted(world):
     assert firing.fired > 0
 
 
-def test_join_ordering_builds_on_the_smaller_side(world):
-    _, _, r_ab, s_bc, db = world
-    # left: bound-3 fetch; right: bound-1 fetch -> default build=right
-    # is already optimal.  Swap the sides and the rule must flip it.
-    def join_plan(first, second):
-        plan = Plan("join")
-        ka = plan.add(ConstOp("ka", 1))
-        left = plan.add(FetchOp(ka, ("ka",), first, ("la", "lb")))
-        kb = plan.add(ConstOp("kb", 10))
-        right = plan.add(FetchOp(kb, ("kb",), second, ("rb", "rc")))
-        cross = plan.add(ProductOp(left, right))
-        plan.add(SelectOp(cross, (ColEq("lb", "rb"),)))
-        return plan
-
-    flipped = optimize(join_plan(s_bc, r_ab))  # left bound 1 < right 3
-    join = next(op for op in flipped.steps if isinstance(op, HashJoinOp))
-    assert join.build == "left"
-    kept = optimize(join_plan(r_ab, s_bc))     # right bound 1 < left 3
-    join = next(op for op in kept.steps if isinstance(op, HashJoinOp))
-    assert join.build == "right"
-
-
 def test_pruning_reconciles_downstream_renames(world):
     """Regression: narrowing a join input must also narrow a live
     downstream rename-projection that listed the dropped column for an

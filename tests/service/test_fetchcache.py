@@ -10,6 +10,8 @@ from repro.engine.naive import evaluate
 from repro.query import parse_query
 from repro.service import BoundedQueryService, CachingExecutor, FetchCache
 
+from concurrent_reads import read_concurrently
+
 
 @pytest.fixture
 def db():
@@ -209,17 +211,15 @@ class TestServiceNeverServesStaleRows:
             {(20,), (21,), (22,), (23,), (24,), (25,)}
 
     def test_fresh_rows_reach_every_batch_request(self, db):
-        from repro.service import BatchRequest
         service = BoundedQueryService(db)
         service.register_template("t", "Q(y) :- R(x, y), x = $a")
         service.execute_template("t", {"a": 1})  # warm the cache
         db.insert("R", (1, 99))
-        report = service.execute_batch(
-            [BatchRequest(template="t", params={"a": 1})
-             for _ in range(16)], max_workers=4)
-        assert report.errors == 0
-        for outcome in report.outcomes:
-            assert outcome.result.answers == {(10,), (11,), (99,)}
+        results, errors = read_concurrently(service, "t",
+                                            [{"a": 1}] * 16)
+        assert not errors
+        for result in results:
+            assert result.answers == {(10,), (11,), (99,)}
 
     @pytest.mark.parametrize("backend_name",
                              ["memory", "disk", "procshard"])
@@ -252,12 +252,11 @@ class TestServiceNeverServesStaleRows:
                              ["memory", "disk", "procshard"])
     def test_concurrent_writer_and_batches_converge(self, backend_name,
                                                     tmp_path):
-        """A writer racing concurrent service batches: every batch
-        answer reflects some prefix-consistent state, and once writes
-        stop the service observes the final rows exactly."""
+        """A writer racing concurrent service readers: every answer
+        reflects some prefix-consistent state, and once writes stop the
+        service observes the final rows exactly."""
         import threading
 
-        from repro.service import BatchRequest
         from repro.storage.backend import make_backend
         schema = Schema.from_dict({"R": ("A", "B")})
         access = AccessSchema(schema,
@@ -278,10 +277,8 @@ class TestServiceNeverServesStaleRows:
         thread = threading.Thread(target=writer)
         thread.start()
         for _ in range(6):
-            report = service.execute_batch(
-                [BatchRequest(template="t", params={"a": 1})
-                 for _ in range(8)], max_workers=4)
-            assert report.errors == 0
+            _, errors = read_concurrently(service, "t", [{"a": 1}] * 8)
+            assert not errors
         thread.join(timeout=30)
         expected = {(row[1],)
                     for row in database.relation_tuples("R")

@@ -18,6 +18,8 @@ from repro.engine.naive import evaluate
 from repro.query import parse_query
 from repro.service import BatchRequest, BoundedQueryService
 
+from concurrent_reads import read_concurrently
+
 TEMPLATE = "Q(z) :- R(x, y), S(y, z), x = $a"
 
 
@@ -104,16 +106,18 @@ class TestBatch:
     def test_concurrent_equals_sequential(self, service):
         requests = [BatchRequest(template="t", params={"a": a % 3})
                     for a in range(30)]
-        sequential = service.execute_batch(requests, max_workers=1)
-        concurrent = service.execute_batch(requests, max_workers=8)
-        assert sequential.errors == concurrent.errors == 0
-        for left, right in zip(sequential.outcomes, concurrent.outcomes):
-            assert left.result.answers == right.result.answers
+        sequential = service.execute_batch(requests)
+        concurrent, errors = read_concurrently(
+            service, "t", [request.params for request in requests],
+            threads=8)
+        assert sequential.errors == len(errors) == 0
+        for left, right in zip(sequential.outcomes, concurrent):
+            assert left.result.answers == right.answers
 
     def test_report_metrics(self, service):
         requests = [BatchRequest(template="t", params={"a": 1})
                     for _ in range(10)]
-        report = service.execute_batch(requests, max_workers=4)
+        report = service.execute_batch(requests)
         assert report.requests == 10
         assert report.bounded_requests == 10
         assert report.p50_ms > 0
@@ -129,7 +133,7 @@ class TestBatch:
             BatchRequest(template="missing", params={}),
             BatchRequest(template="t", params={"bogus": 1}),
         ]
-        report = service.execute_batch(requests, max_workers=2)
+        report = service.execute_batch(requests)
         assert report.errors == 2
         assert report.outcomes[0].ok
         assert "unknown template" in report.outcomes[1].error
@@ -139,7 +143,7 @@ class TestBatch:
         with pytest.raises(ServiceError):
             service.execute_batch(
                 [BatchRequest(template="missing", params={})],
-                max_workers=1, fail_fast=True)
+                fail_fast=True)
 
     def test_request_needs_exactly_one_kind(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 from repro import AccessConstraint, AccessSchema, Database, LogCardinality, \
     PowerCardinality, Schema, SchemaError, StorageError
 from repro.cli import main as cli_main
+from repro.storage.disk import disk_backend_factory
 from repro.storage.io import (load_database, load_relation_csv,
                               save_database, save_relation_csv)
 
@@ -59,8 +60,10 @@ class TestCSVRoundTrip:
     def test_malformed_row_reports_line(self, db, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("A,B\n1,x\n1,2,3\n")
+        fresh = Database(db.schema)
         with pytest.raises(StorageError, match="line 3"):
-            load_relation_csv(Database(db.schema), "R", path)
+            load_relation_csv(fresh, "R", path)
+        assert fresh.relation_tuples("R") == []  # nothing half-loaded
 
     def test_blank_lines_are_skipped(self, db, tmp_path):
         path = tmp_path / "blank.csv"
@@ -73,6 +76,15 @@ class TestCSVRoundTrip:
         restored = load_database(tmp_path / "dump")
         assert restored.size() == db.size()
         assert restored.satisfies()
+
+    def test_disk_load_writes_one_wal_record_per_relation(self, db,
+                                                          tmp_path):
+        save_database(db, tmp_path / "dump")
+        restored = load_database(tmp_path / "dump",
+                                 disk_backend_factory(tmp_path / "data"))
+        assert restored.backend.counters()["wal_records_total"] == 2
+        assert restored.summary() == db.summary()
+        restored.backend.close()
         # Constraints survived, including the non-constant one.
         kinds = {type(c.cardinality).__name__
                  for c in restored.access_schema}
