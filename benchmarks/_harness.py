@@ -2,7 +2,7 @@
 
 Every experiment writes the rows it reproduces into
 ``benchmarks/results/<exp_id>.txt`` (and prints them when pytest runs
-with ``-s``), so EXPERIMENTS.md can be checked against fresh numbers.
+with ``-s``), so reported numbers can be checked against fresh ones.
 
 Experiments can additionally record *machine-readable* numbers with
 :meth:`ExperimentLog.metric`; ``flush`` then writes them to

@@ -1,4 +1,4 @@
-"""Ablation — the plan builder's two quality refinements (DESIGN.md S5).
+"""Ablation — the plan builder's two quality refinements.
 
 The Theorem 3.11 construction is correct with or without them; what
 they buy is the paper's Example 1.1 plan *shape*:

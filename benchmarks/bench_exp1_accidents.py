@@ -1,6 +1,6 @@
 """EXP-1 — Example 1.1: Q0 via bounded evaluation vs. full-scan joins.
 
-Paper claims reproduced (shape, not absolute numbers — see DESIGN.md):
+Paper claims reproduced (shape, not absolute numbers):
 
 * Q0 is answered by accessing at most ``610 + 610·192·2`` tuples
   through indexes, versus scanning millions ("9 seconds as opposed to
@@ -77,7 +77,7 @@ def test_naive_q0(benchmark, worlds, size):
 
 
 def test_report(benchmark, worlds, log):
-    """Prints the paper-style comparison table (EXPERIMENTS.md EXP-1)."""
+    """Prints the paper-style comparison table (EXP-1)."""
     access = canonical_access_schema()
     rows = []
     speedups = []

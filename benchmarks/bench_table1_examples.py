@@ -3,7 +3,7 @@ decided by this library, expected vs. got.
 
 The same assertions live as unit tests in
 ``tests/integration/test_paper_examples.py``; this bench prints the
-table EXPERIMENTS.md quotes and times the whole battery.
+table and times the whole battery.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ A from-scratch implementation of Fan, Geerts, Cao, Deng & Lu,
 schemas, covered queries, bounded query plans, boundedly evaluable
 envelopes and bounded query specialization, plus the relational and
 graph substrates and workload generators needed to reproduce the
-paper's experimental claims.  See README.md and DESIGN.md.
+paper's experimental claims.  See README.md and docs/ARCHITECTURE.md.
 """
 
 from .errors import (BudgetExceeded, ConstraintViolation, ExecutionError,

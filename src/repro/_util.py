@@ -127,7 +127,8 @@ def set_partitions(items: Sequence[T]) -> Iterator[list[list[T]]]:
     Uses the standard recursive "element joins an existing block or opens
     a new one" scheme; the number of partitions is the Bell number of
     ``len(items)``, so callers must keep inputs small (the paper's
-    decision problems are NP-hard and worse; see DESIGN.md Section 3).
+    decision problems are NP-hard and worse; BEP is EXPSPACE-complete
+    for CQ, Theorem 3.4).
 
     >>> sorted(len(p) for p in set_partitions([1, 2, 3]))
     [1, 2, 2, 2, 3]

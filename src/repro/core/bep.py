@@ -4,7 +4,7 @@
 evaluable query plan under ``A``.  The paper proves BEP
 EXPSPACE-complete for CQ/UCQ/∃FO+ (Theorem 3.4, Corollary 3.7) and
 undecidable for FO [17], so no implementation can be both fast and
-complete.  This one is the pipeline of DESIGN.md (S10):
+complete.  This one is a pipeline:
 
 1. **covered?** (PTIME, Theorem 3.11(2)) — YES with a constructed plan;
 2. **A-unsatisfiable?** — YES with the empty plan (Example 3.1(2));

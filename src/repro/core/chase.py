@@ -16,7 +16,7 @@ Example 3.1's subtleties:
 The chase preserves A-equivalence (every derived equality holds on all
 instances satisfying ``A``); core minimization preserves classical
 equivalence, hence also A-equivalence.  Together they form the rewriting
-step of the BEP pipeline (DESIGN.md, S10).
+step of the BEP pipeline (``core/bep.py``).
 
 A pigeonhole fast path extends unsatisfiability detection to ``N ≥ 2``:
 if more than ``N`` pairwise-distinct constant ``Y``-values share one

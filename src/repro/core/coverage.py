@@ -13,7 +13,7 @@ Theorem 3.11: covered queries are boundedly evaluable; every boundedly
 evaluable CQ is A-equivalent to a covered one; and coverage is checkable
 in PTIME — it is an *effective syntax* for bounded evaluability.
 
-Implementation notes (DESIGN.md, Section 3):
+Implementation notes:
 
 * The fixpoint is seeded with all constant variables (their values come
   from the query) and all data-independent variables (Section 3.2 sets

@@ -22,8 +22,8 @@ produces a lower envelope that replaces an atom by two fresh-variable
 copies re-implying it under an ``N = 1`` constraint; literal
 k-expansions (supersets of ``Q``'s atoms) cannot express that, so the
 search also tries dropping original atoms whose ``⊑A Q`` direction is
-re-established by the containment checker.  This is the one documented
-deviation from the paper's literal definitions (DESIGN.md, Section 2).
+re-established by the containment checker.  This is the one deviation
+from the paper's literal definitions.
 
 Approximation bounds are derived from the coverage structure: ``Nu`` is
 the static output bound of ``Qu``'s plan; ``Nl`` is a bound on

@@ -8,7 +8,7 @@ against it).
 
 * CQ/UCQ/∃FO+ are evaluated with a pipelined hash join over resolved
   tableaux — an idealized in-memory stand-in for the paper's MySQL
-  baseline (DESIGN.md, substitution table).
+  baseline.
 * FO is evaluated by active-domain recursion, exponential in the number
   of quantifiers; fine for the small instances the tests use, and the
   best one can do generically for full FO.

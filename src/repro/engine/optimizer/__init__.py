@@ -8,19 +8,24 @@ PhysicalPlan` of batch-oriented physical operators via a pipeline of
 independent rewrite rules, each recorded in an
 :class:`~repro.engine.optimizer.pipeline.OptimizationTrace`:
 
+* ``unit-product`` — ``{()} × T`` becomes ``T`` (the builder seeds
+  every CQ with the unit table);
 * ``product-to-hash-join`` — σ over × becomes a hash join with
   per-side residual filters (subsumes the executor's old
   ``fused_join_products`` pattern scan);
+* ``common-subplan`` — hash-consing over the DAG, eliminating
+  duplicate fetches and shared sub-plans across UCQ disjuncts;
 * ``select-into-fetch`` — σ directly over a fetch is fused into the
   fetch, filtering rows as they arrive from storage;
 * ``projection-pushdown`` — collapses projection chains and prunes
   columns that no downstream op reads, narrowing join inputs;
 * ``key-projection`` — fetches read their keys through a projection
   in place, and a hash join against a one-column projection becomes a
-  semi-join against that column's set;
-* ``common-subplan`` — hash-consing over the DAG, eliminating
-  duplicate fetches and shared sub-plans across UCQ disjuncts;
-* ``dead-step`` — drops steps no longer reachable from the result.
+  semi-join against that column's set.
+
+The working graph is what is reachable from the result: a node a
+rewrite strands is never visited again, and finalization emits only
+reachable steps.
 
 No rule reads instance statistics: a covered query's row bounds come
 from its access constraints alone (the cost certificate), so a plan's

@@ -11,6 +11,7 @@ what lets rules insert, fuse and share nodes without index bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable
 
 from ...errors import PlanError
@@ -48,54 +49,53 @@ class Node:
     # hashjoin: (lcol, rcol) pairs.  semijoin: one (key column of
     # inputs[0], probe column of inputs[1]) pair.
     pairs: tuple[tuple[str, str], ...] = ()
-    # hashjoin: the side the table is built on.  semijoin: the side of
-    # the output the key column is emitted on.
-    build: str = "right"
+    side: str = "right"  # semijoin: where the key column is emitted
 
 
 class Graph:
     """A rewritable DAG with a designated result node.
 
-    ``registry`` holds every node ever added (lowered or rule-created);
-    the dead-step rule compares it against what is reachable from
-    ``result``.
+    The graph is what is reachable from ``result`` and nothing else:
+    a node a rewrite strands is simply never visited again.  Rules
+    change edges through :meth:`replace` only, so the last walk stays
+    valid until the next replacement.
     """
 
-    def __init__(self, result: Node, name: str, registry: list[Node]):
+    def __init__(self, result: Node, name: str):
         self.result = result
         self.name = name
-        self.registry = registry
-
-    def add(self, node: Node) -> Node:
-        self.registry.append(node)
-        return node
+        self._order: list[Node] = []  # the last walk
+        self._added: list[Node] = []  # replacements since the last walk
 
     def topo(self) -> list[Node]:
-        """Reachable nodes, inputs before consumers (iterative DFS)."""
+        """Reachable nodes, inputs before consumers (iterative DFS).
+        The graph is walked again only if it changed since the last
+        walk; callers must not mutate the list."""
+        if self._order and not self._added:
+            return self._order
         order: list[Node] = []
-        seen: set[int] = set()
+        seen: set[Node] = set()
         stack: list[tuple[Node, bool]] = [(self.result, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 order.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
             for child in node.inputs:
-                if id(child) not in seen:
+                if child not in seen:
                     stack.append((child, False))
+        self._order, self._added = order, []
         return order
 
-    def consumers(self) -> dict[int, list[Node]]:
-        """``id(node) -> consumers`` over the reachable graph."""
-        uses: dict[int, list[Node]] = {}
-        for node in self.topo():
-            for child in node.inputs:
-                uses.setdefault(id(child), []).append(node)
-        return uses
+    def uses(self, node: Node) -> int:
+        """How many input edges point at ``node``, as of the last
+        walk."""
+        return sum(child is node for consumer in self._order
+                   for child in consumer.inputs)
 
     def replace(self, old: Node, new: Node) -> None:
         """Redirect every reference to ``old`` (including the result) to
@@ -103,11 +103,28 @@ class Graph:
         node (``new`` consuming ``old``) does not create a cycle."""
         if self.result is old:
             self.result = new
-        for node in self.registry:
-            if node is new:
-                continue
-            node.inputs = [new if child is old else child
-                           for child in node.inputs]
+        for node in chain(self._order, self._added):
+            if node is not new and old in node.inputs:
+                node.inputs = [new if child is old else child
+                               for child in node.inputs]
+        self._added.append(new)
+
+    def rewrite(self, match) -> int:
+        """Run ``match`` to a fixpoint and return how many nodes it
+        replaced.  Each round replaces the first node, inputs before
+        consumers, for which ``match(node)`` returns a replacement,
+        then starts over, so what a replacement creates is matched in
+        turn."""
+        fired = 0
+        while True:
+            for node in self.topo():
+                new = match(node)
+                if new is not None:
+                    self.replace(node, new)
+                    fired += 1
+                    break
+            else:
+                return fired
 
 
 # -- lowering -----------------------------------------------------------------
@@ -118,57 +135,49 @@ def lower_plan(plan: Plan) -> Graph:
     step.  Renames become projections (a gather is free in the batch
     executor), every other op maps one-to-one."""
     nodes: list[Node] = []
-    registry: list[Node] = []
-
-    def make(node: Node) -> Node:
-        registry.append(node)
-        return node
-
     for index, op in enumerate(plan.steps):
         columns = plan.columns_of(index)
         if isinstance(op, UnitOp):
-            node = make(Node("unit", [], ()))
+            node = Node("unit", [], ())
         elif isinstance(op, EmptyOp):
-            node = make(Node("empty", [], columns))
+            node = Node("empty", [], columns)
         elif isinstance(op, ConstOp):
-            node = make(Node("const", [], columns, value=op.value))
+            node = Node("const", [], columns, value=op.value)
         elif isinstance(op, FetchOp):
-            node = make(Node("fetch", [nodes[op.source]], op.out_columns,
-                             constraint=op.constraint,
-                             x_columns=op.x_columns))
+            node = Node("fetch", [nodes[op.source]], op.out_columns,
+                        constraint=op.constraint, x_columns=op.x_columns)
         elif isinstance(op, ProjectOp):
-            node = make(Node("project", [nodes[op.source]], columns,
-                             src_columns=op.src_columns))
+            node = Node("project", [nodes[op.source]], columns,
+                        src_columns=op.src_columns)
         elif isinstance(op, SelectOp):
-            node = make(Node("filter", [nodes[op.source]], columns,
-                             conditions=op.conditions))
+            node = Node("filter", [nodes[op.source]], columns,
+                        conditions=op.conditions)
         elif isinstance(op, RenameOp):
             source = nodes[op.source]
-            node = make(Node("project", [source], columns,
-                             src_columns=source.columns))
+            node = Node("project", [source], columns,
+                        src_columns=source.columns)
         elif isinstance(op, ProductOp):
-            node = make(Node("cross", [nodes[op.left], nodes[op.right]],
-                             columns))
+            node = Node("cross", [nodes[op.left], nodes[op.right]], columns)
         elif isinstance(op, UnionOp):
-            node = make(Node("union", [nodes[s] for s in op.sources],
-                             columns))
+            node = Node("union", [nodes[s] for s in op.sources], columns)
         elif isinstance(op, DiffOp):
-            node = make(Node("diff", [nodes[op.left], nodes[op.right]],
-                             columns))
+            node = Node("diff", [nodes[op.left], nodes[op.right]], columns)
         else:
             raise PlanError(f"cannot lower unknown op {op!r}")
         nodes.append(node)
     if not nodes:
         raise PlanError("cannot lower an empty plan")
-    return Graph(nodes[-1], plan.name, registry)
+    return Graph(nodes[-1], plan.name)
 
 
 # -- row estimation -----------------------------------------------------------
 
 
-def estimate_rows(graph: Graph, statistics=None) -> dict[int, int | None]:
-    """Static per-node row bounds, ``id(node) -> bound`` (None when a
-    non-constant constraint cannot be evaluated).
+def estimate_rows(order: list[Node],
+                  statistics=None) -> dict[int, int | None]:
+    """Static per-node row bounds over a topological ``order``,
+    ``id(node) -> bound`` (None when a non-constant constraint cannot be
+    evaluated).
 
     The same abstract interpretation as
     :func:`repro.engine.cost.static_bounds`' generic path, evaluated at
@@ -179,7 +188,7 @@ def estimate_rows(graph: Graph, statistics=None) -> dict[int, int | None]:
 
     db_size = getattr(statistics, "db_size", None)
     bounds: dict[int, int | None] = {}
-    for node in graph.topo():
+    for node in order:
         ins = [bounds[id(child)] for child in node.inputs]
         if node.kind in ("unit", "const"):
             bound = 1
@@ -234,7 +243,7 @@ def finalize(graph: Graph, *, logical=None, trace=None,
     """Resolve names to positions and emit the physical plan."""
     order = graph.topo()
     index_of = {id(node): i for i, node in enumerate(order)}
-    row_bounds = estimate_rows(graph, statistics)
+    row_bounds = estimate_rows(order, statistics)
     steps: list[PhysicalOp] = []
     estimates: list[int | None] = []
     for node in order:
@@ -275,14 +284,14 @@ def finalize(graph: Graph, *, logical=None, trace=None,
                 index_of[id(left)], index_of[id(right)],
                 tuple(column_index(left.columns, a) for a, _ in node.pairs),
                 tuple(column_index(right.columns, b) for _, b in node.pairs),
-                node.build, node.columns)
+                node.columns)
         elif node.kind == "semijoin":
             keys, probe = node.inputs
             (key, probe_key), = node.pairs
             op = SemiJoinOp(
                 index_of[id(keys)], column_index(keys.columns, key),
                 index_of[id(probe)], column_index(probe.columns, probe_key),
-                node.build, node.columns)
+                node.side, node.columns)
         elif node.kind == "union":
             op = DistinctUnionOp(tuple(index_of[id(s)] for s in node.inputs),
                                  node.columns)

@@ -4,7 +4,7 @@ Where logical ops address columns by *name*, physical ops carry
 pre-resolved *positions*, so the executor never does string lookups on
 the hot path.  Selections appear as tuples of checks
 (:class:`ConstCheck` / :class:`ColCheck`); equi-joins as
-:class:`HashJoinOp` with key positions and a chosen build side, or as
+:class:`HashJoinOp` with key positions, or as
 :class:`SemiJoinOp` when one side is a one-column key set; fetches
 optionally carry fused residual checks (:class:`FusedFetchOp`) applied
 to rows as they arrive from storage.
@@ -183,15 +183,14 @@ class FilterOp(PhysicalOp):
 
 @dataclass(frozen=True)
 class HashJoinOp(PhysicalOp):
-    """Equi-join: build a hash table on ``build`` side keys, probe the
-    other.  Output columns are left's then right's, as the logical
-    ``σ(×)`` pair it replaces would produce."""
+    """Equi-join: build a hash table on the right side's keys, probe
+    with the left's.  Output columns are left's then right's, as the
+    logical ``σ(×)`` pair it replaces would produce."""
 
     left: int
     right: int
     left_key: tuple[int, ...]
     right_key: tuple[int, ...]
-    build: str  # "left" | "right"
     out_columns: tuple[str, ...]
 
     def inputs(self) -> tuple[int, ...]:
@@ -200,8 +199,7 @@ class HashJoinOp(PhysicalOp):
     def __str__(self) -> str:
         pairs = ", ".join(f"L{a}=R{b}"
                           for a, b in zip(self.left_key, self.right_key))
-        return (f"hash-join(T{self.left}, T{self.right}; {pairs}; "
-                f"build={self.build})")
+        return f"hash-join(T{self.left}, T{self.right}; {pairs})"
 
 
 @dataclass(frozen=True)

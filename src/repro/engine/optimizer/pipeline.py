@@ -15,10 +15,9 @@ from ...obs.trace import span
 from ..plan import Plan
 from .graph import finalize, lower_plan
 from .physical import PhysicalPlan
-from .rules import (CommonSubplanElimination, DeadStepElimination,
-                    KeyProjectionFolding, ProductSelectToHashJoin,
-                    ProjectionPushdown, SelectIntoFetchPushdown,
-                    TrivialProductElimination)
+from .rules import (CommonSubplanElimination, KeyProjectionFolding,
+                    ProductSelectToHashJoin, ProjectionPushdown,
+                    SelectIntoFetchPushdown, TrivialProductElimination)
 
 #: The default pass order.  Trivial products go first (they put filters
 #: directly over fetches), then join discovery (it exposes fetch-side
@@ -27,7 +26,7 @@ from .rules import (CommonSubplanElimination, DeadStepElimination,
 #: fusing a residual filter into each copy; fusion then applies only to
 #: fetches that stayed single-consumer.  Pruning, then key-projection
 #: folding (which reads through the projections pruning leaves on fetch
-#: and join inputs) and cleanup close the pipeline.
+#: and join inputs) close the pipeline.
 DEFAULT_RULES: tuple[type, ...] = (
     TrivialProductElimination,
     ProductSelectToHashJoin,
@@ -35,7 +34,6 @@ DEFAULT_RULES: tuple[type, ...] = (
     SelectIntoFetchPushdown,
     ProjectionPushdown,
     KeyProjectionFolding,
-    DeadStepElimination,
 )
 
 
@@ -97,11 +95,13 @@ def optimize(plan: Plan, statistics=None,
             statistics = statistics()
         graph = lower_plan(plan)
         trace = OptimizationTrace(logical_steps=len(plan))
+        steps = len(graph.topo())
         for rule in (rule_type() for rule_type in rules):
-            before = len(graph.topo())
-            fired = rule.apply(graph)
-            trace.firings.append(RuleFiring(rule.name, fired, before,
-                                            len(graph.topo())))
+            # A rule that did not fire left the graph as it was.
+            before, fired = steps, rule.apply(graph)
+            if fired:
+                steps = len(graph.topo())
+            trace.firings.append(RuleFiring(rule.name, fired, before, steps))
         physical = finalize(graph, logical=plan, trace=trace,
                             statistics=statistics)
         trace.physical_steps = len(physical)

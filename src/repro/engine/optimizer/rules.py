@@ -1,21 +1,22 @@
 """Rewrite rules over the optimizer DAG.
 
 Each rule is independent: it inspects the graph, rewrites what it can,
-and reports how many times it fired.  Rules preserve *set-semantics
-results* — every rewrite is one of the classical algebraic identities
-(σ distributes over ×; σ commutes with fetch materialization; π can be
-pushed below ⨝ for columns nothing downstream reads; identical
-subexpressions denote identical tables; a set of keys is the same set
-read through a projection or in place) — so optimized and unoptimized
-plans are answer-identical on every instance (property-tested in
-``tests/engine/test_optimizer_property.py``).
+and reports how many times it fired.  Most rules are a ``match``
+function that :meth:`Graph.rewrite` runs to a fixpoint.  Rules
+preserve *set-semantics results* — every rewrite is one of the
+classical algebraic identities (σ distributes over ×; σ commutes with
+fetch materialization; π can be pushed below ⨝ for columns nothing
+downstream reads; identical subexpressions denote identical tables; a
+set of keys is the same set read through a projection or in place) —
+so optimized and unoptimized plans are answer-identical on every
+instance (property-tested in ``tests/engine/test_optimizer_property.py``).
 
 None of the rules adds data access: fetches are only merged (hash
 consing), narrowed (fused residual checks filter *after* the index
 lookup, which the access accounting already counted), re-pointed at a
-projection's source (the same distinct keys) or dropped (dead steps),
-so the builder's cost certificate remains a sound bound for the
-physical plan.
+projection's source (the same distinct keys) or dropped (stranded by
+a rewrite), so the builder's cost certificate remains a sound bound
+for the physical plan.
 """
 
 from __future__ import annotations
@@ -25,11 +26,16 @@ from .graph import Graph, Node
 
 
 class Rule:
-    """Base class; ``apply`` returns how many rewrites fired."""
+    """Base class; ``apply`` returns how many rewrites fired.  By
+    default it runs the rule's ``match(node)``, the replacement for
+    ``node`` or ``None``, through :meth:`Graph.rewrite`."""
 
     name: str = "rule"
 
     def apply(self, graph: Graph) -> int:
+        return graph.rewrite(self.match)
+
+    def match(self, node: Node) -> Node | None:
         raise NotImplementedError
 
 
@@ -44,26 +50,15 @@ class TrivialProductElimination(Rule):
 
     name = "unit-product"
 
-    def apply(self, graph: Graph) -> int:
-        fired = 0
-        changed = True
-        while changed:
-            changed = False
-            for node in graph.topo():
-                if node.kind != "cross":
-                    continue
-                left, right = node.inputs
-                if left.kind == "unit":
-                    survivor = right
-                elif right.kind == "unit":
-                    survivor = left
-                else:
-                    continue
-                graph.replace(node, survivor)
-                fired += 1
-                changed = True
-                break
-        return fired
+    @staticmethod
+    def match(node: Node) -> Node | None:
+        if node.kind == "cross":
+            left, right = node.inputs
+            if left.kind == "unit":
+                return right
+            if right.kind == "unit":
+                return left
+        return None
 
 
 class ProductSelectToHashJoin(Rule):
@@ -80,43 +75,26 @@ class ProductSelectToHashJoin(Rule):
 
     name = "product-to-hash-join"
 
-    def apply(self, graph: Graph) -> int:
-        fired = 0
-        changed = True
-        while changed:
-            changed = False
-            for node in graph.topo():
-                if node.kind != "filter" or node.inputs[0].kind != "cross":
-                    continue
-                cross = node.inputs[0]
-                left, right = cross.inputs
-                split = self._split(node.conditions, set(left.columns),
-                                    set(right.columns))
-                if split is None:
-                    continue
-                left_conds, right_conds, pairs = split
-                if not pairs and not left_conds and not right_conds:
-                    continue
-                left_in = left
-                if left_conds:
-                    left_in = graph.add(Node("filter", [left], left.columns,
-                                             conditions=tuple(left_conds)))
-                right_in = right
-                if right_conds:
-                    right_in = graph.add(
-                        Node("filter", [right], right.columns,
-                             conditions=tuple(right_conds)))
-                if pairs:
-                    new = graph.add(Node("hashjoin", [left_in, right_in],
-                                         cross.columns, pairs=tuple(pairs)))
-                else:
-                    new = graph.add(Node("cross", [left_in, right_in],
-                                         cross.columns))
-                graph.replace(node, new)
-                fired += 1
-                changed = True
-                break
-        return fired
+    def match(self, node: Node) -> Node | None:
+        if node.kind != "filter" or node.inputs[0].kind != "cross":
+            return None
+        cross = node.inputs[0]
+        left, right = cross.inputs
+        split = self._split(node.conditions, set(left.columns),
+                            set(right.columns))
+        if split is None or not any(split):
+            return None
+        left_conds, right_conds, pairs = split
+        if left_conds:
+            left = Node("filter", [left], left.columns,
+                        conditions=tuple(left_conds))
+        if right_conds:
+            right = Node("filter", [right], right.columns,
+                         conditions=tuple(right_conds))
+        if pairs:
+            return Node("hashjoin", [left, right], cross.columns,
+                        pairs=tuple(pairs))
+        return Node("cross", [left, right], cross.columns)
 
     @staticmethod
     def _split(conditions, left_columns: set, right_columns: set):
@@ -160,38 +138,25 @@ class SelectIntoFetchPushdown(Rule):
     name = "select-into-fetch"
 
     def apply(self, graph: Graph) -> int:
-        fired = 0
-        changed = True
-        while changed:
-            changed = False
-            uses = graph.consumers()
-            for node in graph.topo():
-                if node.kind != "filter" or node.inputs[0].kind != "fetch":
-                    continue
-                fetch = node.inputs[0]
-                if len(uses.get(id(fetch), ())) != 1:
-                    continue
-                fetch_columns = set(fetch.columns)
-                fusable = [c for c in node.conditions
-                           if self._over(c, fetch_columns)]
-                if not fusable:
-                    continue
-                residual = tuple(c for c in node.conditions
-                                 if not self._over(c, fetch_columns))
-                fused = graph.add(Node(
-                    "fetch", list(fetch.inputs), fetch.columns,
-                    constraint=fetch.constraint, x_columns=fetch.x_columns,
-                    filters=fetch.filters + tuple(fusable)))
-                if residual:
-                    new = graph.add(Node("filter", [fused], node.columns,
-                                         conditions=residual))
-                else:
-                    new = fused
-                graph.replace(node, new)
-                fired += 1
-                changed = True
-                break
-        return fired
+        return graph.rewrite(lambda node: self._fuse(graph, node))
+
+    def _fuse(self, graph: Graph, node: Node) -> Node | None:
+        if node.kind != "filter" or node.inputs[0].kind != "fetch":
+            return None
+        fetch = node.inputs[0]
+        fetch_columns = set(fetch.columns)
+        fusable = tuple(c for c in node.conditions
+                        if self._over(c, fetch_columns))
+        if not fusable or graph.uses(fetch) != 1:
+            return None
+        residual = tuple(c for c in node.conditions
+                         if not self._over(c, fetch_columns))
+        fused = Node("fetch", list(fetch.inputs), fetch.columns,
+                     constraint=fetch.constraint, x_columns=fetch.x_columns,
+                     filters=fetch.filters + fusable)
+        if residual:
+            return Node("filter", [fused], node.columns, conditions=residual)
+        return fused
 
     @staticmethod
     def _over(condition: Condition, columns: set) -> bool:
@@ -217,46 +182,31 @@ class ProjectionPushdown(Rule):
     name = "projection-pushdown"
 
     def apply(self, graph: Graph) -> int:
-        fired = self._collapse_chains(graph)
-        fired += self._prune(graph)
-        fired += self._collapse_chains(graph)
-        return fired
+        # Left to right: collapse, prune, collapse what pruning left.
+        return (graph.rewrite(self.match) + self._prune(graph)
+                + graph.rewrite(self.match))
 
-    # -- π(π(x)) → π(x), and identity-π elimination ------------------------
-
-    def _collapse_chains(self, graph: Graph) -> int:
-        fired = 0
-        changed = True
-        while changed:
-            changed = False
-            for node in graph.topo():
-                if node.kind != "project":
-                    continue
-                source = node.inputs[0]
-                if node.src_columns == node.columns \
-                        and node.src_columns == source.columns:
-                    graph.replace(node, source)
-                    fired += 1
-                    changed = True
-                    break
-                if source.kind == "project":
-                    # Compose: this project's src names are the inner's
-                    # out names; rewrite in terms of the inner's source.
-                    inner_of = dict(zip(source.columns, source.src_columns))
-                    composed = graph.add(Node(
-                        "project", list(source.inputs), node.columns,
+    @staticmethod
+    def match(node: Node) -> Node | None:
+        """π(π(x)) → π(x), and identity-π elimination."""
+        if node.kind != "project":
+            return None
+        source = node.inputs[0]
+        if node.src_columns == node.columns == source.columns:
+            return source
+        if source.kind == "project":
+            # Compose: this project's src names are the inner's out
+            # names; rewrite in terms of the inner's source.
+            inner_of = dict(zip(source.columns, source.src_columns))
+            return Node("project", list(source.inputs), node.columns,
                         src_columns=tuple(inner_of[c]
-                                          for c in node.src_columns)))
-                    graph.replace(node, composed)
-                    fired += 1
-                    changed = True
-                    break
-        return fired
+                                          for c in node.src_columns))
+        return None
 
     # -- column pruning -----------------------------------------------------
 
-    def _required(self, graph: Graph) -> dict[int, set]:
-        order = graph.topo()
+    @staticmethod
+    def _required(graph: Graph, order: list[Node]) -> dict[int, set]:
         required: dict[int, set] = {id(node): set() for node in order}
         required[id(graph.result)] = set(graph.result.columns)
         for node in reversed(order):
@@ -291,25 +241,12 @@ class ProjectionPushdown(Rule):
                     required[id(child)] |= set(child.columns)
         return required
 
-    @staticmethod
-    def _refresh_columns(graph: Graph) -> None:
-        """Recompute derived column tuples after inputs were narrowed.
-
-        Filters mirror their input's columns; joins concatenate their
-        inputs'.  Everything else carries intrinsic columns.
-        """
-        for node in graph.topo():
-            if node.kind == "filter":
-                node.columns = node.inputs[0].columns
-            elif node.kind in ("cross", "hashjoin"):
-                node.columns = (node.inputs[0].columns
-                                + node.inputs[1].columns)
-
     def _prune(self, graph: Graph) -> int:
         fired = 0
-        required = self._required(graph)
+        order = graph.topo()
+        required = self._required(graph, order)
         # Narrow the inputs of joins and fetches (where batch width costs).
-        for node in graph.topo():
+        for node in order:
             if node.kind not in ("cross", "hashjoin", "fetch"):
                 continue
             for child in list(node.inputs):
@@ -321,12 +258,11 @@ class ProjectionPushdown(Rule):
                     keep_src = tuple(s for s, o in zip(child.src_columns,
                                                        child.columns)
                                      if o in needs)
-                    narrowed = graph.add(Node(
-                        "project", list(child.inputs), keep,
-                        src_columns=keep_src))
+                    narrowed = Node("project", list(child.inputs), keep,
+                                    src_columns=keep_src)
                 else:
-                    narrowed = graph.add(Node("project", [child], keep,
-                                              src_columns=keep))
+                    narrowed = Node("project", [child], keep,
+                                    src_columns=keep)
                 graph.replace(child, narrowed)
                 required[id(narrowed)] = set(keep)
                 fired += 1
@@ -334,32 +270,30 @@ class ProjectionPushdown(Rule):
             self._reconcile(graph)
         return fired
 
-    def _reconcile(self, graph: Graph) -> None:
-        """Propagate narrowed columns downstream.
+    @staticmethod
+    def _reconcile(graph: Graph) -> None:
+        """Propagate narrowed columns downstream, inputs before
+        consumers.
 
-        Derived columns (filters, joins) refresh directly.  A live
-        projection may still list a dropped source column — by the
-        required-columns analysis that can only happen when the
+        Filters mirror their input's columns and joins concatenate
+        their inputs'.  A projection may still list a dropped source
+        column — by the required-columns analysis only when the
         corresponding *output* is needed by no consumer (union/diff
         consumers demand every column, so their arms are never
-        narrowed) — drop those (src, out) pairs and repeat until the
-        graph is consistent."""
-        changed = True
-        while changed:
-            self._refresh_columns(graph)
-            changed = False
-            for node in graph.topo():
-                if node.kind != "project":
-                    continue
+        narrowed) — and drops those (src, out) pairs."""
+        for node in graph.topo():
+            if node.kind == "filter":
+                node.columns = node.inputs[0].columns
+            elif node.kind in ("cross", "hashjoin"):
+                node.columns = (node.inputs[0].columns
+                                + node.inputs[1].columns)
+            elif node.kind == "project":
                 available = set(node.inputs[0].columns)
-                if all(c in available for c in node.src_columns):
-                    continue
                 kept = [(src, out) for src, out
                         in zip(node.src_columns, node.columns)
                         if src in available]
                 node.src_columns = tuple(src for src, _ in kept)
                 node.columns = tuple(out for _, out in kept)
-                changed = True
 
 
 class CommonSubplanElimination(Rule):
@@ -396,10 +330,8 @@ class CommonSubplanElimination(Rule):
             if existing.columns == node.columns:
                 graph.replace(node, existing)
             else:
-                rename = graph.add(Node(
-                    "project", [existing], node.columns,
-                    src_columns=existing.columns))
-                graph.replace(node, rename)
+                graph.replace(node, Node("project", [existing], node.columns,
+                                         src_columns=existing.columns))
             fired += 1
         return fired
 
@@ -530,8 +462,9 @@ class KeyProjectionFolding(Rule):
       projected side was deduped, so each probe row matched at most
       once.
 
-    ``dead-step`` then drops the projections nothing reads.  A fetch
-    still sees the same distinct keys, so data access is unchanged.
+    The projections nothing reads any more fall out of the graph.  A
+    fetch still sees the same distinct keys, so data access is
+    unchanged.
     """
 
     name = "key-projection"
@@ -540,22 +473,24 @@ class KeyProjectionFolding(Rule):
         fired = 0
         for node in graph.topo():
             if node.kind == "fetch":
-                fired += self._fold_fetch(node)
+                fired += self._fold_fetch(graph, node)
             elif node.kind == "hashjoin" and len(node.pairs) == 1:
                 fired += self._semijoin(graph, node)
         return fired
 
     @staticmethod
-    def _fold_fetch(fetch: Node) -> int:
-        fired = 0
-        source = fetch.inputs[0]
+    def _fold_fetch(graph: Graph, fetch: Node) -> int:
+        fired, source, x_columns = 0, fetch.inputs[0], fetch.x_columns
         while (source.kind == "project" and _distinct(source.columns)
                and _distinct(source.inputs[0].columns)):
             src_of = dict(zip(source.columns, source.src_columns))
-            fetch.x_columns = tuple(src_of[c] for c in fetch.x_columns)
+            x_columns = tuple(src_of[c] for c in x_columns)
             source = source.inputs[0]
-            fetch.inputs = [source]
             fired += 1
+        if fired:
+            graph.replace(fetch, Node(
+                "fetch", [source], fetch.columns, constraint=fetch.constraint,
+                x_columns=x_columns, filters=fetch.filters))
         return fired
 
     @staticmethod
@@ -566,28 +501,8 @@ class KeyProjectionFolding(Rule):
                                              ("right", right, left, left_key)):
             if (keys.kind == "project" and len(keys.columns) == 1
                     and _distinct(keys.inputs[0].columns)):
-                graph.replace(join, graph.add(Node(
+                graph.replace(join, Node(
                     "semijoin", [keys.inputs[0], probe], join.columns,
-                    pairs=((keys.src_columns[0], probe_key),), build=side)))
+                    pairs=((keys.src_columns[0], probe_key),), side=side))
                 return 1
         return 0
-
-
-class DeadStepElimination(Rule):
-    """Drop registered nodes no longer reachable from the result.
-
-    Other rules strand nodes (a product replaced by a hash join, a
-    fetch merged into its twin); this rule is where the strands are
-    counted and physically removed from the registry, so the trace
-    reports how much of the plan each rewrite made redundant.
-    """
-
-    name = "dead-step"
-
-    def apply(self, graph: Graph) -> int:
-        live = {id(node) for node in graph.topo()}
-        dead = [node for node in graph.registry if id(node) not in live]
-        graph.registry = [node for node in graph.registry
-                          if id(node) in live]
-        return len(dead)
-

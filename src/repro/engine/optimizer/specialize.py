@@ -226,18 +226,13 @@ def _make_fetch(op, plan, slots):
 def _make_hash_join(op, plan, slots):
     left_source, right_source = op.left, op.right
     out_columns = op.out_columns
-    build_left = op.build == "left"
-    if build_left:
-        build_key, probe_key = op.left_key, op.right_key
-    else:
-        build_key, probe_key = op.right_key, op.left_key
+    build_key, probe_key = op.right_key, op.left_key
     single = len(build_key) == 1
     if single:
         build_pos, probe_pos = build_key[0], probe_key[0]
 
     def step(batches, consts, executor, stats):
-        left, right = batches[left_source], batches[right_source]
-        build, probe = (left, right) if build_left else (right, left)
+        probe, build = batches[left_source], batches[right_source]
         buckets = {}
         duplicates = False
         if single:
@@ -287,17 +282,13 @@ def _make_hash_join(op, plan, slots):
                 else:
                     build_index.extend(bucket)
                     probe_index.extend([j] * len(bucket))
-        if build_left:
-            left_index, right_index = build_index, probe_index
-        else:
-            left_index, right_index = probe_index, build_index
         # map(__getitem__) gathers run the row loop in C.
-        cols = ([list(map(column.__getitem__, left_index))
-                 for column in left.cols]
-                + [list(map(column.__getitem__, right_index))
-                   for column in right.cols])
+        cols = ([list(map(column.__getitem__, probe_index))
+                 for column in probe.cols]
+                + [list(map(column.__getitem__, build_index))
+                   for column in build.cols])
         return Batch(out_columns, cols, len(build_index),
-                     left.distinct and right.distinct)
+                     probe.distinct and build.distinct)
     return step
 
 

@@ -13,7 +13,7 @@ plan exists:
 a product of label/degree bounds, independent of the graph size;
 ``bounded_match`` executes it, touching the graph only through index
 lookups and counting every fetched node.  Agreement with the brute
-matcher is property-tested (DESIGN.md invariant 7).
+matcher is property-tested in ``tests/graph/test_bounded_match.py``.
 """
 
 from __future__ import annotations

@@ -205,7 +205,7 @@ def core_tableau(tableau: Tableau) -> Tableau:
     the image.  The result is the classical core, unique up to
     isomorphism; since classical equivalence implies A-equivalence for
     every access schema A, core minimization is always sound for the
-    bounded-evaluability pipeline (DESIGN.md, S10).
+    bounded-evaluability pipeline (``core/bep.py``).
     """
     rows = list(tableau.rows)
     fixed = {t: t for t in tableau.summary if is_var(t)}

@@ -172,7 +172,7 @@ class AccessConstraint:
     @property
     def is_functional(self) -> bool:
         """True for ``N = 1`` constraints, which act as functional
-        dependencies ``X -> Y`` (used by the chase; DESIGN.md S10)."""
+        dependencies ``X -> Y`` (used by the chase, ``core/chase.py``)."""
         return (isinstance(self.cardinality, ConstantCardinality)
                 and self.cardinality.value == 1)
 

@@ -13,7 +13,7 @@ size* that satisfy exactly those constraints (plus realistic skew: two
 vehicles per accident on average, matching the paper's "the chances are
 that we need to access 610 × 2 × 2 tuples only").  Bounded evaluation
 depends on the constraints a dataset satisfies, not on its values, so
-plan shapes and access counts transfer (DESIGN.md, substitution table).
+plan shapes and access counts transfer.
 
 Two flavours:
 

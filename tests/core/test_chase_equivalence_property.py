@@ -1,4 +1,4 @@
-"""Property: the chase preserves A-equivalence (DESIGN.md invariant 4).
+"""Property: the chase preserves A-equivalence.
 
 For random small CQs and random FD-style access schemas, the chased
 query must agree with the original on every instance satisfying A —

@@ -178,7 +178,7 @@ class TestProposition54:
 class TestSetCoverShape:
     """Example 5.2's reduction skeleton: shared z-variables make QSP a
     set-cover search.  (The literal example text folds away under core
-    minimization — see DESIGN.md — so we keep the shared-variable
+    minimization, so we keep the shared-variable
     structure without the constant atoms.)"""
 
     def make(self, n_relations=3):

@@ -3,8 +3,6 @@
     for every covered CQ and every instance satisfying A,
     executing the bounded plan == naive evaluation,
     and tuples fetched <= the plan's static certificate bound.
-
-This is invariant 1/2 of DESIGN.md Section 6.
 """
 
 from __future__ import annotations

@@ -14,6 +14,8 @@ from repro.engine import (ColEq, ConstEq, ConstOp, FetchOp, Plan, ProductOp,
                           interpret_logical, optimize)
 from repro.engine.optimizer import (CrossJoinOp, FusedFetchOp, HashJoinOp,
                                     PhysicalPlan, SemiJoinOp)
+from repro.engine.optimizer.graph import Graph, Node
+from repro.engine.optimizer.rules import ProductSelectToHashJoin
 from repro.query import parse_cq, parse_ucq
 from repro.query.terms import Param
 from repro.service.templates import bind_physical_plan
@@ -131,11 +133,58 @@ def test_common_subplan_merges_duplicate_fetches_across_disjuncts(world):
     assert optimized.stats.index_lookups < reference.stats.index_lookups
 
 
-def test_dead_steps_are_counted(world):
-    *_, aschema, _, _, _ = world
-    physical = optimize(bounded_plan("Q(y) :- R(x, y), x = 1", aschema))
-    firing = {f.rule: f for f in physical.trace.firings}["dead-step"]
-    assert firing.fired > 0
+def test_stranded_steps_never_reach_the_physical_plan(world):
+    *_, aschema, _, _, db = world
+    plan = bounded_plan("Q(y) :- R(x, y), x = 1", aschema)
+    physical = optimize(plan)
+    unit = physical.trace.firings[0]
+    assert unit.rule == "unit-product"
+    assert unit.fired and unit.steps_after < unit.steps_before
+    # Every step but the result feeds a later one: what the rewrites
+    # stranded was never emitted.
+    fed = {source for op in physical.steps for source in op.inputs()}
+    assert fed == set(range(len(physical) - 1))
+    assert len(physical) == physical.trace.firings[-1].steps_after
+    assert execute_plan(physical, db).answers == \
+        interpret_logical(plan, db).answers
+
+
+def test_replace_redirects_nodes_added_since_the_last_walk():
+    """A rule may replace a node that a node it added earlier in the
+    same pass reads (pruning narrows a projection, then its source)."""
+    source = Node("unit", [], ())
+    graph = Graph(Node("project", [source], ()), "g")
+    graph.topo()
+    narrowed = Node("project", [source], ())
+    graph.replace(graph.result, narrowed)
+    again = Node("project", [source], ())
+    graph.replace(source, again)
+    assert narrowed.inputs == [again] and again.inputs == [source]
+    assert graph.topo() == [source, again, narrowed]
+
+
+def test_rewrite_matches_what_a_replacement_creates(world):
+    """σ over (A × B) × C: the outer rewrite leaves σ(A × B) behind as
+    the left join input, and only a rewrite that re-matches its own
+    output turns that into the second hash join."""
+    _, _, r_ab, s_bc, db = world
+    plan = Plan("two-joins")
+    fetches = []
+    for key, value, constraint, columns in (("k1", 1, r_ab, ("a", "b")),
+                                            ("k2", 1, r_ab, ("c", "d")),
+                                            ("k3", 10, s_bc, ("e", "f"))):
+        source = plan.add(ConstOp(key, value))
+        fetches.append(plan.add(FetchOp(source, (key,), constraint,
+                                        columns)))
+    left = plan.add(ProductOp(fetches[0], fetches[1]))
+    product = plan.add(ProductOp(left, fetches[2]))
+    plan.add(SelectOp(product, (ColEq("b", "d"), ColEq("d", "e"))))
+    physical = optimize(plan, rules=(ProductSelectToHashJoin,))
+    kinds = [type(op) for op in physical.steps]
+    assert kinds.count(HashJoinOp) == 2 and CrossJoinOp not in kinds
+    assert physical.trace.firings[0].fired == 2
+    assert execute_plan(physical, db).answers == \
+        interpret_logical(plan, db).answers == {(1, 10, 1, 10, 10, "x")}
 
 
 def test_pruning_reconciles_downstream_renames(world):

@@ -1,6 +1,6 @@
 """Tests for bounded pattern matching vs. the brute-force baseline.
 
-Invariant 7 of DESIGN.md: wherever a pattern is covered, bounded
+The invariant: wherever a pattern is covered, bounded
 matching equals subgraph matching — property-tested over random graphs.
 """
 

@@ -1,6 +1,6 @@
 """Integration: every worked example in the paper, decided as printed.
 
-This file is the machine-checkable version of EXP-T3 (DESIGN.md): each
+This file is the machine-checkable version of EXP-T3: each
 test asserts the exact verdict the paper states for its examples, using
 only the public API.  The benchmark ``bench_table1_examples.py`` prints
 the same table.

@@ -12,10 +12,16 @@ given files:
   punctuation stripped, spaces to hyphens, ``-1``/``-2`` suffixes for
   duplicates).
 
-Links inside fenced code blocks are ignored.  Exit 1 and a per-link
-report on any broken target.
+Links inside fenced code blocks are ignored.
 
-Usage: ``python tools/check_links.py README.md docs/*.md ROADMAP.md``
+A ``.py`` argument is scanned for markdown file names instead (a
+docstring's "see docs/ARCHITECTURE.md"): each must exist, relative to
+the working directory or to the file.  A directory argument stands for
+every ``.py`` file under it.
+
+Exit 1 and a per-link report on any broken target.
+
+Usage: ``python tools/check_links.py README.md docs/*.md src tests``
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ _FENCE = re.compile(r"^(```|~~~)")
 # Markdown emphasis/code wrappers that GitHub strips before slugging.
 _MARKUP = re.compile(r"[*_`]|\[|\]\([^)]*\)")
 _NON_SLUG = re.compile(r"[^\w\- ]", re.UNICODE)
+_MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
 
 
 def github_slug(heading: str) -> str:
@@ -93,8 +100,21 @@ def check_file(path: Path, anchor_cache: dict[Path, set[str]]) -> list[str]:
     return errors
 
 
+def check_pointers(path: Path) -> list[str]:
+    """Markdown file names a ``.py`` file mentions that do not exist."""
+    errors = []
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        for name in _MD_NAME.findall(line):
+            if not (Path(name).exists() or (path.parent / name).exists()):
+                errors.append(f"{path}:{lineno}: dangling pointer "
+                              f"'{name}' (no such file)")
+    return errors
+
+
 def main(argv: list[str]) -> int:
     files = [Path(name) for name in argv] or [Path("README.md")]
+    files = [py for f in files
+             for py in (sorted(f.rglob("*.py")) if f.is_dir() else [f])]
     missing = [str(f) for f in files if not f.is_file()]
     if missing:
         print(f"no such file(s): {', '.join(missing)}", file=sys.stderr)
@@ -103,7 +123,10 @@ def main(argv: list[str]) -> int:
     errors = []
     checked = 0
     for path in files:
-        errors.extend(check_file(path, cache))
+        if path.suffix == ".py":
+            errors.extend(check_pointers(path))
+        else:
+            errors.extend(check_file(path, cache))
         checked += 1
     for error in errors:
         print(error, file=sys.stderr)
