@@ -309,7 +309,10 @@ class CommonSubplanElimination(Rule):
     fetch is an index lookup the executor no longer repeats.
 
     One topo pass suffices: merges happen bottom-up, and signatures see
-    *through* the rename-projections earlier merges inserted.
+    *through* the rename-projections earlier merges inserted.  A node's
+    projection chain is traced once per pass: in topological order its
+    inputs are settled before it is visited, so the trace cannot change
+    afterwards.
     """
 
     name = "common-subplan"
@@ -317,6 +320,7 @@ class CommonSubplanElimination(Rule):
     def apply(self, graph: Graph) -> int:
         fired = 0
         seen: dict[tuple, Node] = {}
+        self._chains: dict[Node, tuple | None] = {}
         for node in graph.topo():
             signature = self._signature(node)
             if signature is None:
@@ -337,26 +341,33 @@ class CommonSubplanElimination(Rule):
 
     # -- signatures ---------------------------------------------------------
 
-    @staticmethod
-    def _through_projects(node: Node):
+    def _through_projects(self, node: Node):
         """``(base, positions)``: the nearest non-projection ancestor
         and, per output column, its position there — or ``None`` when a
-        duplicate-named intermediate makes the mapping ambiguous."""
-        positions = list(range(len(node.columns)))
-        current = node
-        while current.kind == "project":
-            source = current.inputs[0]
-            if len(set(source.columns)) != len(source.columns):
-                return None
-            mapping = [source.columns.index(c)
-                       for c in current.src_columns]
-            positions = [mapping[p] for p in positions]
-            current = source
-        return current, tuple(positions)
+        duplicate-named intermediate makes the mapping ambiguous.
+        Memoized per node for the pass (the memo keeps its nodes alive,
+        so a node made later never meets a dead one's entry)."""
+        chains = self._chains
+        if node in chains:
+            return chains[node]
+        traced = None
+        if node.kind != "project":
+            traced = node, tuple(range(len(node.columns)))
+        else:
+            source = node.inputs[0]
+            inner = (self._through_projects(source)
+                     if len(set(source.columns)) == len(source.columns)
+                     else None)
+            if inner is not None:
+                base, positions = inner
+                traced = base, tuple(
+                    positions[source.columns.index(c)]
+                    for c in node.src_columns)
+        chains[node] = traced
+        return traced
 
-    @classmethod
-    def _traced_input(cls, child: Node):
-        traced = cls._through_projects(child)
+    def _traced_input(self, child: Node):
+        traced = self._through_projects(child)
         if traced is None:
             return None
         base, positions = traced

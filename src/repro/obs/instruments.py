@@ -118,17 +118,17 @@ def attach_cache_collector(registry: MetricsRegistry, service) -> None:
     bypassed = registry.counter(
         "repro_fetch_cache_bypassed_lookups_total",
         "fetch cache lookups read straight from storage by the bypass")
-    # Incremental-maintenance outcomes: deltas applied in place vs
-    # deltas that fell back to invalidation.  A healthy write-heavy
+    # Incremental-maintenance outcomes: deltas applied vs deltas that
+    # fell back to invalidation.  A healthy write-heavy
     # workload shows maintained ≫ fallbacks; fallbacks climbing means
     # wipes (clear/reattach/recovery) or stream gaps are eating the
     # cache's warmth.
     maintained_deltas = registry.counter(
         "repro_fetch_cache_maintained_deltas_total",
-        "write deltas applied to cached fetch entries in place")
+        "write deltas applied to cached fetch entries")
     maintained_entries = registry.counter(
         "repro_fetch_cache_maintained_entries_total",
-        "cached fetch entries updated in place by deltas")
+        "cached fetch entries refreshed from the index by deltas")
     fallbacks = registry.counter(
         "repro_fetch_cache_maintenance_fallbacks_total",
         "write deltas that fell back to invalidation")

@@ -13,14 +13,17 @@ Freshness comes in two flavours (the full soundness argument lives in
 
 * **Maintained entries** — for constraints that resolve *exactly*
   against an attached index (same relation, X, Y and bound), entries
-  are keyed without a generation and kept current by applying the
-  backend's :class:`~repro.storage.delta.WriteDelta` stream: an
-  insert/delete touches exactly the entries whose X-key it changed,
+  are keyed without a generation and kept current by the backend's
+  :class:`~repro.storage.delta.WriteDelta` stream: a write names the
+  X-keys whose group it changed, and each cached entry among them is
+  refreshed with its group as the index holds it after the write, so a
+  maintained entry is the index's content at the delta's generation;
   everything else stays warm.  A per-relation *epoch* (the generation
-  of the last applied delta) validates lookups; a delta that cannot be
-  applied exactly (a ``clear``, recovery, schema reattach, or a gap in
-  the stream) falls back to invalidating the relation's maintained
-  entries — counted, so dashboards can see maintenance degrade.
+  of the last applied delta) validates lookups; a delta that cannot
+  name its keys (a ``clear``, recovery, schema reattach) or leaves a
+  gap in the stream falls back to invalidating the relation's
+  maintained entries — counted, so dashboards can see maintenance
+  degrade.
 * **Generation-keyed entries** — constraints that resolve through a
   key permutation or row projection (structural recreations with a
   different layout) keep the original scheme: the cache key carries
@@ -66,7 +69,7 @@ from ..engine.executor import AccessStats, Executor
 from ..schema.access import AccessConstraint
 from ..storage.database import Database
 from ..storage.delta import WriteDelta
-from ..storage.encoding import extend_column, int_column, readonly_view
+from ..storage.encoding import int_column
 from .lru import LruDict
 from .plancache import CacheInfo
 
@@ -76,43 +79,6 @@ from .plancache import CacheInfo
 #: fan-out workloads, and bounds how long a shift back to a hot pool
 #: waits to be noticed.
 _BYPASS_CEILING = 1024
-
-
-def _encoded_plus(entry, row_codes):
-    """``entry`` with one code row appended, or None if it is already
-    present (idempotent, copy-on-write: readers keep their views)."""
-    views, length = entry
-    width = len(row_codes)
-    for i in range(length):
-        if all(views[c][i] == row_codes[c] for c in range(width)):
-            return None
-    cols = []
-    for c in range(width):
-        column = int_column()
-        extend_column(column, views[c])
-        column.append(row_codes[c])
-        cols.append(readonly_view(column))
-    return tuple(cols), length + 1
-
-
-def _encoded_minus(entry, row_codes):
-    """``entry`` with one code row removed, or None if it is absent."""
-    views, length = entry
-    width = len(row_codes)
-    position = -1
-    for i in range(length):
-        if all(views[c][i] == row_codes[c] for c in range(width)):
-            position = i
-            break
-    if position < 0:
-        return None
-    cols = []
-    for c in range(width):
-        column = int_column()
-        extend_column(column, views[c])
-        del column[position]
-        cols.append(readonly_view(column))
-    return tuple(cols), length - 1
 
 
 class FetchCache:
@@ -131,7 +97,7 @@ class FetchCache:
     warm single-key hit hands back zero-copy views that flow straight
     into a batch, and a multi-key step joins its views into one fresh
     array per column — no re-encoding, no row materialization.
-    Maintenance rebuilds an entry's arrays copy-on-write, so views
+    Maintenance replaces an entry with freshly read arrays, so views
     already handed out stay frozen at the content they were served
     with.
 
@@ -164,9 +130,10 @@ class FetchCache:
         self.bypassed_lookups = 0
         # -- incremental maintenance state ---------------------------------
         # Serializes delta application, epoch reads/writes and the
-        # store-a-fill decision.  Never held while calling into the
-        # backend (writers call the listener while holding the backend
-        # lock, so the reverse order would deadlock).
+        # store-a-fill decision.  Held across a backend call only by the
+        # listener, whose delta read runs on the writer thread that
+        # already holds the backend lock; any other holder calling into
+        # the backend would deadlock against a writer.
         self._maintenance_lock = threading.Lock()
         #: relation -> generation of the last applied delta.  Invariant:
         #: a relation with no epoch has no maintained entries.
@@ -176,9 +143,9 @@ class FetchCache:
         # *value*) against the identity of the backend's attached schema.
         self._verdicts: dict[int, bool] = {}
         self._verdict_schema = None
-        #: Deltas applied to maintained entries in place.
+        #: Deltas applied to maintained entries.
         self.maintained_deltas = 0
-        #: Cached entries updated (not dropped) by delta application.
+        #: Cached entries refreshed (not dropped) by delta application.
         self.maintained_entries = 0
         #: Deltas that could not be applied exactly (wipe, epoch gap,
         #: schema reattach) and fell back to invalidation.
@@ -380,14 +347,14 @@ class FetchCache:
         the miss batch — warm hits share them by reference, and all
         bookkeeping (entry sizing included) runs on code columns and
         plain lengths; no decoded row is ever materialized here.
-        Maintenance replaces an updated entry's arrays wholesale, so
+        Maintenance replaces a refreshed entry's arrays wholesale, so
         views handed to in-flight batches stay frozen.  Every call is
         a probe for the bypass rule (:meth:`bypass_step`).
 
         The generation is read once for the batch: a write racing the
         batch at worst caches fresher rows under the older epoch
-        (benign — delta application is idempotent and converges the
-        entry), never stale rows under a newer one, because generations
+        (benign — that write's delta refreshes the entry from the
+        index), never stale rows under a newer one, because generations
         bump only after the backend's index updates.  An all-hit step
         (the warm path) is one probe of the whole batch and returns
         right after it: no per-key bookkeeping.
@@ -440,8 +407,8 @@ class FetchCache:
         * if the backend's schema object changed since the lookup
           started, the maintainability verdict is void — discard;
         * otherwise store.  A fill *fresher* than its stamp is fine:
-          in-flight deltas apply idempotently, so the entry converges
-          to current content either way (``docs/ARCHITECTURE.md``
+          the in-flight delta that made it fresher refreshes the entry
+          from the index once it lands (``docs/ARCHITECTURE.md``
           spells out the argument).
         """
         backend = self._backend
@@ -462,9 +429,10 @@ class FetchCache:
         """Apply one write delta to the maintained entries.
 
         Runs synchronously on the writer's thread, under the backend's
-        write lock — so it must stay cheap and must never call back
-        into the backend.  Cost is O(changes · touched entries), never
-        O(cache).
+        write lock — so it must stay cheap, and it reads only through
+        the delta's own ``read`` (the writer already holds every lock
+        that read takes).  Cost is O(rows of the refreshed entries),
+        never O(cache).
         """
         relation = delta.relation
         with self._maintenance_lock:
@@ -494,45 +462,34 @@ class FetchCache:
                 self._epochs[relation] = delta.new_generation
                 return
             touched = 0
-            for constraint, changes in delta.constraints.items():
-                touched += self._apply_changes(constraint, changes)
+            for constraint, keys in delta.keys.items():
+                touched += self._refresh(constraint, keys, delta.read)
             self._epochs[relation] = delta.new_generation
             self.maintained_deltas += 1
             self.maintained_entries += touched
 
-    def _apply_changes(self, constraint: AccessConstraint,
-                       changes) -> int:
-        """Apply one constraint's projection changes to whatever
-        entries are cached (absent entries are simply not maintained).
-        Returns the number of entries updated."""
+    def _refresh(self, constraint: AccessConstraint, keys: list,
+                 read) -> int:
+        """Replace the cached entries of one constraint's changed
+        ``keys`` with their groups as the delta's ``read`` returns them
+        (absent entries are simply not maintained).  Returns the number
+        of entries refreshed."""
         # Entries live under the constraint value's slot; no slot means
         # none were ever cached.
         slot = self._slots.get(constraint)
         if slot is None:
             return 0
-        entries = self._entries
-        touched = 0
-        largest = self.max_entry_rows
-        for key_code, row_codes in changes.removed:
-            key = (slot, key_code)
-            entry = entries.get(key, count=False)
-            if entry is not None:
-                updated = _encoded_minus(entry, row_codes)
-                if updated is not None:
-                    entries.put(key, updated)
-                    touched += 1
-        for key_code, row_codes in changes.added:
-            key = (slot, key_code)
-            entry = entries.get(key, count=False)
-            if entry is not None:
-                updated = _encoded_plus(entry, row_codes)
-                if updated is not None:
-                    entries.put(key, updated)
-                    touched += 1
-                    if updated[1] > largest:
-                        largest = updated[1]
-        self.max_entry_rows = largest
-        return touched
+        cache_keys = [(slot, key) for key in keys]
+        cached = self._entries.get_many(cache_keys, count=False)
+        present = [key for key, entry in zip(cache_keys, cached)
+                   if entry is not None]
+        if not present:
+            return 0
+        fresh = read(constraint, [key for _, key in present])
+        self.max_entry_rows = max(self.max_entry_rows,
+                                  *[length for _, length in fresh])
+        self._entries.put_many(zip(present, fresh))
+        return len(present)
 
     def _purge_relation(self, relation: str) -> int:
         """Drop the relation's maintained entries (callers hold the
@@ -595,7 +552,7 @@ class CachingExecutor(Executor):
     With ``fetch_cache=None`` it behaves exactly like the base executor.
     Results are identical either way — the cache only ever returns what
     storage returned for the same (constraint, X-key) at the same write
-    epoch, maintained forward by the exact per-write deltas.  A
+    epoch, refreshed from the index by the per-write deltas.  A
     step the cache asks to bypass is the base executor's plain storage
     read, its lookups counted as cache misses.
     """

@@ -183,7 +183,7 @@ class BoundedQueryService:
         self.fetch_cache = FetchCache(fetch_cache_size)
         # Subscribe the fetch cache to the backend's write-delta
         # stream: entries over exactly-attached constraints are then
-        # maintained in place instead of cold-starting on every write.
+        # refreshed by writes instead of cold-starting on every one.
         self.fetch_cache.attach_maintenance(db)
         self._templates: dict[str, QueryTemplate] = {}
         self._lock = threading.Lock()

@@ -44,7 +44,7 @@ from ..errors import ExecutionError, StorageError
 from ..obs.trace import span
 from ..schema.access import AccessConstraint, AccessSchema
 from ..schema.relation import Schema
-from .delta import DeltaRecorder, WriteDelta, WriteListener
+from .delta import WriteDelta, WriteListener
 from .encoding import ValueDictionary, readonly_view
 from .indexes import AccessIndex, gather_codes
 
@@ -180,6 +180,13 @@ class StorageBackend(ABC):
         ``(columns, length)`` for ``keys[i]``, its columns zero-copy
         *readonly* memoryview slices of one batch's arrays — what
         fetch-cache fills store as they are."""
+        return self._read_groups(constraint, keys)
+
+    def _read_groups(self, constraint: AccessConstraint,
+                     keys: Sequence) -> list[tuple[tuple, int]]:
+        """:meth:`fetch_many_encoded` under a private name: the
+        ``read`` of the write deltas an engine emits, which therefore
+        never passes through a proxy on the public name."""
         cols, counts, order = self.read_codes(constraint, keys)
         slices = _key_slices(counts, order, keys)
         views = [readonly_view(column) for column in cols]
@@ -362,8 +369,10 @@ class StorageBackend(ABC):
     def _match(self, constraint: AccessConstraint) -> AccessConstraint:
         attached = self.access_schema
         if attached is not None:
+            # An equal attached constraint answers first, so a fetch
+            # reads the index a write delta names (same rows, same order).
             for candidate in attached:
-                if candidate is constraint:
+                if candidate == constraint:
                     return candidate
             for candidate in attached:
                 if (candidate.relation_name == constraint.relation_name
@@ -473,8 +482,8 @@ class MemoryBackend(StorageBackend):
 
         Under the lock it keeps the *effective* rows (set semantics),
         hands them to :meth:`_pre_apply` with the post-write
-        generations, applies them to rows and indexes (recording
-        projection deltas while someone listens), and bumps the
+        generations, applies them to rows and indexes (noting the
+        X-keys whose groups changed while someone listens), and bumps the
         generations last: a concurrent reader at the pre-bump epoch may
         see the write early (benign), never a pre-write index state
         under the post-bump epoch.  A hook that raises aborts the write
@@ -499,28 +508,30 @@ class MemoryBackend(StorageBackend):
             if outer_hook is not None:
                 outer_hook(op, relation_name, effective)
             self._pre_apply(op, relation_name, effective, generations)
-            recorder = None
+            touched = None
             if op == "c":
                 for store in self._rows.values():
                     store.clear()
                 for index in self._indexes.values():
                     index.remove_all()
             else:
-                recorder = self._apply(store, relation_name, effective,
-                                       deleting)
+                touched = self._apply(store, relation_name, effective,
+                                      deleting)
             self._generations.update(generations)
             if op == "c":
                 self._notify_wipes()
-            elif recorder is not None:
+            elif touched is not None:
                 generation = generations[relation_name]
-                self._notify(recorder.finish(generation - 1, generation))
+                self._notify(WriteDelta(relation_name, generation - 1,
+                                        generation, touched,
+                                        self._read_groups))
         return len(effective)
 
     def _apply(self, store: dict, relation_name: str, rows: list[Row],
-               deleting: bool) -> DeltaRecorder | None:
+               deleting: bool) -> dict | None:
         """Apply effective rows to one relation's row set and indexes
-        (callers hold the lock); returns the batch's delta recorder, or
-        None when nobody listens."""
+        (callers hold the lock); returns, per attached constraint, the
+        X-keys whose group changed, or None when nobody listens."""
         if deleting:
             for row in rows:
                 del store[row]
@@ -531,18 +542,18 @@ class MemoryBackend(StorageBackend):
         # registered on the discarded ones would be lost.
         indexes = self.indexes_for(relation_name)
         # Nobody listens (the common case): skip delta bookkeeping.
-        recorder = (DeltaRecorder(relation_name)
-                    if self._write_listeners else None)
+        touched = {} if self._write_listeners else None
         if not indexes:
-            return recorder
+            return touched
         # Encode the batch once, not once per index.
         coded_rows = self.dictionary.encode_rows(rows)
         for index in indexes:
             changed = (index.remove_coded(coded_rows) if deleting
                        else index.add_coded(coded_rows))
-            if changed and recorder is not None:
-                recorder.record(index, changed, deleting)
-        return recorder
+            if changed and touched is not None:
+                touched[index.constraint] = list(
+                    dict.fromkeys(map(index.key, changed)))
+        return touched
 
     def _pre_apply(self, op: str, relation_name: str | None,
                    rows: list[Row], generations: dict[str, int]) -> None:

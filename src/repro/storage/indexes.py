@@ -217,6 +217,9 @@ class AccessIndex:
         self.encoded = self.codes.encoded
         #: A coded relation row -> its X∪Y code row.
         self.project = row_projector(self.x_positions + self.y_positions)
+        #: A coded relation row -> its code key.
+        self.key = (itemgetter(self.x_positions[0]) if self.scalar_key
+                    else row_projector(self.x_positions))
 
     def add(self, row: Sequence,
             coded_row: Sequence[int] | None = None) -> bool:

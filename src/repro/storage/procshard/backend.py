@@ -244,16 +244,9 @@ class ProcessShardedBackend(StorageBackend):
             "replica_breaker_skips_total": 0,
             "close_escalations_total": 0,
         }
-        for i in range(workers):
-            self._counters[f"rpc_w{i}_requests_total"] = 0
-            self._counters[f"rpc_w{i}_bytes_shipped_total"] = 0
         self._rpc_histogram = Histogram(
             "repro_storage_rpc_roundtrip_seconds",
             "Coordinator-observed RPC round trips (all peers)")
-        self._worker_histograms = [
-            Histogram(f"repro_storage_rpc_roundtrip_seconds_w{i}",
-                      f"RPC round trips to shard worker {i}")
-            for i in range(workers)]
         self._conns_for_gc: list = []
         self._finalizer = weakref.finalize(
             self, _close_connections, self._conns_for_gc)
@@ -303,9 +296,6 @@ class ProcessShardedBackend(StorageBackend):
         counters = self._counters
         counters["rpc_requests_total"] += 1
         counters["rpc_bytes_shipped_total"] += shipped
-        if peer.kind == "w":
-            counters[f"rpc_w{peer.index}_requests_total"] += 1
-            counters[f"rpc_w{peer.index}_bytes_shipped_total"] += shipped
         fault = fault_hook("rpc_send")
         if fault is not None:
             if fault.kind == "kill_peer":
@@ -369,8 +359,6 @@ class ProcessShardedBackend(StorageBackend):
         elapsed = time.perf_counter() - peer.sent_at
         counters["rpc_roundtrip_seconds_total"] += elapsed
         self._rpc_histogram.observe(elapsed)
-        if peer.kind == "w":
-            self._worker_histograms[peer.index].observe(elapsed)
         if kind != "ok":
             raise _PeerFailure(
                 peer, f"{peer.kind}{peer.index} replied: {payload}")
@@ -941,7 +929,7 @@ class ProcessShardedBackend(StorageBackend):
         return levels
 
     def histograms(self) -> list:
-        return [self._rpc_histogram, *self._worker_histograms]
+        return [self._rpc_histogram]
 
     def describe(self) -> str:
         return (f"procshard(workers={self.workers}, "

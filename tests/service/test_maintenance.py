@@ -10,7 +10,7 @@ import pytest
 
 from repro import AccessConstraint, AccessSchema, Database, Schema
 from repro.service import BoundedQueryService, FetchCache
-from repro.storage.delta import ConstraintDelta, WriteDelta
+from repro.storage.delta import WriteDelta
 from repro.storage.disk import DiskBackend
 from repro.storage.encoding import readonly_view
 
@@ -300,15 +300,19 @@ class TestDeltaStream:
         cache.lookup(db, by_a, (1,))
         generation = db.generation("R")
         db.insert("R", (1, 12))
-        one, twelve = db.dictionary.lookup_codes([1, 12])
-        # Redelivered with a change it never made: applying it would
-        # drop (1, 12) from the entry.
-        cache._on_delta(WriteDelta(
-            "R", generation, generation + 1,
-            {by_a: ConstraintDelta(removed=[(one, (one, twelve))])}))
+        one, = db.dictionary.lookup_codes([1])
+        key = (cache._slots[by_a], one)
+        entry = cache._entries.get(key, count=False)
+
+        def read(constraint, keys):
+            raise AssertionError("a late delta must not be read")
+        # Redelivered: applying it again would replace the entry.
+        cache._on_delta(WriteDelta("R", generation, generation + 1,
+                                   {by_a: [one]}, read))
+        assert cache.maintained_deltas == 1
+        assert cache._entries.get(key, count=False) is entry
         rows, hit = cache.lookup(db, by_a, (1,))
         assert hit and sorted(rows) == [(1, 10), (1, 11), (1, 12)]
-        assert cache.maintained_deltas == 1
         assert cache.maintenance_fallbacks == 0
 
     def test_gapped_delta_invalidates_the_relation(self, db, by_a):
@@ -317,7 +321,7 @@ class TestDeltaStream:
         cache.lookup(db, by_a, (1,))
         generation = db.generation("R")
         cache._on_delta(WriteDelta("R", generation + 1, generation + 2,
-                                   {by_a: ConstraintDelta()}))
+                                   {by_a: []}))
         assert cache.maintenance_fallbacks == 1
         assert cache.maintenance_invalidations == 1
         assert len(cache) == 0

@@ -14,7 +14,7 @@ import pytest
 from repro import AccessConstraint, AccessSchema, Database, Schema
 from repro.engine import Executor, columns
 from repro.engine.executor import AccessStats
-from repro.service import CachingExecutor, FetchCache, fetchcache
+from repro.service import CachingExecutor, FetchCache
 from repro.service.lru import LruDict
 from repro.storage import encoding
 from repro.storage.disk import DiskBackend
@@ -156,7 +156,7 @@ def test_an_all_hit_step_probes_once_and_never_extends(db, monkeypatch):
         return wrapper
 
     extend = counted("extend_column", encoding.extend_column)
-    for module in (encoding, columns, fetchcache):
+    for module in (encoding, columns):
         monkeypatch.setattr(module, "extend_column", extend)
     monkeypatch.setattr(LruDict, "get_many",
                         counted("get_many", LruDict.get_many))

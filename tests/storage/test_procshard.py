@@ -414,10 +414,6 @@ class TestProcessShardedBackend:
         assert counters["rpc_requests_total"] > 0
         assert counters["rpc_bytes_shipped_total"] > 0
         assert counters["rpc_bytes_received_total"] > 0
-        # Per-worker request counters cover the whole fleet.
-        assert sum(counters[f"rpc_w{i}_requests_total"]
-                   for i in range(backend.workers)) == \
-            counters["rpc_requests_total"]
         backend.close()
 
     def test_worker_death_respawns_and_rebuilds(self, schema, aschema):
@@ -452,9 +448,7 @@ class TestProcessShardedBackend:
         assert gauges["replicas_alive"] == 0
         assert gauges["dictionary_bytes"] > 0
         names = [h.name for h in backend.histograms()]
-        assert names == ["repro_storage_rpc_roundtrip_seconds",
-                         "repro_storage_rpc_roundtrip_seconds_w0",
-                         "repro_storage_rpc_roundtrip_seconds_w1"]
+        assert names == ["repro_storage_rpc_roundtrip_seconds"]
         backend.close()
 
     def test_storage_collector_adopts_rpc_instruments(self, schema,
