@@ -346,44 +346,49 @@ SMOKE_KEYS = 120
 @pytest.mark.bench_correctness
 def test_procshard_replica_smoke(tmp_path):
     """2 workers + 1 WAL-shipped replica on a small load: every
-    round-robin slot must serve reads identical to a MemoryBackend
-    oracle, across a write that leaves the replica stale (forcing a
-    WAL catch-up before it may serve again)."""
+    round-robin slot must answer each key with the coordinator store's
+    rows, code for code and in the same order, across an insert round
+    and a delete round that each leave the replica stale (forcing a WAL
+    catch-up before it may serve again)."""
     schema, aschema = build_schema()
     backend = ProcessShardedBackend(
         schema, workers=2, replicas=1,
         data_dir=tmp_path / "shard", fanout_threshold=0)
     db = Database(schema, backend=backend)
-    oracle = Database(schema)
     try:
-        rounds = [synthetic_rows(SMOKE_KEYS, 3),
-                  [(f"k{key}", f"b{key + 7}", "c5")
-                   for key in range(SMOKE_KEYS)]]
-        db.insert_many("R", rounds[0])
-        oracle.insert_many("R", rounds[0])
+        initial = synthetic_rows(SMOKE_KEYS, 3)
+        db.insert_many("R", initial)
         db.attach_access_schema(aschema)
-        oracle.attach_access_schema(aschema)
         constraint = next(iter(aschema))
-        keys = [(f"k{key}",) for key in range(0, SMOKE_KEYS, 3)]
+        keys = [f"k{key}" for key in range(0, SMOKE_KEYS, 3)]
+        rounds = [(None, []),
+                  (db.insert_many, [(f"k{key}", f"b{key + 7}", "c5")
+                                    for key in range(SMOKE_KEYS)]),
+                  (db.delete_many, initial[::2])]
 
-        for round_no, fresh_rows in enumerate((None, rounds[1])):
-            if fresh_rows is not None:
-                db.insert_many("R", fresh_rows)
-                oracle.insert_many("R", fresh_rows)
-            expected = sorted(oracle.backend.fetch_flat(constraint, keys))
+        def per_key(entries):
+            return [[list(column) for column in cols]
+                    for cols, _ in entries]
+
+        for round_no, (write, rows) in enumerate(rounds):
+            if write is not None:
+                size = db.relation_size("R")
+                write("R", rows)
+                assert db.relation_size("R") != size, \
+                    f"round {round_no} wrote nothing"
+            coded = [db.dictionary.encode(key) for key in keys]
+            expected = per_key(
+                backend._store.fetch_many_encoded(constraint, coded))
             # One fetch per round-robin slot (writer + workers, replica).
             for _ in range(1 + backend.workers + backend.replicas):
-                coded = [db.dictionary.encode(key[0]) for key in keys]
-                cols, length = db.fetch_flat_encoded(constraint, coded)
-                decoded = sorted(db.dictionary.decode_rows(cols, length))
-                assert decoded == expected, f"round {round_no}: rows differ"
+                got = per_key(db.fetch_many_encoded(constraint, coded))
+                assert got == expected, f"round {round_no}: rows differ"
 
         counters = backend.counters()
         assert counters["replica_reads_total"] > 0, \
             "the replica never served a read"
-        assert counters["replica_catchups_total"] >= 1, \
-            "the stale replica was never caught up over the WAL"
+        assert counters["replica_catchups_total"] >= 2, \
+            "the stale replica was not caught up over the WAL each round"
         assert backend.gauges()["replicas_alive"] == 1
     finally:
         backend.close()
-        oracle.backend.close()

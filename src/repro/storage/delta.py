@@ -13,7 +13,8 @@ generation bump) of one relation: per attached constraint, the X-keys
 whose group the batch changed, plus ``read``, the backend's read of
 such groups at the delta's generation.  A listener replaces what it
 holds for a named key with that read, so a maintained entry *is* the
-index's content at the delta's generation, row order included.
+index's content at the delta's generation, row order included — the
+same order any copy of the index holds, groups being sorted by Y codes.
 Backends emit the delta *inside* the lock that serializes the
 relation's generation bumps, immediately after the bump, so listeners
 observe a gap-free, ordered stream::

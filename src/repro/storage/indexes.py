@@ -9,10 +9,11 @@ sense of Abadi, Madden and Ferreira, SIGMOD 2006).  :class:`CodeIndex`
 is the one witness-counted code-group index that every engine, shard
 worker and replica keeps: per ``X``-key, one ``array('q')`` column per
 ``X∪Y`` attribute holding the distinct projections, each counted by
-its witness rows.  Keys are bare int codes when ``|X| == 1`` (the hot
-case) and code tuples otherwise.  :class:`AccessIndex` binds one to a
-constraint over a relation and decodes on the way out of its
-value-level reads, which tests and cardinality validation use.
+its witness rows and sorted by Y-key, so a group's row order follows
+from its content alone.  Keys are bare int codes when ``|X| == 1`` (the
+hot case) and code tuples otherwise.  :class:`AccessIndex` binds one to
+a constraint over a relation and decodes on the way out of its
+value-level reads, which tests and cardinality checks use.
 
 :func:`gather_codes` is the one read over a code-group map: a key
 batch in, concatenated code columns plus per-key row counts out
@@ -23,33 +24,33 @@ C-level join per column.  Every engine's ``read_codes`` ends in it.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from ..errors import ConstraintViolation
 from ..schema.access import AccessConstraint
 from ..schema.relation import RelationSchema
 from .encoding import COLUMN_TYPECODE, ValueDictionary, int_column
 
 
 class _EncodedGroup:
-    """One X-key's distinct ``X∪Y`` projections as code columns.
+    """One X-key's distinct ``X∪Y`` projections as code columns, kept
+    sorted by Y-key (the Y codes, compared as a tuple when ``|Y| > 1``).
 
-    ``pos`` maps each projection's Y-key (a bare code when ``|Y| == 1``,
-    a code tuple otherwise) to its row, so a deletion can swap-remove
-    in O(columns) — row order within a group is meaningless under set
-    semantics.  ``extra`` counts the witnesses beyond the first of the
-    Y-keys that more than one stored row produces, and stays None
-    until one does: a projection with one witness costs its position
-    and nothing else.
+    The order is a function of the group's content and the dictionary,
+    not of the write history, so any two copies built from the same
+    rows under the same dictionary agree bit for bit (sorted
+    projections over dictionary codes, as in C-Store).  ``extra``
+    counts the witnesses beyond the first of the Y-keys that more than
+    one stored row produces, and stays None until one does: a
+    projection with one witness costs its codes and nothing else.
     """
 
-    __slots__ = ("cols", "pos", "extra")
+    __slots__ = ("cols", "extra")
 
-    def __init__(self, row_codes: Sequence[int], y_key):
+    def __init__(self, row_codes: Sequence[int]):
         """A group holding its first projection, ``row_codes``."""
         self.cols = [array(COLUMN_TYPECODE, (code,)) for code in row_codes]
-        self.pos: dict = {y_key: 0}
         self.extra: dict | None = None
 
 
@@ -75,7 +76,8 @@ def gather_codes(groups: dict, width: int, keys: Sequence,
         cols = ([int_column(column) for column in zip(*rows)] if rows
                 else [int_column() for _ in row_proj])
         return cols, list(map(len, unique))
-    counts = [0 if group is None else len(group.pos) for group in found]
+    counts = [0 if group is None else len(group.cols[0])
+              for group in found]
     parts = [group.cols for group in found if group is not None]
     if row_proj is not None:
         width = len(row_proj)
@@ -92,7 +94,10 @@ class CodeIndex:
 
     Rows arrive as ``X∪Y`` code tuples: the first ``x_len`` codes are
     the X-key, the rest the Y-key.  ``encoded`` maps each key to its
-    :class:`_EncodedGroup` — what :func:`gather_codes` reads.
+    :class:`_EncodedGroup` — what :func:`gather_codes` reads.  A write
+    finds its projection by binary search over the sorted Y-keys and
+    inserts or deletes in place: O(log N) compares plus an O(N) shift
+    of each column, N being the constraint's bound.
     """
 
     __slots__ = ("x_len", "width", "scalar_key", "scalar_y", "encoded")
@@ -112,6 +117,25 @@ class CodeIndex:
                 row_codes[x_len] if self.scalar_y
                 else tuple(row_codes[x_len:]))
 
+    def _find(self, group: _EncodedGroup, y_key) -> tuple[int, bool]:
+        """Where ``y_key`` belongs among ``group``'s sorted Y-keys, and
+        whether it is already there."""
+        cols = group.cols
+        if self.scalar_y:
+            rows = cols[self.x_len]
+            position = bisect_left(rows, y_key)
+            return position, (position < len(rows)
+                              and rows[position] == y_key)
+        y_cols = cols[self.x_len:]
+
+        def row_key(i: int) -> tuple:
+            return tuple(column[i] for column in y_cols)
+
+        rows = range(len(cols[0]))
+        position = bisect_left(rows, y_key, key=row_key)
+        return position, (position < len(rows)
+                          and row_key(position) == y_key)
+
     def add(self, row_codes: Sequence[int]) -> bool:
         """Register one stored row's projection.
 
@@ -122,18 +146,18 @@ class CodeIndex:
         key, y_key = self._keys(row_codes)
         group = self.encoded.get(key)
         if group is None:
-            self.encoded[key] = _EncodedGroup(row_codes, y_key)
+            self.encoded[key] = _EncodedGroup(row_codes)
             return True
-        if y_key in group.pos:
+        position, present = self._find(group, y_key)
+        if present:
             extra = group.extra
             if extra is None:
                 group.extra = {y_key: 1}
             else:
                 extra[y_key] = extra.get(y_key, 0) + 1
             return False
-        group.pos[y_key] = len(group.pos)
         for column, code in zip(group.cols, row_codes):
-            column.append(code)
+            column.insert(position, code)
         return True
 
     def remove(self, row_codes: Sequence[int]) -> bool:
@@ -147,10 +171,6 @@ class CodeIndex:
         group = self.encoded.get(key)
         if group is None:
             return False
-        pos = group.pos
-        position = pos.get(y_key)
-        if position is None:
-            return False
         extra = group.extra
         if extra is not None and y_key in extra:
             witnesses = extra.pop(y_key)
@@ -159,19 +179,14 @@ class CodeIndex:
             elif not extra:
                 group.extra = None
             return False
-        del pos[y_key]
-        if not pos:
+        position, present = self._find(group, y_key)
+        if not present:
+            return False
+        if len(group.cols[0]) == 1:
             del self.encoded[key]
             return True
-        cols = group.cols
-        last = len(pos)
-        if position != last:
-            for column in cols:
-                column[position] = column[last]
-            pos[self._keys([column[position] for column in cols])[1]] = \
-                position
-        for column in cols:
-            column.pop()
+        for column in group.cols:
+            del column[position]
         return True
 
     def remove_all(self) -> None:
@@ -195,8 +210,8 @@ class AccessIndex:
 
     ``lookup`` implements the paper's ``fetch`` primitive for one
     X-value, decoded.  The number of distinct Y-values per X-value is
-    the quantity the cardinality bound constrains; :meth:`groups` and
-    ``max_group_size`` expose it so instances can be validated.  An
+    the quantity the cardinality bound constrains; :meth:`groups`
+    exposes it to :meth:`~repro.storage.database.Database.check`.  An
     index built without a ``dictionary`` interns into a private one.
     """
 
@@ -243,45 +258,26 @@ class AccessIndex:
     def remove_all(self) -> None:
         self.codes.remove_all()
 
-    def _group(self, x_value: tuple) -> _EncodedGroup | None:
-        """The group of one X-value, looked up without interning."""
-        codes = self.dictionary.lookup_codes(x_value)
-        if any(code < 0 for code in codes):
-            return None  # a value never stored
-        return self.encoded.get(codes[0] if self.scalar_key
-                                else tuple(codes))
-
     def lookup(self, x_value: tuple) -> list[tuple]:
         """Distinct ``X∪Y`` projections for one X-value (possibly empty),
         decoded — the ``fetch(X ∈ T, R, Y)`` operator's ``D_XY(X = a)``."""
-        group = self._group(x_value)
+        codes = self.dictionary.lookup_codes(x_value)
+        if any(code < 0 for code in codes):
+            return []  # a value never stored
+        group = self.encoded.get(codes[0] if self.scalar_key
+                                 else tuple(codes))
         if group is None:
             return []
         decode = self.dictionary.decode
         return list(zip(*[list(map(decode, column))
                           for column in group.cols]))
 
-    def group_size(self, x_value: tuple) -> int:
-        group = self._group(x_value)
-        return 0 if group is None else len(group.pos)
-
     def groups(self) -> Iterator[tuple[tuple, int]]:
         """``(x_value, distinct-Y count)`` per X-key, decoded."""
         decode = self.dictionary.decode
         for key, group in self.encoded.items():
             yield ((decode(key),) if self.scalar_key
-                   else tuple(map(decode, key))), len(group.pos)
-
-    def max_group_size(self) -> int:
-        return max((len(group.pos) for group in self.encoded.values()),
-                   default=0)
-
-    def validate(self, db_size: int) -> None:
-        """Raise :class:`ConstraintViolation` if some group exceeds the bound."""
-        limit = self.constraint.bound(db_size)
-        for x_value, size in self.groups():
-            if size > limit:
-                raise ConstraintViolation(self.constraint, x_value, size)
+                   else tuple(map(decode, key))), len(group.cols[0])
 
     def __len__(self) -> int:
         return len(self.encoded)

@@ -10,7 +10,15 @@ never-stored keys alike, duplicates included:
 * ``fetch_many`` and ``fetch_flat`` (value keys);
 * ``fetch_many_encoded`` (code keys), decoded;
 * ``fetch_flat_encoded`` (code keys), decoded;
-* an :class:`~repro.storage.indexes.AccessIndex` built from ``scan``.
+* an :class:`~repro.storage.indexes.AccessIndex` built from ``scan``
+  under the engine's own dictionary.
+
+For a requested constraint equal to an attached one, each key's
+``fetch_many_encoded`` columns must also equal the fresh index's group
+code for code, row order included: groups are sorted by Y codes, so
+every copy of an index lays its rows out alike.  A projected or
+deduplicated resolution keeps only the multiset check, since its order
+follows the wider attached index.
 
 The four reads are adapters over each engine's one ``read_codes``;
 procshard answers in worker-bucket order, so the aligned reads check
@@ -53,7 +61,6 @@ from repro.query import parse_query
 from repro.service import CachingExecutor, FetchCache
 from repro.storage.backend import MemoryBackend
 from repro.storage.disk import DiskBackend
-from repro.storage.encoding import ValueDictionary
 from repro.storage.indexes import AccessIndex
 
 from fetch_audit import audited
@@ -151,15 +158,22 @@ def _decode(dictionary, cols, length) -> Counter:
 
 def _expected(backend):
     """Per requested constraint: the value keys (the whole domain plus
-    never-stored keys), a fresh index's rows for each, and the code
-    keys of the ones the engine has interned with their positions."""
+    never-stored keys), a fresh index's rows for each, the code keys of
+    the ones the engine has interned with their positions, and — when
+    the constraint is attached as requested — the fresh index's code
+    columns for each of those."""
     dictionary = backend.dictionary
+    attached = list(backend.access_schema)
     for requested in _requested(backend.access_schema):
+        # Every scanned value is stored, so the engine's dictionary
+        # encodes the oracle's rows without interning.
+        size = len(dictionary)
         oracle = AccessIndex(requested,
                              requested.validate_against(SCHEMA),
-                             ValueDictionary())
+                             dictionary)
         for row in backend.scan(requested.relation_name):
             oracle.add(row)
+        assert len(dictionary) == size, "a scanned value was not interned"
         width = len(requested.x)
         keys = list(dict.fromkeys(
             [*itertools.product(VALUES, repeat=width),
@@ -173,12 +187,18 @@ def _expected(backend):
                  for i in known]
         if width == 1:
             codes = [key[0] for key in codes]
-        yield requested, keys, want, known, codes
+        exact = None
+        if requested in attached:
+            empty = [[] for _ in range(oracle.width)]
+            exact = [empty if group is None
+                     else [list(column) for column in group.cols]
+                     for group in map(oracle.encoded.get, codes)]
+        yield requested, keys, want, known, codes, exact
 
 
 def _check(backend, expected) -> None:
     dictionary = backend.dictionary
-    for requested, keys, want, known, codes in expected:
+    for requested, keys, want, known, codes, exact in expected:
         size = len(dictionary)
         got = backend.fetch_many(requested, keys + keys[::-1])
         flat_rows = backend.fetch_flat(requested, keys)
@@ -198,6 +218,10 @@ def _check(backend, expected) -> None:
         mine = [want[i] for i in known]
         assert [_decode(dictionary, *entry) for entry in many] == \
             [Counter()] * len(unknown) + mine + mine[::-1]
+        if exact is not None:
+            assert [[list(column) for column in cols]
+                    for cols, _ in many[len(unknown):]] == \
+                exact + exact[::-1], "a group's row order differs"
         flat = backend.fetch_flat_encoded(requested, codes)
         assert _decode(dictionary, *flat) == sum(
             (want[i] for i in known), Counter())
@@ -213,7 +237,7 @@ def _check_cache(db, cache, expected, unread=None) -> None:
     The value adapters are checked on the other two caches."""
     dictionary = db.dictionary
     executor = CachingExecutor(db, cache)
-    for requested, keys, want, known, codes in expected:
+    for requested, keys, want, known, codes, _ in expected:
         if unread is None:
             size = len(dictionary)
             rows_per_x, _ = cache.lookup_many(db, requested, keys)

@@ -7,7 +7,6 @@ import pytest
 from repro import (AccessConstraint, AccessSchema, ConstraintViolation,
                    Database, ExecutionError, LogCardinality, MemoryBackend,
                    Schema, SchemaError)
-from repro.storage.indexes import AccessIndex
 
 
 @pytest.fixture
@@ -233,20 +232,31 @@ class TestWriteGenerations:
 
 
 class TestAccessIndex:
-    def test_distinct_y_counting(self, schema):
-        constraint = AccessConstraint("R", ("A",), ("B",), 2)
-        index = AccessIndex(constraint, schema.relation("R"))
-        index.add((1, "a"))
-        index.add((1, "a"))
-        index.add((1, "b"))
-        assert index.group_size((1,)) == 2
-        assert index.max_group_size() == 2
-        assert len(index) == 1
+    """Distinct-Y counting, seen through the one cardinality check:
+    ``R(A -> B)`` drops ``C``, so ``(1, "a", *)`` rows are witnesses of
+    one projection and count once."""
 
-    def test_validate_raises(self, schema):
-        constraint = AccessConstraint("R", ("A",), ("B",), 1)
-        index = AccessIndex(constraint, schema.relation("R"))
-        index.add((1, "a"))
-        index.add((1, "b"))
-        with pytest.raises(ConstraintViolation):
-            index.validate(db_size=2)
+    ROWS = [(1, "a", 0), (1, "a", 1), (1, "b", 0)]
+
+    def _db(self, bound: int) -> Database:
+        schema = Schema.from_dict({"R": ("A", "B", "C")})
+        return Database(schema, AccessSchema(schema, [
+            AccessConstraint("R", ("A",), ("B",), bound)]))
+
+    def test_distinct_y_counting(self):
+        db = self._db(2)
+        db.insert_many("R", self.ROWS)
+        assert db.satisfies()
+        # One witness left: the projection, and its count, stay.
+        db.delete("R", (1, "a", 0))
+        assert db.satisfies()
+        assert sorted(db.fetch(db.access_schema.constraints[0], (1,))) \
+            == [(1, "a"), (1, "b")]
+
+    def test_check_raises_on_distinct_y_over_bound(self):
+        db = self._db(1)
+        db.insert_many("R", self.ROWS)
+        assert not db.satisfies()
+        with pytest.raises(ConstraintViolation) as excinfo:
+            db.check()
+        assert excinfo.value.count == 2

@@ -75,12 +75,13 @@ def witnesses(index: CodeIndex) -> Counter:
     """Each stored ``X∪Y`` code row of a :class:`CodeIndex`, counted by
     its witness rows."""
     counts: Counter = Counter()
+    x_len = index.x_len
     for group in index.encoded.values():
+        assert len({len(column) for column in group.cols}) == 1
         extra = group.extra or {}
-        for y_key, position in group.pos.items():
-            row = tuple(column[position] for column in group.cols)
+        for row in zip(*group.cols):
+            y_key = row[x_len] if index.scalar_y else row[x_len:]
             counts[row] = 1 + extra.get(y_key, 0)
-        assert all(len(column) == len(group.pos) for column in group.cols)
     return counts
 
 
@@ -177,6 +178,46 @@ class TestCodeIndex:
                                for index in users]
                     assert answers[1:] == answers[:1] * 2
             writer.close()
+
+    @given(ops=st.lists(st.tuples(st.booleans(),
+                                  st.tuples(*[st.integers(0, 2)] * 4)),
+                        max_size=60),
+           shuffle=st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_live_groups_equal_a_rebuild_from_the_surviving_rows(
+            self, ops, shuffle):
+        """Random adds and removes of stored ``(A, B, C, D)`` code rows,
+        then a :class:`CodeIndex` rebuilt from the survivors in shuffled
+        order: every group's columns are bit-exact and its witness
+        counts equal, whatever the write history.  ``A -> B`` and
+        ``A -> (C, B)`` drop columns, so projections have several
+        witnesses; the second has ``|Y| > 1`` in non-schema order, and
+        ``() -> (B, D)`` keeps every row in one group."""
+        layouts = [((0,), (1,)), ((0,), (2, 1)), ((), (1, 3))]
+        live = [(CodeIndex(len(x), len(x) + len(y)), (*x, *y))
+                for x, y in layouts]
+        model: set = set()
+        for inserting, row in ops:
+            if (row in model) == inserting:
+                continue  # stores apply only effective writes
+            (model.add if inserting else model.remove)(row)
+            for index, layout in live:
+                projected = tuple(row[p] for p in layout)
+                (index.add if inserting else index.remove)(projected)
+        survivors = list(model)
+        shuffle.shuffle(survivors)
+        for index, layout in live:
+            rebuilt = CodeIndex(index.x_len, index.width)
+            for row in survivors:
+                rebuilt.add(tuple(row[p] for p in layout))
+            assert index.encoded.keys() == rebuilt.encoded.keys()
+            for key, group in index.encoded.items():
+                other = rebuilt.encoded[key]
+                assert list(map(bytes, group.cols)) == \
+                    list(map(bytes, other.cols)), (layout, key)
+                assert group.extra == other.extra, (layout, key)
+            assert witnesses(index) == Counter(
+                tuple(row[p] for p in layout) for row in model)
 
     def test_witness_counts_survive_projection_collapse(self, schema):
         access, code, dictionary = self._pair(schema)
