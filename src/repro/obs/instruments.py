@@ -113,11 +113,12 @@ def attach_cache_collector(registry: MetricsRegistry, service) -> None:
     shape = _cache_instruments(registry, "plan shape",
                                prefix="repro_plan_cache_shape")
     fetch = _cache_instruments(registry, "fetch")
-    # Lookups a starved fetch cache sent straight to storage (its
-    # self-tuning bypass); they are also counted as misses.
+    # Lookups the fetch cache sent straight to storage (a starved
+    # cache's self-tuning bypass, or a constraint it cannot maintain);
+    # they are also counted as misses.
     bypassed = registry.counter(
         "repro_fetch_cache_bypassed_lookups_total",
-        "fetch cache lookups read straight from storage by the bypass")
+        "fetch cache lookups read straight from storage")
     # Incremental-maintenance outcomes: deltas applied vs deltas that
     # fell back to invalidation.  A healthy write-heavy
     # workload shows maintained ≫ fallbacks; fallbacks climbing means

@@ -1,10 +1,10 @@
 """The serving tier's single housekeeping loop.
 
-One long-lived loop owns *all* periodic maintenance — fetch-cache
-sweeps, stats flushes, storage peer health checks — instead of one
-timer thread per concern.  Handlers register with a name and an
-interval; the loop wakes for the earliest due handler, runs it (in the
-server's executor, so a slow sweep never blocks the event loop), and
+One long-lived loop owns *all* periodic maintenance — stats flushes,
+storage peer health checks — instead of one timer thread per concern.
+Handlers register with a name and an interval; the loop wakes for the
+earliest due handler, runs it (in the server's executor, so a slow
+handler never blocks the event loop), and
 records per-handler run/error tallies.  One loop means one place to
 observe, one thing to shut down, and no thundering herd of timers.
 

@@ -82,7 +82,6 @@ class ServerConfig:
     #: Suggested client back-off on a 429, seconds.
     retry_after_s: int = 1
     #: Housekeeping cadences.
-    cache_sweep_interval_s: float = 5.0
     stats_flush_interval_s: float = 10.0
     peer_health_interval_s: float = 2.0
 
@@ -135,9 +134,6 @@ class ReproServer:
             thread_name_prefix="repro-serve")
         self.housekeeper = Housekeeper()
         self.housekeeper.register(
-            "cache_sweep", self.config.cache_sweep_interval_s,
-            self._sweep_caches)
-        self.housekeeper.register(
             "stats_flush", self.config.stats_flush_interval_s,
             self._flush_stats)
         self.housekeeper.register(
@@ -147,10 +143,6 @@ class ReproServer:
         _attach_server_collector(self.registry, self)
 
     # -- housekeeping handlers ---------------------------------------------
-
-    def _sweep_caches(self) -> int:
-        return sum(tenant.service.sweep_caches()
-                   for tenant in list(self.tenants.values()))
 
     def _flush_stats(self) -> dict:
         self._last_stats = self.stats_payload()

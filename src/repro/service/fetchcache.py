@@ -8,33 +8,27 @@ a cache of ``capacity`` entries occupies at most ``capacity · N_max``
 tuples.  Memory is certifiably bounded by the same reasoning the plans
 themselves enjoy.
 
-Freshness comes in two flavours (the full soundness argument lives in
-``docs/ARCHITECTURE.md``):
+Entries are kept fresh by maintenance (the full soundness argument
+lives in ``docs/ARCHITECTURE.md``).  An entry is keyed by its
+constraint and X-key and kept current by the backend's
+:class:`~repro.storage.delta.WriteDelta` stream: a write names the
+X-keys whose group it changed, and each cached entry among them is
+refreshed with its group as the index holds it after the write, so an
+entry is the index's content at the delta's generation; everything
+else stays warm.  A per-relation *epoch* (the generation of the last
+applied delta) validates lookups; a delta that cannot name its keys (a
+``clear``, recovery, schema reattach) or leaves a gap in the stream
+falls back to invalidating the relation's entries — counted, so
+dashboards can see maintenance degrade.
 
-* **Maintained entries** — for constraints that resolve *exactly*
-  against an attached index (same relation, X, Y and bound), entries
-  are keyed without a generation and kept current by the backend's
-  :class:`~repro.storage.delta.WriteDelta` stream: a write names the
-  X-keys whose group it changed, and each cached entry among them is
-  refreshed with its group as the index holds it after the write, so a
-  maintained entry is the index's content at the delta's generation;
-  everything else stays warm.  A per-relation *epoch* (the generation
-  of the last applied delta) validates lookups; a delta that cannot
-  name its keys (a ``clear``, recovery, schema reattach) or leaves a
-  gap in the stream falls back to invalidating the relation's
-  maintained entries — counted, so dashboards can see maintenance
-  degrade.
-* **Generation-keyed entries** — constraints that resolve through a
-  key permutation or row projection (structural recreations with a
-  different layout) keep the original scheme: the cache key carries
-  ``db.generation(relation)``, so any write cold-starts them.  This
-  *is* the fallback-to-invalidate path, with no purge needed on the
-  write itself (stale entries age out or are swept).
-
-Maintenance is attached per database via :meth:`FetchCache.
-attach_maintenance` (the service does this at construction); an
-unattached cache behaves exactly like the original generation-keyed
-design.
+Only a constraint that resolves *exactly* against an attached index
+(same relation, X, Y and bound) can be maintained: deltas name keys
+per attached constraint.  Maintenance is attached per database via
+:meth:`FetchCache.attach_maintenance` (the service does this at
+construction).  A detached cache, or a constraint that resolves
+through a key permutation or row projection, *reads through*: its
+lookups go straight to storage with no probe and no fill, counted as
+misses.
 
 Entries hold dictionary-code columns only: code keys in, code columns
 out (:meth:`FetchCache.lookup_many_encoded`).  The value-domain
@@ -80,26 +74,24 @@ from .plancache import CacheInfo
 #: waits to be noticed.
 _BYPASS_CEILING = 1024
 
+#: Verdict memo entries before a wholesale clear: the memo pins the
+#: constraint objects it has seen, so it must not grow without bound.
+_MAX_VERDICTS = 4096
+
 
 class FetchCache:
     """Thread-safe LRU over per-X-key fetch results.
 
-    Every entry is ``(readonly column views, length)`` under one of two
-    key shapes:
-
-    * maintained — ``(slot, code key)``;
-    * generation-keyed — ``(slot, code key, generation)``.
-
-    A *slot* is a small int the cache gives each constraint value the
-    first time it sees it, so a probe hashes the constraint once per
-    fetch step instead of twice per key (frozen-dataclass hashing runs
-    in Python).  Entries are what the columnar executor consumes: a
-    warm single-key hit hands back zero-copy views that flow straight
-    into a batch, and a multi-key step joins its views into one fresh
-    array per column — no re-encoding, no row materialization.
-    Maintenance replaces an entry with freshly read arrays, so views
-    already handed out stay frozen at the content they were served
-    with.
+    Every entry is ``(readonly column views, length)`` under a
+    ``(slot, code key)`` key.  A *slot* is a small int the cache gives
+    each maintained constraint value the first time it sees it, so a
+    probe never hashes the constraint per key.  Entries are
+    what the columnar executor consumes: a warm single-key hit hands
+    back zero-copy views that flow straight into a batch, and a
+    multi-key step joins its views into one fresh array per column —
+    no re-encoding, no row materialization.  Maintenance replaces an
+    entry with freshly read arrays, so views already handed out stay
+    frozen at the content they were served with.
 
     >>> cache = FetchCache(capacity=128)
     >>> cache.info().size
@@ -111,22 +103,20 @@ class FetchCache:
     def __init__(self, capacity: int = 4096):
         self.capacity = capacity
         self._entries: LruDict = LruDict(capacity)
-        #: Largest cached entry seen, for the memory-bound report
-        #: (advisory: updated without a lock).
-        self.max_entry_rows = 0
         # constraint value -> slot, and slot -> constraint.  Slots are
         # assigned under the maintenance lock and never reused.
         self._slots: dict[AccessConstraint, int] = {}
         self._constraints: list[AccessConstraint] = []
-        # -- the self-tuning bypass (advisory and lock-free, like
-        # max_entry_rows: a race can only mis-time a probe) -------------
+        # -- the self-tuning bypass (advisory and lock-free: a race can
+        # only mis-time a probe) ----------------------------------------
         #: Entries filled since the last hit was served.
         self._unread_fills = 0
         #: Current bypass run length in fetch steps (0: not starved).
         self._bypass_run = 0
         #: Steps left to bypass before the next probe.
         self._bypass_left = 0
-        #: Index lookups that skipped the cache because it was starved.
+        #: Index lookups read straight from storage: a starved cache's
+        #: bypass runs and the constraints it cannot maintain.
         self.bypassed_lookups = 0
         # -- incremental maintenance state ---------------------------------
         # Serializes delta application, epoch reads/writes and the
@@ -136,12 +126,14 @@ class FetchCache:
         # the backend would deadlock against a writer.
         self._maintenance_lock = threading.Lock()
         #: relation -> generation of the last applied delta.  Invariant:
-        #: a relation with no epoch has no maintained entries.
+        #: a relation with no epoch has no entries.
         self._epochs: dict[str, int] = {}
         self._backend = None
-        # Maintainability verdicts, memoized per slot (constraint
-        # *value*) against the identity of the backend's attached schema.
-        self._verdicts: dict[int, bool] = {}
+        # Maintainability verdicts against the identity of the
+        # backend's attached schema: id(constraint object) -> (the
+        # object, its slot or None: read through).  Pinning the object
+        # keeps its id from being reused while the entry lives.
+        self._verdicts: dict[int, tuple] = {}
         self._verdict_schema = None
         #: Deltas applied to maintained entries.
         self.maintained_deltas = 0
@@ -159,25 +151,23 @@ class FetchCache:
         """Subscribe this cache to ``db``'s write-delta stream.
 
         Constraints that resolve exactly against the attached schema
-        switch to maintained (epoch-validated) entries; everything else
-        stays generation-keyed.  Idempotent per backend; attaching to a
-        different backend detaches from the previous one first.
+        are then cached (epoch-validated); everything else reads
+        through.  Idempotent per backend; attaching to a different
+        backend detaches from the previous one first.
         """
         backend = db.backend
         if backend is self._backend:
             return
         self.detach_maintenance()
         with self._maintenance_lock:
-            self._epochs.clear()
-            self._verdicts = {}
-            self._verdict_schema = None
             self._backend = backend
         backend.add_write_listener(self._on_delta)
 
     def detach_maintenance(self) -> int:
-        """Unsubscribe and drop every maintained entry (they would go
-        silently stale without the delta stream).  Returns the number
-        of entries dropped.  Safe to call when not attached."""
+        """Unsubscribe and empty the cache (its entries would go
+        silently stale without the delta stream); from then on every
+        lookup reads through.  Returns the number of entries dropped.
+        Safe to call when not attached."""
         backend = self._backend
         if backend is not None:
             backend.remove_write_listener(self._on_delta)
@@ -186,57 +176,59 @@ class FetchCache:
             self._epochs.clear()
             self._verdicts = {}
             self._verdict_schema = None
-            return self._entries.prune(self._is_maintained_key)
-
-    @staticmethod
-    def _is_maintained_key(key) -> bool:
-        return len(key) == 2
+            dropped = len(self._entries)
+            self._entries.clear()
+            return dropped
 
     def _slot(self, constraint: AccessConstraint) -> int:
-        """The constraint value's slot, assigned on first sight (the
-        one hash of the constraint a probe pays)."""
-        slot = self._slots.get(constraint)
-        if slot is None:
-            with self._maintenance_lock:
-                slot = self._slots.get(constraint)
-                if slot is None:
-                    slot = len(self._constraints)
-                    # Mapped back before it is published: whoever sees
-                    # the slot can resolve it.
-                    self._constraints.append(constraint)
-                    self._slots[constraint] = slot
-        return slot
+        """The constraint value's slot, assigned on first sight."""
+        with self._maintenance_lock:
+            slot = self._slots.get(constraint)
+            if slot is None:
+                slot = len(self._constraints)
+                # Mapped back before it is published: whoever sees the
+                # slot can resolve it.
+                self._constraints.append(constraint)
+                self._slots[constraint] = slot
+            return slot
 
-    def _maintainable(self, constraint: AccessConstraint, slot: int) -> bool:
-        """Can this constraint's entries be maintained by deltas?
+    def _maintained_slot(self, constraint: AccessConstraint) -> int | None:
+        """The constraint's slot if deltas can maintain its entries,
+        else ``None`` (its lookups read through).  Memoized per
+        constraint object, so a warm step never hashes the constraint
+        (frozen-dataclass hashing runs in Python).
 
-        Yes exactly when some attached constraint *equals* it (same
-        relation, X, Y and bound): deltas are keyed by the attached
-        constraint objects, and frozen-dataclass equality makes the
-        requested constraint address the same entries (and the same
-        slot).  Anything that resolves through a key permutation, row
-        projection or a different bound stays generation-keyed.
+        Maintainable exactly when the cache is attached and some
+        attached constraint *equals* this one (same relation, X, Y and
+        bound): deltas are keyed by the attached constraint objects,
+        and frozen-dataclass equality makes the requested constraint
+        address the same entries (and the same slot).  Anything that
+        resolves through a key permutation, row projection or a
+        different bound reads through.
         """
         backend = self._backend
         if backend is None:
-            return False
+            return None
         schema = backend.access_schema
         if schema is not self._verdict_schema:
             # A reattach changes the constraint->index mapping; old
             # verdicts (either way) are meaningless against it.
             self._verdicts = {}
             self._verdict_schema = schema
-        verdict = self._verdicts.get(slot)
+        verdicts = self._verdicts
+        verdict = verdicts.get(id(constraint))
         if verdict is None:
-            verdict = schema is not None and any(
-                attached == constraint for attached in schema)
-            self._verdicts[slot] = verdict
-        return verdict
+            slot = (self._slot(constraint) if schema is not None and any(
+                attached == constraint for attached in schema) else None)
+            if len(verdicts) >= _MAX_VERDICTS:
+                verdicts.clear()
+            verdict = verdicts[id(constraint)] = (constraint, slot)
+        return verdict[1]
 
     def _live_get_many(self, relation: str, generation: int,
                        keys: list) -> list:
-        """Probe maintained entries: served only while the relation's
-        epoch equals the generation the lookup read."""
+        """Probe entries: served only while the relation's epoch equals
+        the generation the lookup read."""
         with self._maintenance_lock:
             live = self._epochs.get(relation) == generation
         if live:
@@ -247,22 +239,28 @@ class FetchCache:
         self._entries.record_misses(len(keys))
         return [None] * len(keys)
 
-    # -- the self-tuning bypass --------------------------------------------
+    # -- reading through ---------------------------------------------------
 
-    def bypass_step(self, keys: int) -> bool:
-        """Should the caller's next fetch step skip this cache?
+    def bypass_step(self, constraint: AccessConstraint, keys: int) -> bool:
+        """Should the caller's next fetch step over ``constraint`` skip
+        this cache?
 
-        True while a starved cache is inside a bypass run; the step's
-        ``keys`` lookups are then counted as misses here (and must be
-        counted as misses in the caller's ``AccessStats``) and read
-        straight from storage, with no probe and no fill.
+        True for a constraint the cache cannot maintain, and while a
+        starved cache is inside a bypass run.  The step's ``keys``
+        lookups are then counted as misses here (and must be counted
+        as misses in the caller's ``AccessStats``) and read straight
+        from storage, with no probe and no fill.
         """
-        if self._bypass_left <= 0:
+        if self._bypass_left > 0:
+            self._bypass_left -= 1
+        elif self._maintained_slot(constraint) is not None:
             return False
-        self._bypass_left -= 1
+        self._read_through(keys)
+        return True
+
+    def _read_through(self, keys: int) -> None:
         self.bypassed_lookups += keys
         self._entries.record_misses(keys)
-        return True
 
     def _observe(self, served: int, filled: int) -> None:
         """Feed one probe's outcome to the bypass rule."""
@@ -345,11 +343,13 @@ class FetchCache:
         Cached columns are the readonly memoryview slices
         ``fetch_many_encoded`` returns, over one array per column of
         the miss batch — warm hits share them by reference, and all
-        bookkeeping (entry sizing included) runs on code columns and
-        plain lengths; no decoded row is ever materialized here.
+        bookkeeping runs on code columns and plain lengths; no decoded
+        row is ever materialized here.
         Maintenance replaces a refreshed entry's arrays wholesale, so
         views handed to in-flight batches stay frozen.  Every call is
-        a probe for the bypass rule (:meth:`bypass_step`).
+        a probe for the bypass rule (:meth:`bypass_step`), except over
+        a constraint the cache cannot maintain: that batch reads
+        through, every key a miss.
 
         The generation is read once for the batch: a write racing the
         batch at worst caches fresher rows under the older epoch
@@ -361,15 +361,14 @@ class FetchCache:
         """
         relation = constraint.relation_name
         generation = db.generation(relation)
-        slot = self._slot(constraint)
-        maintained = self._maintainable(constraint, slot)
-        if maintained:
-            schema = getattr(self._backend, "access_schema", None)
-            cache_keys = [(slot, key) for key in keys]
-            cached = self._live_get_many(relation, generation, cache_keys)
-        else:
-            cache_keys = [(slot, key, generation) for key in keys]
-            cached = self._entries.get_many(cache_keys)
+        schema = getattr(self._backend, "access_schema", None)
+        slot = self._maintained_slot(constraint)
+        if slot is None:
+            self._read_through(len(keys))
+            return (db.fetch_many_encoded(constraint, keys),
+                    [False] * len(keys))
+        cache_keys = [(slot, key) for key in keys]
+        cached = self._live_get_many(relation, generation, cache_keys)
         missed = cached.count(None)
         served = len(cached) - missed
         if not missed:
@@ -379,24 +378,17 @@ class FetchCache:
         miss_positions = [i for i, hit in enumerate(hits) if not hit]
         fetched = db.fetch_many_encoded(
             constraint, [keys[i] for i in miss_positions])
-        largest = self.max_entry_rows
         puts = []
         for position, entry in zip(miss_positions, fetched):
             cached[position] = entry
-            if entry[1] > largest:
-                largest = entry[1]
             puts.append((cache_keys[position], entry))
-        self.max_entry_rows = largest
-        if maintained:
-            self._store_maintained(relation, generation, schema, puts)
-        else:
-            self._entries.put_many(puts)
+        self._store_maintained(relation, generation, schema, puts)
         self._observe(served, missed)
         return cached, hits
 
     def _store_maintained(self, relation: str, stamp: int, schema,
                           items: list) -> None:
-        """Store freshly fetched fills for maintained entries.
+        """Store freshly fetched fills.
 
         ``stamp`` is the generation read *before* the fetch.  Under the
         maintenance lock:
@@ -486,47 +478,15 @@ class FetchCache:
         if not present:
             return 0
         fresh = read(constraint, [key for _, key in present])
-        self.max_entry_rows = max(self.max_entry_rows,
-                                  *[length for _, length in fresh])
         self._entries.put_many(zip(present, fresh))
         return len(present)
 
     def _purge_relation(self, relation: str) -> int:
-        """Drop the relation's maintained entries (callers hold the
-        maintenance lock); generation-keyed entries are left to age
-        out as before."""
-        def doomed(key) -> bool:
-            return (self._is_maintained_key(key)
-                    and self._constraints[key[0]].relation_name == relation)
-        return self._entries.prune(doomed)
-
-    # -- housekeeping ------------------------------------------------------
-
-    def sweep(self, db: Database) -> int:
-        """Purge generation-keyed entries cached under a write
-        generation older than the relation's current one.
-
-        Stale generation-keyed entries can never be *served* (the
-        lookup key carries the current generation), but they occupy LRU
-        slots until recency pushes them out; a periodic sweep — the
-        serving tier's housekeeping loop calls this — hands those slots
-        back immediately.  Maintained entries are never swept: they are
-        kept current by deltas and dropped only by fallback purges.
-        Returns the number of entries dropped.
-        """
-        current: dict[str, int] = {}
-
-        def stale(key) -> bool:
-            if self._is_maintained_key(key):
-                return False
-            generation = key[2]
-            relation = self._constraints[key[0]].relation_name
-            latest = current.get(relation)
-            if latest is None:
-                latest = current[relation] = db.generation(relation)
-            return generation < latest
-
-        return self._entries.prune(stale)
+        """Drop the relation's entries (callers hold the maintenance
+        lock)."""
+        constraints = self._constraints
+        return self._entries.prune(
+            lambda key: constraints[key[0]].relation_name == relation)
 
     def clear(self) -> None:
         with self._maintenance_lock:
@@ -549,25 +509,23 @@ class FetchCache:
 class CachingExecutor(Executor):
     """An executor whose index lookups go through a :class:`FetchCache`.
 
-    With ``fetch_cache=None`` it behaves exactly like the base executor.
-    Results are identical either way — the cache only ever returns what
-    storage returned for the same (constraint, X-key) at the same write
-    epoch, refreshed from the index by the per-write deltas.  A
-    step the cache asks to bypass is the base executor's plain storage
-    read, its lookups counted as cache misses.
+    Results are identical to the base executor's — the cache only ever
+    returns what storage returned for the same (constraint, X-key) at
+    the same write epoch, refreshed from the index by the per-write
+    deltas.  A step the cache reads through (a constraint it cannot
+    maintain, or a starved cache's bypass) is the base executor's
+    plain storage read, its lookups counted as cache misses.
     """
 
-    def __init__(self, db: Database, fetch_cache: FetchCache | None = None):
+    def __init__(self, db: Database, fetch_cache: FetchCache):
         super().__init__(db)
         self.fetch_cache = fetch_cache
 
     def _fetch_flat_encoded(self, constraint, keys: Sequence,
                             stats: AccessStats):
         cache = self.fetch_cache
-        if cache is None:
-            return super()._fetch_flat_encoded(constraint, keys, stats)
-        if cache.bypass_step(len(keys)):
-            # A starved cache: a plain storage read, counted as misses.
+        if cache.bypass_step(constraint, len(keys)):
+            # A plain storage read, counted as misses.
             stats.fetch_cache_misses += len(keys)
             return super()._fetch_flat_encoded(constraint, keys, stats)
         deadline = current_deadline()

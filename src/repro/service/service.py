@@ -369,11 +369,6 @@ class BoundedQueryService:
         self.plan_cache.clear()
         self.fetch_cache.clear()
 
-    def sweep_caches(self) -> int:
-        """Purge fetch-cache entries whose write generation has gone
-        stale — the housekeeping loop's periodic sweep."""
-        return self.fetch_cache.sweep(self.db)
-
     def stats(self) -> ServiceStats:
         with self._lock:
             requests = self._requests

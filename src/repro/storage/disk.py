@@ -39,8 +39,8 @@ garbage.
 Write generations are durable too: each WAL record carries the
 relation's *post-write* generation and the manifest stores the
 generation map at snapshot time, so generations are monotonic across
-restarts and a generation-keyed fetch cache can never alias a pre-crash
-epoch onto post-crash contents.
+restarts and a fetch cache's epoch (the generation of its last applied
+delta) can never alias a pre-crash state onto post-crash contents.
 """
 
 from __future__ import annotations

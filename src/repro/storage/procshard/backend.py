@@ -25,8 +25,9 @@ Topology and ownership:
   WAL shipping (see :mod:`.replica`), and the coordinator load-
   balances whole fetch batches across writer and replicas, serving a
   replica only when its durable per-relation generation has caught up
-  — the staleness signal that keeps the generation-keyed fetch cache
-  sound.
+  — the staleness signal the fetch cache's epoch rule relies on (a
+  fill is stored only if no applied delta is newer than the generation
+  the reader observed).
 
 Write ordering (the cache-soundness contract): writes run the inner
 store's one write loop with shipping as its outer hook, ahead of the

@@ -27,9 +27,9 @@ triggers a re-bootstrap.
 Per-relation generations are the staleness signal: the coordinator
 serves a bounded fetch from a replica only when the replica's durable
 generation for the relation has caught up to the writer's, which keeps
-the generation-keyed fetch cache sound (a replica can only ever be
-*ahead* of the generation the reader observed, the same benign race
-the in-process engines document).
+the fetch cache's epoch rule sound (a replica can only ever be *ahead*
+of the generation the reader observed, the same benign race the
+in-process engines document: that write's delta refreshes the entry).
 
 :class:`ReplicaState` is importable and file-free so the kill-point
 tests can drive torn chunks against a :class:`~repro.storage.backend.

@@ -258,8 +258,7 @@ class TestStatsAndMetrics:
         assert status == 200
         assert payload["tenants"]["default"]["requests"] == 1
         assert payload["admission"]["max_inflight"] == 4
-        assert set(payload["housekeeping"]) == {"cache_sweep",
-                                                "stats_flush",
+        assert set(payload["housekeeping"]) == {"stats_flush",
                                                 "peer_health"}
 
     def test_stats_count_shape_hits(self, server):
@@ -290,7 +289,7 @@ class TestStatsAndMetrics:
         # error against a live database.
         for handler in server.housekeeper._handlers.values():
             handler.next_due = 0.0
-        assert server.housekeeper.run_due() == 3
+        assert server.housekeeper.run_due() == 2
         report = server.housekeeper.report()
         assert all(entry["errors"] == 0 for entry in report.values())
 

@@ -1,4 +1,5 @@
-"""Fetch cache: hit/miss accounting, LRU bound, write invalidation."""
+"""Fetch cache: hit/miss accounting, LRU bound, write maintenance,
+read-through when detached."""
 
 from __future__ import annotations
 
@@ -27,37 +28,43 @@ def constraint(db):
     return db.access_schema.constraints[0]
 
 
+def _attached(db, capacity=16) -> FetchCache:
+    cache = FetchCache(capacity=capacity)
+    cache.attach_maintenance(db)
+    return cache
+
+
 def test_lookup_reads_through_and_then_hits(db, constraint):
-    cache = FetchCache(capacity=16)
+    cache = _attached(db)
     rows, hit = cache.lookup(db, constraint, (1,))
     assert not hit and sorted(rows) == [(1, 10), (1, 11)]
     rows2, hit = cache.lookup(db, constraint, (1,))
     assert hit and rows2 == rows
     info = cache.info()
     assert info.hits == 1 and info.misses == 1
-    assert cache.max_entry_rows == 2
 
 
-def test_insert_invalidates_exactly_via_generation(db, constraint):
-    cache = FetchCache(capacity=16)
+def test_insert_refreshes_the_cached_entry(db, constraint):
+    cache = _attached(db)
     cache.lookup(db, constraint, (1,))
     db.insert("R", (1, 12))
     rows, hit = cache.lookup(db, constraint, (1,))
-    assert not hit
+    assert hit
     assert sorted(rows) == [(1, 10), (1, 11), (1, 12)]
+    assert cache.maintained_entries == 1
 
 
-def test_delete_invalidates_via_generation(db, constraint):
-    cache = FetchCache(capacity=16)
+def test_delete_refreshes_the_cached_entry(db, constraint):
+    cache = _attached(db)
     cache.lookup(db, constraint, (1,))
     assert db.delete("R", (1, 10))
     rows, hit = cache.lookup(db, constraint, (1,))
-    assert not hit
+    assert hit
     assert sorted(rows) == [(1, 11)]
 
 
 def test_lookup_many_splits_hits_and_misses(db, constraint):
-    cache = FetchCache(capacity=16)
+    cache = _attached(db)
     cache.lookup(db, constraint, (1,))
     rows_per_x, hits = cache.lookup_many(
         db, constraint, [(1,), (2,), (3,)])
@@ -74,7 +81,7 @@ def test_lookup_many_splits_hits_and_misses(db, constraint):
 
 
 def test_duplicate_insert_does_not_invalidate(db, constraint):
-    cache = FetchCache(capacity=16)
+    cache = _attached(db)
     cache.lookup(db, constraint, (1,))
     db.insert("R", (1, 10))  # already present: no effective write
     _, hit = cache.lookup(db, constraint, (1,))
@@ -83,12 +90,23 @@ def test_duplicate_insert_does_not_invalidate(db, constraint):
 
 def test_lru_bound_holds(db, constraint):
     db.insert_many("R", [(i, i * 100) for i in range(3, 50)])
-    cache = FetchCache(capacity=8)
+    cache = _attached(db, capacity=8)
     for i in range(40):
         cache.lookup(db, constraint, (i,))
     info = cache.info()
     assert info.size == 8
     assert info.evictions == 32
+
+
+def test_a_detached_cache_reads_through(db, constraint):
+    cache = _attached(db)
+    cache.lookup(db, constraint, (1,))
+    assert cache.detach_maintenance() == 1
+    for _ in range(2):
+        rows, hit = cache.lookup(db, constraint, (1,))
+        assert not hit and sorted(rows) == [(1, 10), (1, 11)]
+    assert len(cache) == 0
+    assert cache.info().misses == 3
 
 
 class TestEncodedEntries:
@@ -97,7 +115,7 @@ class TestEncodedEntries:
 
     def test_lookup_many_encoded_reads_through_then_hits(
             self, db, constraint):
-        cache = FetchCache(capacity=16)
+        cache = _attached(db)
         code = db.dictionary.encode(1)
         entries, hits = cache.lookup_many_encoded(
             db, constraint, [code])
@@ -115,29 +133,22 @@ class TestEncodedEntries:
                    for column in entries2[0][0])
         assert cache.info().hits == 1
 
-    def test_writes_invalidate_encoded_entries_via_generation(
-            self, db, constraint):
-        cache = FetchCache(capacity=16)
+    def test_writes_refresh_encoded_entries(self, db, constraint):
+        cache = _attached(db)
         code = db.dictionary.encode(1)
         cache.lookup_many_encoded(db, constraint, [code])
         db.insert("R", (1, 12))
         entries, hits = cache.lookup_many_encoded(
             db, constraint, [code])
-        assert hits == [False]
+        assert hits == [True]
         cols, length = entries[0]
         assert db.dictionary.decode_rows(cols, length) == \
             {(1, 10), (1, 11), (1, 12)}
 
-    def test_max_entry_rows_tracks_encoded_lengths(self, db, constraint):
-        cache = FetchCache(capacity=16)
-        codes = [db.dictionary.encode(value) for value in (1, 2, 3)]
-        cache.lookup_many_encoded(db, constraint, codes)
-        assert cache.max_entry_rows == 2  # x=1 holds two rows
-
     def test_caching_executor_concatenates_mixed_hits_and_misses(
             self, db, constraint):
         from repro.engine.executor import AccessStats
-        executor = CachingExecutor(db, FetchCache(capacity=16))
+        executor = CachingExecutor(db, _attached(db))
         codes = [db.dictionary.encode(value) for value in (1, 9)]
         stats = AccessStats()
         executor._fetch_flat_encoded(constraint, codes[:1], stats)  # miss
@@ -154,13 +165,17 @@ class TestEncodedEntries:
         assert stats.tuples_fetched == 3
 
 
-def test_caching_executor_matches_plain_executor(db):
+def _plan(db):
     from repro.core import is_boundedly_evaluable
     decision = is_boundedly_evaluable(parse_query("Q(y) :- R(x, y), x = 1"),
                                       db.access_schema)
-    plan = decision.witness["plan"]
+    return decision.witness["plan"]
+
+
+def test_caching_executor_matches_plain_executor(db):
+    plan = _plan(db)
     plain = Executor(db).execute(plan)
-    cache = FetchCache(capacity=16)
+    cache = _attached(db)
     cold = CachingExecutor(db, cache).execute(plan)
     warm = CachingExecutor(db, cache).execute(plan)
     assert plain.answers == cold.answers == warm.answers
@@ -171,15 +186,15 @@ def test_caching_executor_matches_plain_executor(db):
     assert warm.stats.fetch_cache_hits == warm.stats.index_lookups
 
 
-def test_no_cache_means_plain_behaviour(db):
-    from repro.core import is_boundedly_evaluable
-    decision = is_boundedly_evaluable(parse_query("Q(y) :- R(x, y), x = 1"),
-                                      db.access_schema)
-    plan = decision.witness["plan"]
-    result = CachingExecutor(db, None).execute(plan)
+def test_a_detached_cache_means_plain_behaviour(db):
+    plan = _plan(db)
+    plain = Executor(db).execute(plan)
+    result = CachingExecutor(db, FetchCache(capacity=16)).execute(plan)
+    assert result.answers == plain.answers == {(10,), (11,)}
     assert result.stats.fetch_cache_hits == 0
-    assert result.stats.fetch_cache_misses == 0
-    assert result.answers == {(10,), (11,)}
+    assert result.stats.fetch_cache_misses == result.stats.index_lookups
+    assert result.stats.tuples_fetched == plain.stats.tuples_fetched
+    assert result.stats.index_lookups == plain.stats.index_lookups
 
 
 class TestServiceNeverServesStaleRows:

@@ -67,6 +67,7 @@ def test_a_zipf_hot_pool_never_bypasses(db):
 
 def test_the_run_doubles_to_its_ceiling_and_a_hit_resets_it(db):
     cache = FetchCache(capacity=2)
+    cache.attach_maintenance(db)
     constraint = db.access_schema.constraints[0]
     codes = iter(db.dictionary.encode(a) for a in range(400))
 
@@ -75,7 +76,7 @@ def test_the_run_doubles_to_its_ceiling_and_a_hit_resets_it(db):
 
     def bypassed_run():
         steps = 0
-        while cache.bypass_step(1):
+        while cache.bypass_step(constraint, 1):
             steps += 1
         return steps
 

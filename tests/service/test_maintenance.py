@@ -128,12 +128,13 @@ class TestMaintainedEntries:
         cache.lookup(db, by_a, (1,))
         dropped = cache.detach_maintenance()
         assert dropped == 1
-        # Detached: back to byte-for-byte generation-keyed behaviour.
-        _, hit = cache.lookup(db, by_a, (1,))
-        assert not hit
+        # Detached: every lookup reads through, nothing is stored.
+        rows, hit = cache.lookup(db, by_a, (1,))
+        assert not hit and sorted(rows) == [(1, 10), (1, 11)]
         db.insert("R", (1, 12))
-        _, hit = cache.lookup(db, by_a, (1,))
-        assert not hit  # a write cold-starts generation-keyed entries
+        rows, hit = cache.lookup(db, by_a, (1,))
+        assert not hit and sorted(rows) == [(1, 10), (1, 11), (1, 12)]
+        assert len(cache) == 0
 
 
 def _fill(db, cache, constraint, x):

@@ -3,11 +3,15 @@
 ``CachingExecutor._fetch_flat_encoded`` must return the rows the plain
 storage read returns and book exactly the per-key accounting, on every
 mix of hits and misses — while an all-hit step does no per-key work in
-Python (no ``extend_column`` call, one ``LruDict.get_many``)."""
+Python (no ``extend_column`` call, one ``LruDict.get_many``).  A step
+the cache cannot maintain (a detached cache, or a constraint that
+resolves through a key permutation or a row projection) reads through:
+every lookup a miss, nothing stored."""
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -22,6 +26,11 @@ from repro.storage.disk import DiskBackend
 WIDE = AccessConstraint("R", ("A", "B"), ("C",), 50)    # width 3
 NARROW = AccessConstraint("R", ("A",), ("B",), 50)      # width 2
 WHOLE = AccessConstraint("R", (), ("A",), 50)           # width 1
+SPREAD = AccessConstraint("R", ("A",), ("B", "C"), 50)  # width 3
+# Resolved onto an attached index, never equal to one: WIDE's X in
+# another order, and a projection of SPREAD's rows.
+PERMUTED = AccessConstraint("R", ("B", "A"), ("C",), 50)
+NARROWER = AccessConstraint("R", ("A",), ("C",), 50)
 
 
 def _memory(database, tmp_path):
@@ -35,7 +44,8 @@ def _disk(database, tmp_path):
 @pytest.fixture(params=[_memory, _disk], ids=["memory", "disk"])
 def db(request, tmp_path):
     schema = Schema.from_dict({"R": ("A", "B", "C")})
-    database = Database(schema, AccessSchema(schema, [WIDE, NARROW, WHOLE]))
+    database = Database(schema,
+                        AccessSchema(schema, [WIDE, NARROW, WHOLE, SPREAD]))
     # Group sizes 1..4 per A; B ranges over A's own B-values; C is
     # unique.  "ghost" is stored and then deleted: a code whose groups
     # are all empty.
@@ -79,7 +89,7 @@ def _rows(cols, length):
 
 
 @pytest.mark.parametrize("maintained", [True, False],
-                         ids=["maintained", "generation-keyed"])
+                         ids=["maintained", "read-through"])
 @pytest.mark.parametrize("constraint", [WIDE, NARROW, WHOLE],
                          ids=["width3", "width2", "width1"])
 def test_cached_step_equals_plain_read_and_per_key_accounting(
@@ -114,12 +124,55 @@ def test_cached_step_equals_plain_read_and_per_key_accounting(
         assert len(cols) == width
         assert _rows(cols, length) == _rows(plain_cols, plain_length)
         assert stats == _per_key_stats(db, constraint, keys, cached)
-        cached.update(keys)
+        if maintained:
+            cached.update(keys)
+        else:
+            assert len(cache) == 0
         lookups += len(keys)
         info = cache.info()
         assert info.hits + info.misses == lookups
     if maintained:
         cache.detach_maintenance()
+
+
+@pytest.mark.parametrize("case", ["permuted", "narrower", "detached"])
+def test_an_unmaintainable_step_reads_through_across_a_write(db, case):
+    """Read, write, read again: the answers and accounting are the
+    plain executor's (each lookup also a cache miss), on the executor
+    step and the lookup API alike, and the cache never stores."""
+    cache = FetchCache(capacity=64)
+    if case != "detached":
+        cache.attach_maintenance(db)
+    constraint, values = {
+        "permuted": (PERMUTED, [(10, 1), (0, 0), (31, 3), (99, 9)]),
+        "narrower": (NARROWER, [1, 3, 7, "never"]),
+        "detached": (NARROW, [1, 3, 7, "never"]),
+    }[case]
+    caching, plain = CachingExecutor(db, cache), Executor(db)
+    lookups = 0
+    for write in (None, ("R", (1, 10, 1099)), None):
+        if write is not None:
+            db.insert(*write)
+            continue
+        keys = _keys(db, constraint, values)
+        stats, want = AccessStats(), AccessStats()
+        cols, length = caching._fetch_flat_encoded(constraint, keys, stats)
+        plain_cols, plain_length = plain._fetch_flat_encoded(
+            constraint, keys, want)
+        assert _rows(cols, length) == _rows(plain_cols, plain_length)
+        assert stats == replace(want, fetch_cache_misses=len(keys))
+        assert len(cache) == 0
+        entries, hits = cache.lookup_many_encoded(db, constraint, keys)
+        assert not any(hits)
+        assert [_rows(*entry) for entry in entries] == [
+            _rows(*entry) for entry in db.fetch_many_encoded(constraint,
+                                                              keys)]
+        assert len(cache) == 0
+        lookups += 2 * len(keys)
+    info = cache.info()
+    assert info.hits == 0 and info.misses == lookups
+    assert cache.bypassed_lookups == lookups
+    cache.detach_maintenance()
 
 
 def test_mutating_a_returned_column_leaves_the_cache_intact(db):

@@ -316,9 +316,10 @@ class TestBackendFactoryAndFacade:
 
 @pytest.mark.parametrize("factory", BACKEND_FACTORIES)
 class TestWriteReadRaces:
-    """Concurrent writers against a CachingExecutor: the generation
-    protocol must make it impossible to serve rows cached under a
-    stale epoch."""
+    """Concurrent writers against a CachingExecutor over a maintained
+    cache: epoch-validated entries, delta refreshes and the stale-fill
+    rule must make it impossible to serve rows older than the epoch a
+    read observed."""
 
     def _setup(self, factory):
         schema = Schema.from_dict({"R": ("A", "B")})
@@ -335,6 +336,7 @@ class TestWriteReadRaces:
             self, factory):
         db, plan = self._setup(factory)
         cache = FetchCache(capacity=256)
+        cache.attach_maintenance(db)
         truth_lock = threading.Lock()
         live = {(1, 0)}
         # generation -> the exact row set the relation held when that
@@ -384,9 +386,10 @@ class TestWriteReadRaces:
             thread.join(timeout=30)
         assert not failures, failures[:3]
         # After all writes: a fresh read must see exactly the final
-        # state, through the (now partly stale) cache.
+        # state, through the maintained cache.
         final = CachingExecutor(db, cache).execute(plan).answers
         assert final == {(b,) for _, b in live}
+        cache.detach_maintenance()
 
     def test_no_generation_bump_is_ever_lost(self, factory):
         """Two writers on disjoint rows: every effective single-row
@@ -503,11 +506,14 @@ class TestWriteReadRaces:
     def test_write_after_warm_cache_is_always_visible(self, factory):
         db, plan = self._setup(factory)
         cache = FetchCache(capacity=64)
+        cache.attach_maintenance(db)
         executor = CachingExecutor(db, cache)
         assert executor.execute(plan).answers == {(0,)}
         db.insert("R", (1, 1))
         assert executor.execute(plan).answers == {(0,), (1,)}
         db.delete("R", (1, 0))
         assert executor.execute(plan).answers == {(1,)}
-        # And the cache did serve hits in between for unchanged epochs.
-        assert cache.info().hits >= 0
+        # Both writes refreshed the cached entry, which then served.
+        assert cache.maintained_entries == 2
+        assert cache.info().hits == 2
+        cache.detach_maintenance()

@@ -32,8 +32,8 @@ Two more legs ride on the same write sequences:
 * **the fetch cache** — decoded ``FetchCache.lookup_many_encoded`` and
   ``CachingExecutor``'s fetch hook equal the fresh index too, and so do
   the value adapters ``lookup`` / ``lookup_many``, without interning.
-  Caches with maintenance attached and detached and a one-entry cache
-  forced into its bypass live through each sequence;
+  An attached cache, a detached one (which reads through) and a
+  one-entry cache forced into its bypass live through each sequence;
 * **the evaluators** — on the covered ``QUERIES``, ``Executor``,
   ``CachingExecutor``, ``interpret_logical`` and the naive evaluator
   agree, and the executor's accounting passes ``fetch_audit.audited``.
@@ -232,9 +232,10 @@ def _check(backend, expected) -> None:
 def _check_cache(db, cache, expected, unread=None) -> None:
     """The cache leg for one cache.  Given ``unread``, a source of
     fresh sentinel codes, the cache must hold one entry and every hook
-    call is forced through its bypass: a probe on a fresh code fills an
-    entry nothing will read, which triggers it for the next fetch step.
-    The value adapters are checked on the other two caches."""
+    call is forced to read through: a probe on a fresh code fills an
+    entry nothing will read, which triggers the bypass for the next
+    fetch step (a constraint the cache cannot maintain reads through
+    anyway).  The value adapters are checked on the other two caches."""
     dictionary = db.dictionary
     executor = CachingExecutor(db, cache)
     for requested, keys, want, known, codes, _ in expected:
@@ -250,13 +251,13 @@ def _check_cache(db, cache, expected, unread=None) -> None:
         entries, _ = cache.lookup_many_encoded(db, requested, codes)
         assert [_decode(dictionary, *entry) for entry in entries] == \
             [want[i] for i in known]
-        bypassed = cache.bypassed_lookups
         width = len(requested.x)
         forced = unread is not None and width > 0
         if forced:
             probe = next(unread)
             cache.lookup_many_encoded(
                 db, requested, [probe if width == 1 else (probe,) * width])
+        bypassed = cache.bypassed_lookups
         stats = AccessStats()
         cols, length = executor._fetch_flat_encoded(requested, codes, stats)
         assert _decode(dictionary, cols, length) == sum(
@@ -329,6 +330,7 @@ def test_fetch_surfaces_agree_with_a_fresh_index(engine, data):
             _check(engine, expected)
             _check_cache(db, attached, expected)
             _check_cache(db, detached, expected)
+            assert len(detached) == 0, "a detached cache stored a fill"
             _check_cache(db, starved, expected, unread)
     finally:
         attached.detach_maintenance()

@@ -437,22 +437,26 @@ class TestServiceRestart:
             self, tmp_path):
         """Generations are monotonic across restarts, so even a fetch
         cache that outlives the process (simulated here by reusing the
-        object) can never serve pre-restart rows for a post-restart
-        write epoch."""
+        object, still subscribed to the closed engine) can never serve
+        pre-restart rows for a post-restart write epoch: its epoch
+        stays at a pre-restart generation."""
         schema, aschema = self._service_schema()
         db = open_db(schema, aschema, tmp_path)
         db.insert_many("R", [(1, 0), (1, 1)])
         plan = is_boundedly_evaluable(
             parse_query("Q(y) :- R(x, y), x = 1"), aschema).witness["plan"]
         cache = FetchCache(capacity=64)
+        cache.attach_maintenance(db)
         executor = CachingExecutor(db, cache)
         assert executor.execute(plan).answers == {(0,), (1,)}
+        assert len(cache) == 1
         db.backend.close()
 
         restarted = open_db(schema, aschema, tmp_path)
         restarted.insert("R", (1, 2))  # post-restart write epoch
-        answers = CachingExecutor(restarted, cache).execute(plan).answers
-        assert answers == {(0,), (1,), (2,)}
+        result = CachingExecutor(restarted, cache).execute(plan)
+        assert result.answers == {(0,), (1,), (2,)}
+        assert result.stats.fetch_cache_hits == 0
         restarted.backend.close()
 
 

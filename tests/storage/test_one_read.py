@@ -57,7 +57,9 @@ def counted(backend) -> Counter:
 def test_every_read_crosses_once(db):
     constraint = db.access_schema.constraints[0]
     codes = [db.dictionary.encode(a) for a in range(8)]
-    starved = FetchCache(capacity=1)
+    starved, filling = FetchCache(capacity=1), FetchCache(capacity=64)
+    starved.attach_maintenance(db)
+    filling.attach_maintenance(db)
     calls = counted(db.backend)
 
     def bypass_step():
@@ -71,8 +73,8 @@ def test_every_read_crosses_once(db):
         assert starved.bypassed_lookups == bypassed + len(codes)
 
     reads = {
-        "fetch-cache fill": lambda: FetchCache(capacity=64)
-        .lookup_many_encoded(db, constraint, codes),
+        "fetch-cache fill": lambda: filling.lookup_many_encoded(
+            db, constraint, codes),
         "bypass step": bypass_step,
         "uncached step": lambda: Executor(db)._fetch_flat_encoded(
             constraint, codes, AccessStats()),
