@@ -348,8 +348,9 @@ class FetchCache:
         Maintenance replaces a refreshed entry's arrays wholesale, so
         views handed to in-flight batches stay frozen.  Every call is
         a probe for the bypass rule (:meth:`bypass_step`), except over
-        a constraint the cache cannot maintain: that batch reads
-        through, every key a miss.
+        a constraint the cache cannot maintain or for a ``db`` other
+        than the attached one: that batch reads through, every key a
+        miss.
 
         The generation is read once for the batch: a write racing the
         batch at worst caches fresher rows under the older epoch
@@ -363,7 +364,8 @@ class FetchCache:
         generation = db.generation(relation)
         schema = getattr(self._backend, "access_schema", None)
         slot = self._maintained_slot(constraint)
-        if slot is None:
+        if slot is None or db.backend is not self._backend:
+            # Entries belong to the attached backend alone.
             self._read_through(len(keys))
             return (db.fetch_many_encoded(constraint, keys),
                     [False] * len(keys))

@@ -109,6 +109,24 @@ def test_a_detached_cache_reads_through(db, constraint):
     assert cache.info().misses == 3
 
 
+def test_another_databases_lookups_read_through(db, constraint):
+    # The cache holds A's entry for key 1; B stands at the same
+    # generation with other rows and another dictionary.
+    a = Database(db.schema, db.access_schema)
+    a.insert("R", (1, 10))
+    a.insert("R", (1, 11))
+    cache = _attached(a)
+    cache.lookup(a, constraint, (1,))
+    b = Database(db.schema, db.access_schema)
+    b.insert("R", (1, 99))
+    b.insert("R", (5, 6))
+    assert a.generation("R") == b.generation("R")
+    rows, hit = cache.lookup(b, constraint, (1,))
+    assert not hit and rows == b.fetch(constraint, (1,)) == [(1, 99)]
+    assert cache.bypassed_lookups == 1
+    assert len(cache) == 1  # B's rows never enter A's entries
+
+
 class TestEncodedEntries:
     """The cache's entries: code keys, readonly column views, no row
     materialization."""
