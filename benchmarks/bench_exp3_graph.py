@@ -4,22 +4,24 @@ bounded evaluation "outperforms conventional subgraph isomorphism
 methods by 4 orders of magnitude on average".
 
 Social graphs at three sizes; the Graph Search pattern ("find me all my
-friends in NYC who like cycling") matched three ways: bounded plan,
-edge-walking backtracker, and the conventional scan-based backtracker.
-Expected shape: bounded access stays flat while the conventional
-matcher's examined-candidate count grows with the graph; the gap
-reaches several orders of magnitude.
+friends in NYC who like cycling") matched two ways: as a CQ over the
+graph's relational encoding, through the bounded plan every relational
+query runs by, and by the conventional scan-based backtracker.
+Expected shape: the tuples the bounded plan fetches stay flat while
+the conventional matcher's examined-candidate count grows with the
+graph; the gap reaches several orders of magnitude.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.graph import (GraphAccessStats, MatchStats, analyze_pattern,
-                         bounded_match, subgraph_match)
+from repro.errors import PlanError
+from repro.graph import (MatchStats, bounded_match, graph_database,
+                         pattern_plan, subgraph_match)
 from repro.workload import (SocialScale, generate_patterns,
-                            graph_search_pattern, social_access_schema,
-                            social_graph)
+                            graph_search_pattern, social_graph,
+                            social_graph_constraints)
 
 from _harness import ExperimentLog, timed
 
@@ -31,8 +33,9 @@ def worlds():
     result = {}
     for name, persons in SIZES.items():
         scale = SocialScale(persons=persons, seed=13)
-        result[name] = (social_graph(scale), social_access_schema(scale),
-                        scale)
+        graph = social_graph(scale)
+        result[name] = (graph, graph_database(
+            graph, social_graph_constraints(scale)), scale)
     return result
 
 
@@ -46,12 +49,10 @@ def log():
 
 @pytest.mark.parametrize("size", list(SIZES))
 def test_bounded_pattern(benchmark, worlds, size):
-    graph, access, _ = worlds[size]
+    graph, db, _ = worlds[size]
     pattern = graph_search_pattern(("person", 17))
-    coverage = analyze_pattern(pattern, access)
-    stats = GraphAccessStats()
-    matches = benchmark(lambda: bounded_match(
-        pattern, graph, access, coverage=coverage, stats=stats))
+    plan = pattern_plan(pattern, db)
+    matches, _ = benchmark(lambda: bounded_match(pattern, db, plan))
     benchmark.extra_info["nodes"] = graph.num_nodes()
     assert matches == subgraph_match(pattern, graph)
 
@@ -67,29 +68,26 @@ def test_conventional_pattern(benchmark, worlds, size):
 def test_report(benchmark, worlds, log):
     rows = []
     ratios = []
-    for size, (graph, access, scale) in worlds.items():
+    for size, (graph, db, scale) in worlds.items():
         pattern = graph_search_pattern(("person", 17))
-        coverage = analyze_pattern(pattern, access)
-        bounded_time, bounded = timed(lambda: bounded_match(
-            pattern, graph, access, coverage=coverage), repeat=3)
-        # Count from one untimed run with its own stats: the timed
-        # repeats would otherwise add up three runs' fetches.
-        stats = GraphAccessStats()
-        assert bounded_match(pattern, graph, access, coverage=coverage,
-                             stats=stats) == bounded
+        plan = pattern_plan(pattern, db)
+        bounded_time, _ = timed(lambda: bounded_match(pattern, db, plan),
+                                repeat=3)
+        # Count from one untimed run: each run returns its own stats.
+        bounded, stats = bounded_match(pattern, db, plan)
         scan_stats = MatchStats()
         scan_time, scanned = timed(lambda: subgraph_match(
             pattern, graph, stats=scan_stats, strategy="scan"))
         assert bounded == scanned
         access_ratio = (scan_stats.candidates_examined
-                        / max(stats.nodes_fetched, 1))
+                        / max(stats.tuples_fetched, 1))
         ratios.append(access_ratio)
-        log.metric(f"bounded_fetched_{size}", stats.nodes_fetched)
+        log.metric(f"bounded_fetched_{size}", stats.tuples_fetched)
         log.metric(f"conventional_examined_{size}",
                    scan_stats.candidates_examined)
         rows.append([
             size, graph.num_nodes(), graph.num_edges(),
-            stats.nodes_fetched, scan_stats.candidates_examined,
+            stats.tuples_fetched, scan_stats.candidates_examined,
             f"{access_ratio:,.0f}x",
             f"{bounded_time * 1e3:.2f}ms", f"{scan_time * 1e3:.1f}ms",
         ])
@@ -102,23 +100,25 @@ def test_report(benchmark, worlds, log):
 
     # Coverage rate of a random pattern workload (paper: 60%), and what
     # the covered part fetches in total.
-    graph, access, scale = worlds["small"]
+    graph, db, scale = worlds["small"]
     patterns = generate_patterns(200, scale, seed=3)
-    covered = 0
-    workload_stats = GraphAccessStats()
+    covered = fetched = 0
     for p in patterns:
-        coverage = analyze_pattern(p, access)
-        if coverage.is_covered:
-            covered += 1
-            bounded_match(p, graph, access, coverage=coverage,
-                          stats=workload_stats)
+        try:
+            plan = pattern_plan(p, db)
+        except PlanError:
+            continue
+        covered += 1
+        answers, stats = bounded_match(p, db, plan)
+        assert answers == subgraph_match(p, graph)
+        fetched += stats.tuples_fetched
     rate = covered / len(patterns)
     log.metric("pattern_coverage_rate", rate)
-    log.metric("covered_workload_fetched", workload_stats.nodes_fetched)
+    log.metric("covered_workload_fetched", fetched)
     log.row("")
     log.row(f"pattern workload coverage: {covered}/200 = {rate:.0%} "
             "(paper: 60%); covered patterns fetch "
-            f"{workload_stats.nodes_fetched} in total")
+            f"{fetched} in total")
     log.row(f"access gap grows with |G|: "
             f"{' -> '.join(f'{r:,.0f}x' for r in ratios)} "
             "(paper: 4 orders of magnitude on billion-node graphs)")

@@ -1,20 +1,19 @@
-"""Graph substrate: labelled graphs, graph access constraints, bounded
-pattern matching and the brute-force baseline (Example 1.1 / [11])."""
+"""Graph substrate: labelled graphs, their relational encoding and
+pattern compilation for bounded matching, and the brute-force baseline
+(Example 1.1 / [11])."""
 
-from .access import (DegreeConstraint, GraphAccessSchema,
-                     LabelCountConstraint, discover_graph_access_schema)
-from .bounded import (GraphAccessStats, PatternCoverage, PlanStep,
-                      analyze_pattern, bounded_match)
 from .graph import Graph
 from .matcher import MatchStats, subgraph_match
 from .pattern import Pattern, PatternEdge, PatternNode
+from .relational import (bounded_match, edge_relation, graph_database,
+                         match_rows, node_relation, pattern_coverage,
+                         pattern_plan, pattern_query)
 
 __all__ = [
     "Graph",
     "Pattern", "PatternNode", "PatternEdge",
-    "LabelCountConstraint", "DegreeConstraint", "GraphAccessSchema",
-    "discover_graph_access_schema",
-    "analyze_pattern", "bounded_match", "PatternCoverage", "PlanStep",
-    "GraphAccessStats",
+    "edge_relation", "node_relation", "graph_database",
+    "pattern_query", "pattern_coverage", "pattern_plan", "match_rows",
+    "bounded_match",
     "subgraph_match", "MatchStats",
 ]

@@ -3,15 +3,11 @@
 The substrate for the graph-pattern half of Example 1.1 ("60% of graph
 pattern queries via subgraph isomorphism are boundedly evaluable under
 simple access constraints", citing [11]).  Nodes carry one label; edges
-carry one edge-label.  The store maintains
-
-* a label index (label -> node ids) backing label-count access
-  constraints, and
-* adjacency indexes per edge label (both directions) backing degree
-  access constraints,
-
-so bounded pattern matching can touch the graph exclusively through
-index lookups, mirroring the relational ``fetch``.
+carry one edge-label.  The store maintains a label index (label -> node
+ids) and adjacency indexes per edge label (both directions), which the
+baseline matcher reads.  Bounded matching reads the graph's relational
+encoding instead (``repro.graph.relational``), where label counts and
+degrees are access constraints.
 """
 
 from __future__ import annotations
@@ -75,40 +71,31 @@ class Graph:
         return iter(self._labels)
 
     def nodes_by_label(self, label: str) -> list[Hashable]:
-        """Index lookup: all nodes with a label (label-count constraint)."""
+        """Index lookup: all nodes with a label."""
         return list(self._by_label.get(label, ()))
 
-    def label_count(self, label: str) -> int:
-        return len(self._by_label.get(label, ()))
-
     def out_neighbors(self, node: Hashable, edge_label: str) -> list[Hashable]:
-        """Adjacency index lookup (degree constraint, out direction)."""
+        """Adjacency index lookup, out direction."""
         return list(self._out.get((node, edge_label), ()))
 
     def in_neighbors(self, node: Hashable, edge_label: str) -> list[Hashable]:
-        """Adjacency index lookup (degree constraint, in direction)."""
+        """Adjacency index lookup, in direction."""
         return list(self._in.get((node, edge_label), ()))
-
-    def out_degree(self, node: Hashable, edge_label: str) -> int:
-        return len(self._out.get((node, edge_label), ()))
-
-    def in_degree(self, node: Hashable, edge_label: str) -> int:
-        return len(self._in.get((node, edge_label), ()))
 
     def has_edge(self, src: Hashable, edge_label: str, dst: Hashable) -> bool:
         return (src, edge_label, dst) in self._edges
 
     def edges(self) -> Iterator[tuple[Hashable, str, Hashable]]:
-        return iter(self._edges)
+        """Every edge, in insertion order per (source, edge label)."""
+        return ((src, edge_label, dst)
+                for (src, edge_label), dsts in self._out.items()
+                for dst in dsts)
 
     def num_nodes(self) -> int:
         return len(self._labels)
 
     def num_edges(self) -> int:
         return len(self._edges)
-
-    def edge_labels(self) -> set[str]:
-        return {label for _, label, _ in self._edges}
 
     def node_labels(self) -> set[str]:
         return set(self._by_label)

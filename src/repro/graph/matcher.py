@@ -31,14 +31,6 @@ def _match_order(pattern: Pattern) -> list[PatternNode]:
     ordered: list[PatternNode] = []
     placed: set[str] = set()
     remaining = list(pattern.nodes)
-
-    def adjacency(node: PatternNode) -> int:
-        return sum(1 for e in pattern.edges_of(node.name)
-                   if (e.src in placed) != (e.dst in placed)
-                   or (e.src in placed and e.dst in placed))
-
-    remaining.sort(key=lambda n: (n.constant is None, n.label is None,
-                                  n.name))
     while remaining:
         connected = [n for n in remaining
                      if any(e.src in placed or e.dst in placed
@@ -55,7 +47,6 @@ def _match_order(pattern: Pattern) -> list[PatternNode]:
 def subgraph_match(pattern: Pattern, graph: Graph,
                    stats: MatchStats | None = None,
                    injective: bool = True,
-                   limit: int | None = None,
                    strategy: str = "walk") -> list[tuple]:
     """All matches of ``pattern`` in ``graph`` by brute backtracking.
 
@@ -74,7 +65,6 @@ def subgraph_match(pattern: Pattern, graph: Graph,
     """
     stats = stats if stats is not None else MatchStats()
     order = _match_order(pattern)
-    edge_index = {name: [] for name in (n.name for n in pattern.nodes)}
     placed_before: dict[str, list[PatternEdge]] = {}
     seen: set[str] = set()
     for node in order:
@@ -125,10 +115,10 @@ def subgraph_match(pattern: Pattern, graph: Graph,
                 return False
         return True
 
-    def extend(index: int) -> bool:
+    def extend(index: int) -> None:
         if index == len(order):
             results.add(tuple(assignment[name] for name in pattern.output))
-            return limit is not None and len(results) >= limit
+            return
         node = order[index]
         for target in candidates(node):
             stats.candidates_examined += 1
@@ -136,11 +126,9 @@ def subgraph_match(pattern: Pattern, graph: Graph,
                 continue
             assignment[node.name] = target
             used.add(target)
-            if extend(index + 1):
-                return True
+            extend(index + 1)
             del assignment[node.name]
             used.discard(target)
-        return False
 
     extend(0)
     return sorted(results, key=repr)

@@ -93,9 +93,6 @@ class Pattern:
     def edges_of(self, name: str) -> list[PatternEdge]:
         return [e for e in self.edges if name in (e.src, e.dst)]
 
-    def size(self) -> int:
-        return len(self.nodes) + len(self.edges)
-
     def __str__(self) -> str:
         nodes = ", ".join(str(n) for n in self.nodes)
         edges = ", ".join(str(e) for e in self.edges)

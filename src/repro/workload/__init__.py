@@ -15,7 +15,7 @@ from .qgen import (JoinEdge, WorkloadConfig, accident_workload_config,
                    generate_workload, random_cq)
 from .social import (SocialScale, generate_patterns, graph_search_pattern,
                      random_pattern, relational_social,
-                     social_access_schema, social_graph,
+                     social_graph, social_graph_constraints,
                      social_relational_access, social_relational_schema)
 
 __all__ = [
@@ -25,7 +25,7 @@ __all__ = [
     "extended_access_schema",
     "JoinEdge", "WorkloadConfig", "accident_workload_config",
     "random_cq", "generate_workload",
-    "SocialScale", "social_graph", "social_access_schema",
+    "SocialScale", "social_graph", "social_graph_constraints",
     "social_relational_schema", "social_relational_access",
     "relational_social",
     "graph_search_pattern", "random_pattern", "generate_patterns",

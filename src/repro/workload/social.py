@@ -23,10 +23,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..graph.access import (DegreeConstraint, GraphAccessSchema,
-                            LabelCountConstraint)
 from ..graph.graph import Graph
 from ..graph.pattern import Pattern, PatternEdge, PatternNode
+from ..graph.relational import edge_relation, node_relation
 from ..schema.access import AccessConstraint, AccessSchema
 from ..schema.relation import Schema
 from ..storage.database import Database
@@ -91,17 +90,22 @@ def social_graph(scale: SocialScale | None = None) -> Graph:
     return graph
 
 
-def social_access_schema(scale: SocialScale | None = None
-                         ) -> GraphAccessSchema:
-    """The access constraints the generated graph satisfies by design."""
+def social_graph_constraints(scale: SocialScale | None = None
+                             ) -> list[AccessConstraint]:
+    """The access constraints the generated graph satisfies by design,
+    over its :func:`~repro.graph.relational.graph_database` encoding."""
     scale = scale or SocialScale()
-    return GraphAccessSchema([
-        LabelCountConstraint("city", len(CITIES)),
-        LabelCountConstraint("interest", len(INTERESTS)),
-        DegreeConstraint("friend", scale.max_friends, "out", "person"),
-        DegreeConstraint("lives_in", 1, "out", "person"),
-        DegreeConstraint("likes", scale.max_likes, "out", "person"),
-    ])
+    return [
+        AccessConstraint(node_relation("city"), (), ("id",), len(CITIES)),
+        AccessConstraint(node_relation("interest"), (), ("id",),
+                         len(INTERESTS)),
+        AccessConstraint(edge_relation("person", "friend", "person"),
+                         ("src",), ("dst",), scale.max_friends),
+        AccessConstraint(edge_relation("person", "lives_in", "city"),
+                         ("src",), ("dst",), 1),
+        AccessConstraint(edge_relation("person", "likes", "interest"),
+                         ("src",), ("dst",), scale.max_likes),
+    ]
 
 
 def social_relational_schema() -> Schema:
@@ -116,7 +120,8 @@ def social_relational_schema() -> Schema:
 
 def social_relational_access(scale: SocialScale | None = None,
                              schema: Schema | None = None) -> AccessSchema:
-    """The relational reading of :func:`social_access_schema`."""
+    """The bounds of :func:`social_graph_constraints` over the
+    ``Friend``/``LivesIn``/``Likes`` relations."""
     scale = scale or SocialScale()
     schema = schema or social_relational_schema()
     return AccessSchema(schema, [
