@@ -22,14 +22,14 @@ exposition of the run's counters, gauges and latency histograms.
 
 ``run``, ``batch`` and ``bench-service`` accept ``--backend
 {memory,disk,procshard}`` (plus ``--data-dir DIR`` / ``--fsync`` for
-the durable engine and ``--shard-workers N`` / ``--replicas R`` for
-the process-sharded one) to re-home the loaded
+the durable engine and ``--shard-workers N`` for the process-sharded
+one) to re-home the loaded
 instance onto a different storage engine; answers are identical on
 every backend.  ``--backend disk`` recovers whatever the data
 directory already holds (latest snapshot + WAL replay) before loading.
 ``--backend procshard`` runs each shard as a worker *process* speaking
-the encoded fetch protocol, and — with ``--replicas R --data-dir DIR``
-— load-balances bounded fetches across WAL-shipped read replicas.
+the encoded fetch protocol; with ``--data-dir DIR`` its authoritative
+store is the durable engine.
 
 ``--db DIR`` points at a directory written by
 ``repro.storage.io.save_database`` (CSV files plus ``schema.json``).
@@ -93,7 +93,6 @@ def _load(args):
         def factory(schema):
             return make_backend(backend_name, schema,
                                 workers=getattr(args, "shard_workers", 4),
-                                replicas=getattr(args, "replicas", 0),
                                 data_dir=getattr(args, "data_dir", None),
                                 fsync=getattr(args, "fsync", False),
                                 rpc_timeout_s=getattr(args, "rpc_timeout",
@@ -159,9 +158,6 @@ def _add_backend_flags(parser) -> None:
                         default=4,
                         help="shard worker processes for "
                              "--backend procshard (default: 4)")
-    parser.add_argument("--replicas", type=int, default=0,
-                        help="WAL-shipped read replica processes for "
-                             "--backend procshard (requires --data-dir)")
     parser.add_argument("--data-dir", dest="data_dir", default=None,
                         help="durable data directory for --backend disk "
                              "or procshard (recovered on open: latest "

@@ -3,15 +3,16 @@
 When a :class:`~repro.engine.optimizer.physical.PhysicalPlan` first
 executes, this module lowers it to a :class:`SpecializedPlan`: one
 closure per physical op, with every shape-dependent decision — column
-positions, key widths, check layout, permutation-vs-dedup, build side —
-resolved *at closure-creation time*.  The warm path then runs
+positions, key widths, check layout, permutation-vs-dedup — resolved
+*at closure-creation time* (a hash join always builds on its right
+input, so there is no build side to choose).  The warm path then runs
 ``step(batches, consts, executor, stats)`` per op and never
 isinstance-dispatches, never re-reads op fields, never touches a column
 name.
 
 A step refers to each of its constants by *slot*: an index into the
 ``consts`` vector it is handed at run time, in
-:meth:`~repro.engine.optimizer.physical.PhysicalPlan.constant_values`
+:attr:`~repro.engine.optimizer.physical.PhysicalPlan.constants`
 order.  The specialized plan therefore depends on the op shapes only —
 not on the constants' values, not on any database's dictionary — and is
 built once per template and memoized on it.  Every binding of a

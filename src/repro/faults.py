@@ -21,10 +21,6 @@ Sites compiled into the tree (grep for ``fault_hook(``):
     procshard coordinator, just before blocking on a peer reply.
     Kinds: ``drop_reply`` (consume and discard the real reply, then
     report a timeout — deterministic, no waiting), ``delay``.
-``wal_ship``
-    procshard replica catch-up, on the WAL chunk about to ship.
-    Kind: ``torn_tail`` (truncate the chunk ``arg`` bytes short,
-    exercising the replica's partial-frame re-ship protocol).
 ``wal_append``
     DiskBackend, mid-append.  Kind: ``torn_tail`` (write only a prefix
     of the frame and simulate a crash, so recovery must truncate).

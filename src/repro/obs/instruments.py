@@ -199,7 +199,7 @@ def attach_storage_collector(registry: MetricsRegistry, backend) -> None:
     ``backend.counters()`` returns a flat ``name -> number`` dict (the
     :class:`~repro.storage.backend.StorageBackend` default is empty;
     ``DiskBackend`` reports WAL/fsync/snapshot/recovery tallies;
-    ``ProcessShardedBackend`` adds RPC and replication tallies).  Keys
+    ``ProcessShardedBackend`` adds RPC and worker tallies).  Keys
     become ``repro_storage_<key>``; instruments are created lazily on
     first sight of each key so the collector works for any backend.
 

@@ -112,13 +112,13 @@ class ServiceStats:
     #: The storage engine's internal tallies
     #: (:meth:`~repro.storage.backend.StorageBackend.counters`) — empty
     #: for engines with nothing to report; WAL/fsync/snapshot/recovery
-    #: counts for the disk engine; RPC and replication tallies for the
+    #: counts for the disk engine; RPC and worker tallies for the
     #: process-sharded one.
     storage: dict = field(default_factory=dict)
     #: Point-in-time storage levels
     #: (:meth:`~repro.storage.backend.StorageBackend.gauges`):
-    #: dictionary footprint bytes for every engine, live worker and
-    #: replica counts for the process-sharded one.
+    #: dictionary footprint bytes for every engine, the live worker
+    #: count for the process-sharded one.
     storage_gauges: dict = field(default_factory=dict)
 
     def __str__(self) -> str:

@@ -604,14 +604,13 @@ BACKENDS = ("memory", "disk", "procshard")
 
 
 def make_backend(name: str, schema: Schema, *, workers: int = 4,
-                 replicas: int = 0, data_dir=None, fsync: bool = False,
+                 data_dir=None, fsync: bool = False,
                  rpc_timeout_s: float | None = None) -> StorageBackend:
     """Build a backend by name — the CLI's ``--backend`` hook.
 
-    ``workers`` is the shard *process* count, ``replicas`` the
-    WAL-shipped read-replica process count and ``rpc_timeout_s`` the
+    ``workers`` is the shard *process* count and ``rpc_timeout_s`` the
     per-RPC peer timeout for ``procshard`` (CLI: ``--shard-workers``,
-    ``--replicas``, ``--rpc-timeout``); ``data_dir`` and ``fsync``
+    ``--rpc-timeout``); ``data_dir`` and ``fsync``
     configure ``disk`` and a disk-backed ``procshard`` writer.
 
     Adding an engine means implementing :class:`StorageBackend` and
@@ -629,8 +628,8 @@ def make_backend(name: str, schema: Schema, *, workers: int = 4,
     if name == "procshard":
         from .procshard import ProcessShardedBackend  # deferred, as above
         return ProcessShardedBackend(
-            schema, workers=workers, replicas=replicas,
-            data_dir=data_dir, fsync=fsync, rpc_timeout_s=rpc_timeout_s)
+            schema, workers=workers, data_dir=data_dir, fsync=fsync,
+            rpc_timeout_s=rpc_timeout_s)
     raise StorageError(
         f"unknown storage backend {name!r}; available: "
         f"{', '.join(BACKENDS)}")

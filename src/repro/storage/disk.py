@@ -88,17 +88,7 @@ def scan_frames(path) -> tuple[list, int]:
     discard.  Exposed as a plain function so recovery tests and
     diagnostics can inspect a log without a backend.
     """
-    return scan_frame_bytes(pathlib.Path(path).read_bytes())
-
-
-def scan_frame_bytes(data: bytes) -> tuple[list, int]:
-    """:func:`scan_frames` over an in-memory chunk.
-
-    Replication ships WAL byte ranges between processes; the receiver
-    parses them with exactly the recovery scanner, so a chunk that ends
-    mid-record (a torn tail in transit) is consumed only up to its last
-    intact frame and the remainder is re-shipped later.
-    """
+    data = pathlib.Path(path).read_bytes()
     records: list = []
     offset = 0
     valid = 0
@@ -123,32 +113,6 @@ def scan_frame_bytes(data: bytes) -> tuple[list, int]:
         offset = end + 1
         valid = offset
     return records, valid
-
-
-def replay_record(record, stores: dict, generations: dict,
-                  add: Callable, remove: Callable) -> None:
-    """Apply one WAL record: the replay recovery and replication share.
-
-    ``stores`` maps relation names to row dicts, and ``add`` /
-    ``remove`` ``(relation, store, row)`` move one row in or out.
-    Records are absolute membership assignments and generations only
-    move forward, so re-applying a record changes nothing.
-    """
-    op = record[0]
-    if op == "c":
-        _, moved = record
-        for store in stores.values():
-            store.clear()
-    elif op == "i" or op == "d":
-        _, relation, generation, rows = record
-        apply, store = (add if op == "i" else remove), stores[relation]
-        for row in rows:
-            apply(relation, store, tuple(row))
-        moved = {relation: generation}
-    else:
-        raise ValueError(f"unknown WAL record kind {op!r}")
-    for relation, generation in moved.items():
-        generations[relation] = max(generations[relation], int(generation))
 
 
 class DiskBackend(MemoryBackend):
@@ -297,11 +261,30 @@ class DiskBackend(MemoryBackend):
 
     def _replay(self, record) -> None:
         """Apply one WAL record to the in-memory store (no indexes are
-        attached during recovery, so only rows and generations move)."""
+        attached during recovery, so only rows and generations move).
+        Records are absolute membership assignments and generations
+        only move forward, so re-applying a record changes nothing."""
+        generations = self._generations
         try:
-            replay_record(record, self._rows, self._generations,
-                          lambda _, store, row: store.setdefault(row),
-                          lambda _, store, row: store.pop(row, None))
+            op = record[0]
+            if op == "c":
+                _, moved = record
+                for store in self._rows.values():
+                    store.clear()
+            elif op == "i" or op == "d":
+                _, relation, generation, rows = record
+                store = self._rows[relation]
+                for row in map(tuple, rows):
+                    if op == "i":
+                        store.setdefault(row)
+                    else:
+                        store.pop(row, None)
+                moved = {relation: generation}
+            else:
+                raise ValueError(f"unknown WAL record kind {op!r}")
+            for relation, generation in moved.items():
+                generations[relation] = max(generations[relation],
+                                            int(generation))
         except (KeyError, TypeError, ValueError, IndexError) as error:
             raise StorageError(
                 f"{self._wal_path}: WAL record {record!r} does not fit "

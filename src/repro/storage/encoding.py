@@ -218,7 +218,7 @@ class ValueDictionary:
 
     def values_from(self, start: int) -> list:
         """The interned values with codes ``start..len-1`` — the *delta*
-        a coordinator ships to workers/replicas that already know the
+        a coordinator ships to workers that already know the
         first ``start`` codes.  Codes are assigned densely in insertion
         order, so the slice alone reconstructs the mapping remotely."""
         return self._values[start:]

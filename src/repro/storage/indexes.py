@@ -6,8 +6,8 @@ scanning ``R`` (paper, Section 2).
 
 Indexes hold dictionary codes only (dictionary-coded storage in the
 sense of Abadi, Madden and Ferreira, SIGMOD 2006).  :class:`CodeIndex`
-is the one witness-counted code-group index that every engine, shard
-worker and replica keeps: per ``X``-key, one ``array('q')`` column per
+is the one witness-counted code-group index that every engine and
+shard worker keeps: per ``X``-key, one ``array('q')`` column per
 ``X∪Y`` attribute holding the distinct projections, each counted by
 its witness rows and sorted by Y-key, so a group's row order follows
 from its content alone.  Keys are bare int codes when ``|X| == 1`` (the

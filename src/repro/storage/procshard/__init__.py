@@ -1,13 +1,10 @@
 """Process-parallel sharded storage over the encoded fetch boundary.
 
-See :mod:`.backend` for the coordinator, :mod:`.worker` for the
-code-space shard servers, :mod:`.replica` for WAL-shipped read
-replicas.
+See :mod:`.backend` for the coordinator and :mod:`.worker` for the
+code-space shard servers.
 """
 
 from .backend import ProcessShardedBackend
-from .replica import ReplicaState
 from .worker import CodeIndex, WorkerState
 
-__all__ = ["ProcessShardedBackend", "ReplicaState", "WorkerState",
-           "CodeIndex"]
+__all__ = ["ProcessShardedBackend", "WorkerState", "CodeIndex"]

@@ -15,19 +15,11 @@ Topology and ownership:
   :class:`~repro.storage.encoding.ValueDictionary`, the authoritative
   row stores (a :class:`~repro.storage.backend.MemoryBackend`, or a
   :class:`~repro.storage.disk.DiskBackend` when ``data_dir`` is given)
-  and the per-relation generations — workers and replicas only ever
-  see codes and WAL bytes derived from it;
+  and the per-relation generations — workers only ever see codes;
 * each of ``workers`` shard processes holds a code-space partition of
   every constraint's index, placed by ``hash(X-key codes) % workers``
   (codes are dense and append-only, so placement is stable and needs
-  no decoding);
-* each of ``replicas`` processes holds a *full* copy kept current by
-  WAL shipping (see :mod:`.replica`), and the coordinator load-
-  balances whole fetch batches across writer and replicas, serving a
-  replica only when its durable per-relation generation has caught up
-  — the staleness signal the fetch cache's epoch rule relies on (a
-  fill is stored only if no applied delta is newer than the generation
-  the reader observed).
+  no decoding).
 
 Write ordering (the cache-soundness contract): writes run the inner
 store's one write loop with shipping as its outer hook, ahead of the
@@ -39,7 +31,11 @@ read that overlapped one is repeated once it is done, so no reader
 sees shipped rows before their generation — procshard reads are as
 exact as the in-process engines'.  A write that fails after shipping
 (the disk WAL refusing it, say) leaves the workers rebuilt from the
-store; a failed worker is respawned and rebuilt from it too.
+store; a failed worker is respawned and rebuilt from it too.  Every
+RPC follows one retry rule: a failed exchange respawns the worker,
+rebuilds it from the store and tries once more; a second failure (or a
+replacement that cannot be rebuilt) makes a read fall back to the
+store and a write raise :class:`~repro.errors.StorageError`.
 
 Fetches below ``fanout_threshold`` keys are served from the
 coordinator's own store — pipe round trips only pay for themselves on
@@ -49,7 +45,6 @@ bulk batches.
 from __future__ import annotations
 
 import atexit
-import json
 import multiprocessing
 import threading
 import time
@@ -69,8 +64,6 @@ from ..backend import MemoryBackend, StorageBackend
 from ..disk import DiskBackend
 from ..encoding import int_column
 from ..indexes import AccessIndex
-from .replica import replica_main
-from .resilience import HALF_OPEN, CircuitBreaker, RetryPolicy
 from .worker import worker_main
 
 Row = tuple
@@ -99,12 +92,12 @@ atexit.register(_atexit_sweep)
 
 
 class _PeerFailure(Exception):
-    """One worker/replica RPC failed (dead pipe, timeout, or an
-    ``err`` reply).  Internal: call sites respawn/rebuild or fall back;
-    this never escapes the backend.  ``deadline=True`` marks an abort
-    caused by the *request's* deadline rather than peer health — call
-    sites convert it to :class:`DeadlineExceeded` instead of respawning
-    and retrying."""
+    """One worker RPC failed (dead pipe, timeout, or an ``err``
+    reply).  Internal: call sites respawn/rebuild, fall back or raise
+    :class:`StorageError`; this never escapes the backend.
+    ``deadline=True`` marks an abort caused by the *request's* deadline
+    rather than peer health — call sites convert it to
+    :class:`DeadlineExceeded` instead of respawning and retrying."""
 
     def __init__(self, peer: "_Peer | None", reason: str,
                  deadline: bool = False):
@@ -114,22 +107,17 @@ class _PeerFailure(Exception):
 
 
 class _Peer:
-    """One child process plus its pipe and replication cursors."""
+    """One shard worker process plus its pipe."""
 
-    __slots__ = ("index", "kind", "process", "conn", "lock",
-                 "known_values", "wal_offset", "snapshot_id", "gens",
+    __slots__ = ("index", "process", "conn", "lock", "known_values",
                  "sent_at", "poisoned")
 
-    def __init__(self, index: int, kind: str, process, conn):
+    def __init__(self, index: int, process, conn):
         self.index = index
-        self.kind = kind  # "w" (shard worker) | "r" (replica)
         self.process = process
         self.conn = conn
         self.lock = threading.RLock()
         self.known_values = 0   # dictionary prefix this peer has seen
-        self.wal_offset = 0     # bytes of the writer WAL shipped (replicas)
-        self.snapshot_id = -1   # writer snapshot this peer booted from
-        self.gens: dict[str, int] = {}
         self.sent_at = 0.0
         # A poisoned peer's pipe may hold an unconsumed reply (timeout
         # or deadline abort mid-exchange): the process can be healthy,
@@ -149,12 +137,11 @@ def _close_connections(conns: list) -> None:
 
 
 class ProcessShardedBackend(StorageBackend):
-    """Shard-per-process storage with optional WAL-shipped replicas.
+    """Shard-per-process storage.
 
-    ``workers`` is the shard process count (>= 1); ``replicas`` adds
-    read-replica processes and requires ``data_dir`` (replication ships
-    the durable writer's WAL).  Without ``data_dir`` the authoritative
-    store is in-memory and replicas are unavailable.
+    ``workers`` is the shard process count (>= 1).  With ``data_dir``
+    the authoritative store is a durable :class:`DiskBackend`,
+    otherwise it is in-memory.
     """
 
     #: Every fan-out pays one pipe round trip per touched worker; below
@@ -166,28 +153,17 @@ class ProcessShardedBackend(StorageBackend):
     RPC_TIMEOUT_S = 120.0
 
     #: Total budget for the polite phase of ``close()`` before the
-    #: escalation to ``terminate()``/``kill()`` starts.
-    CLOSE_TIMEOUT_S = 5.0
+    #: escalation to ``terminate()``/``kill()`` starts (an instance may
+    #: shadow it).
+    close_timeout_s = 5.0
 
-    def __init__(self, schema: Schema, workers: int = 4,
-                 replicas: int = 0, data_dir=None, fsync: bool = False,
-                 fanout_threshold: int | None = None,
-                 rpc_timeout_s: float | None = None,
-                 close_timeout_s: float | None = None,
-                 retry_policy: RetryPolicy | None = None,
-                 breaker_failure_threshold: int = 3,
-                 breaker_reset_after_s: float = 5.0):
+    def __init__(self, schema: Schema, workers: int = 4, data_dir=None,
+                 fsync: bool = False, fanout_threshold: int | None = None,
+                 rpc_timeout_s: float | None = None):
         if workers < 1:
             raise StorageError(
                 f"procshard needs at least one worker process, "
                 f"got {workers}")
-        if replicas < 0:
-            raise StorageError(
-                f"replica count must be >= 0, got {replicas}")
-        if replicas and data_dir is None:
-            raise StorageError(
-                "WAL-shipped replicas need a durable writer; pass "
-                "data_dir=... (CLI: --data-dir DIR)")
         super().__init__(schema)
         self._store: MemoryBackend = (
             DiskBackend(schema, data_dir, fsync=fsync)
@@ -198,7 +174,6 @@ class ProcessShardedBackend(StorageBackend):
         self.dictionary = self._store.dictionary
         self._generations = self._store._generations
         self.workers = workers
-        self.replicas = replicas
         self.fanout_threshold = (self.FANOUT_THRESHOLD
                                  if fanout_threshold is None
                                  else max(0, fanout_threshold))
@@ -207,25 +182,14 @@ class ProcessShardedBackend(StorageBackend):
         if self.rpc_timeout_s <= 0:
             raise StorageError(
                 f"rpc_timeout_s must be positive, got {self.rpc_timeout_s}")
-        self.close_timeout_s = (self.CLOSE_TIMEOUT_S
-                                if close_timeout_s is None
-                                else float(close_timeout_s))
-        self._retry = retry_policy if retry_policy is not None else (
-            RetryPolicy(attempts=2, base_delay_s=0.02, seed=0))
-        self._breakers = [
-            CircuitBreaker(failure_threshold=breaker_failure_threshold,
-                           reset_after_s=breaker_reset_after_s)
-            for _ in range(replicas)]
         self._write_lock = threading.RLock()
         # Odd while a write or attach holds _write_lock (see _writing).
         self._write_seq = 0
         self._worker_peers: list[_Peer | None] = [None] * workers
-        self._replica_peers: list[_Peer | None] = [None] * replicas
         # id(attached constraint) -> wire constraint id, plus each
         # wire id with the store's index, whose X∪Y layout workers use.
         self._cids: dict[int, int] = {}
         self._specs: list[tuple[int, AccessIndex]] = []
-        self._rr = 0  # round-robin cursor over writer+replica targets
         self._closed = False
         self._counters: dict[str, int | float] = {
             "rpc_requests_total": 0,
@@ -233,16 +197,15 @@ class ProcessShardedBackend(StorageBackend):
             "rpc_bytes_received_total": 0,
             "rpc_roundtrip_seconds_total": 0.0,
             "worker_reads_total": 0,
+            # Always 0 (there are no read replicas): kept because
+            # ledger/workloads.py sums it into procshard's remote-read
+            # share on every traced run.
             "replica_reads_total": 0,
             "local_reads_total": 0,
             "worker_respawns_total": 0,
-            "replica_wal_bytes_shipped_total": 0,
-            "replica_catchups_total": 0,
-            "replica_bootstraps_total": 0,
             "rpc_timeouts_total": 0,
             "rpc_deadline_aborts_total": 0,
             "rpc_retries_total": 0,
-            "replica_breaker_skips_total": 0,
             "close_escalations_total": 0,
         }
         self._rpc_histogram = Histogram(
@@ -255,16 +218,15 @@ class ProcessShardedBackend(StorageBackend):
 
     # -- process plumbing --------------------------------------------------
 
-    def _spawn(self, index: int, kind: str) -> _Peer:
-        target = worker_main if kind == "w" else replica_main
+    def _spawn(self, index: int) -> _Peer:
         parent, child = _SPAWN.Pipe()
         process = _SPAWN.Process(
-            target=target, args=(child,), daemon=True,
-            name=f"repro-procshard-{kind}{index}")
+            target=worker_main, args=(child,), daemon=True,
+            name=f"repro-procshard-w{index}")
         process.start()
         child.close()
         self._conns_for_gc.append(parent)
-        return _Peer(index, kind, process, parent)
+        return _Peer(index, process, parent)
 
     def _retire(self, peer: _Peer) -> None:
         """Take a peer out of service before its replacement spawns:
@@ -292,7 +254,7 @@ class ProcessShardedBackend(StorageBackend):
             # request's answer.  Fail fast so the caller's normal
             # failure path (bootstrap → retry) replaces the peer.
             raise _PeerFailure(
-                peer, f"{peer.kind}{peer.index} is poisoned (stale "
+                peer, f"worker {peer.index} is poisoned (stale "
                       f"reply pending); awaiting replacement")
         counters = self._counters
         counters["rpc_requests_total"] += 1
@@ -309,7 +271,7 @@ class ProcessShardedBackend(StorageBackend):
             peer.conn.send(message)
         except (OSError, ValueError) as error:
             raise _PeerFailure(
-                peer, f"{peer.kind}{peer.index} send failed: "
+                peer, f"worker {peer.index} send failed: "
                       f"{error}") from error
 
     def _recv(self, peer: _Peer, use_deadline: bool = True):
@@ -332,7 +294,7 @@ class ProcessShardedBackend(StorageBackend):
                 peer.poisoned = True
                 counters["rpc_timeouts_total"] += 1
                 raise _PeerFailure(
-                    peer, f"{peer.kind}{peer.index} reply dropped "
+                    peer, f"worker {peer.index} reply dropped "
                           f"(injected fault)")
             if fault.kind == "delay":
                 time.sleep(fault.arg)
@@ -345,24 +307,24 @@ class ProcessShardedBackend(StorageBackend):
                 if deadline is not None and deadline.expired():
                     counters["rpc_deadline_aborts_total"] += 1
                     raise _PeerFailure(
-                        peer, f"{peer.kind}{peer.index} abandoned: "
+                        peer, f"worker {peer.index} abandoned: "
                               f"request deadline expired",
                         deadline=True)
                 counters["rpc_timeouts_total"] += 1
                 raise _PeerFailure(
-                    peer, f"{peer.kind}{peer.index} timed out after "
+                    peer, f"worker {peer.index} timed out after "
                           f"{timeout:g}s")
             kind, payload = peer.conn.recv()
         except (EOFError, OSError) as error:
             raise _PeerFailure(
-                peer, f"{peer.kind}{peer.index} recv failed: "
+                peer, f"worker {peer.index} recv failed: "
                       f"{error}") from error
         elapsed = time.perf_counter() - peer.sent_at
         counters["rpc_roundtrip_seconds_total"] += elapsed
         self._rpc_histogram.observe(elapsed)
         if kind != "ok":
             raise _PeerFailure(
-                peer, f"{peer.kind}{peer.index} replied: {payload}")
+                peer, f"worker {peer.index} replied: {payload}")
         return payload
 
     def _request(self, peer: _Peer, message, shipped: int,
@@ -461,9 +423,7 @@ class ProcessShardedBackend(StorageBackend):
             self._specs = [(cid, self._store._indexes[id(constraint)])
                            for cid, constraint in enumerate(access_schema)]
             for i in range(self.workers):
-                self._bootstrap_worker(i)
-            for i in range(self.replicas):
-                self._bootstrap_replica(i)
+                self._rebuild_worker(i)
 
     def _bootstrap_worker(self, i: int) -> None:
         """(Re)spawn worker ``i`` and rebuild its shard slice from the
@@ -473,7 +433,7 @@ class ProcessShardedBackend(StorageBackend):
         if peer is None or peer.poisoned or not peer.process.is_alive():
             if peer is not None:
                 self._retire(peer)
-            peer = self._worker_peers[i] = self._spawn(i, "w")
+            peer = self._worker_peers[i] = self._spawn(i)
         specs = []
         rows_by_cid: dict[int, list] = {}
         coded: dict[str, list] = {}
@@ -494,54 +454,26 @@ class ProcessShardedBackend(StorageBackend):
                       shipped, use_deadline=False)
         peer.known_values = len(values)
 
-    def _bootstrap_replica(self, i: int) -> bool:
-        """(Re)spawn replica ``i`` and ship snapshot + WAL tail.
-        Callers hold ``_write_lock``.  Returns False when the replica
-        could not be brought up (reads then fall back)."""
-        store = self._store
-        if not isinstance(store, DiskBackend):
-            return False
-        peer = self._replica_peers[i]
-        if peer is None or peer.poisoned or not peer.process.is_alive():
-            if peer is not None:
-                self._retire(peer)
-            peer = self._replica_peers[i] = self._spawn(i, "r")
-        if store._snapshot_id == 0:
-            store.snapshot()  # first bootstrap needs a snapshot to ship
-        current = (store.data_dir / "CURRENT").read_text().strip()
-        snap_dir = store.data_dir / current
-        manifest = json.loads((snap_dir / "manifest.json").read_text())
-        segments = {name: (snap_dir / f"{name}.seg").read_bytes()
-                    for name in self.schema.relation_names()}
-        wal = (store._wal_path.read_bytes()
-               if store._wal_path.is_file() else b"")
-        values = self.dictionary.values_from(0)
-        payload = {
-            "segments": segments,
-            "generations": manifest["generations"],
-            "wal": wal,
-            "values": values,
-            "specs": [(cid, index.constraint.relation_name,
-                       list(index.x_positions), list(index.y_positions))
-                      for cid, index in self._specs],
-            "snapshot_id": store._snapshot_id,
-        }
-        shipped = sum(len(seg) for seg in segments.values()) + len(wal)
-        try:
-            result = self._request(peer, ("bootstrap", payload), shipped,
-                                   use_deadline=False)
-        except _PeerFailure:
-            # The replica may hold half of the new state next to the
-            # old generations and offset: never read from it, replace it.
-            peer.poisoned = True
-            return False
-        peer.known_values = len(values)
-        peer.wal_offset = result["wal_offset"]
-        peer.snapshot_id = store._snapshot_id
-        peer.gens = result["generations"]
-        self._counters["replica_bootstraps_total"] += 1
-        self._counters["replica_wal_bytes_shipped_total"] += len(wal)
+    def _rebuild_worker(self, i: int) -> bool:
+        """Respawn-and-rebuild worker ``i`` under the write lock.  A
+        replacement that fails its own bootstrap is marked poisoned
+        (the next rebuild replaces it again) and False is returned."""
+        with self._write_lock:
+            try:
+                self._bootstrap_worker(i)
+            except _PeerFailure:
+                self._worker_peers[i].poisoned = True
+                return False
         return True
+
+    def _retry_on_rebuilt(self, i: int) -> bool:
+        """The one retry rule, for reads and writes alike: count a
+        respawn and a retry, then rebuild worker ``i``.  No backoff —
+        the replacement was just rebuilt synchronously, so the retry
+        either lands or the caller gives up."""
+        self._counters["worker_respawns_total"] += 1
+        self._counters["rpc_retries_total"] += 1
+        return self._rebuild_worker(i)
 
     def _workers_live(self) -> bool:
         return any(peer is not None for peer in self._worker_peers)
@@ -597,10 +529,7 @@ class ProcessShardedBackend(StorageBackend):
             except BaseException:
                 if self._workers_live():
                     for i in range(self.workers):
-                        try:
-                            self._bootstrap_worker(i)
-                        except _PeerFailure:
-                            self._worker_peers[i].poisoned = True
+                        self._rebuild_worker(i)
                 raise
 
     def _ship_write(self, op: str, relation_name: str | None,
@@ -664,27 +593,16 @@ class ProcessShardedBackend(StorageBackend):
                 peer.known_values += len(delta)
                 return
             except _PeerFailure as failure:
-                if attempt:
+                # The rebuild reads the store, which does not yet hold
+                # this batch, so the retried op lands on a clean
+                # pre-batch slice.  Raising runs before the store's own
+                # hook, so the relation stays unchanged.
+                if attempt or not self._retry_on_rebuilt(w):
                     raise StorageError(
                         f"shard worker {w} failed during write "
                         f"shipping: {failure}") from failure
-                # Respawn and rebuild from the store — which does not
-                # yet contain this batch, so the retried op lands on a
-                # clean pre-batch slice.
-                self._counters["worker_respawns_total"] += 1
-                self._counters["rpc_retries_total"] += 1
-                self._bootstrap_worker(w)
 
-    # -- reads: route encoded batches across workers and replicas ---------
-
-    def _next_replica(self) -> int | None:
-        """Round-robin over ``1 + replicas`` read targets; slot 0 is
-        the writer (workers/local)."""
-        if not self.replicas:
-            return None
-        slot = self._rr % (self.replicas + 1)
-        self._rr += 1
-        return None if slot == 0 else slot - 1
+    # -- reads: route encoded batches across the workers ------------------
 
     def read_codes(self, constraint: AccessConstraint, keys: Sequence
                    ) -> tuple[list, list[int], "Sequence | None"]:
@@ -716,13 +634,6 @@ class ProcessShardedBackend(StorageBackend):
             return self._store.read_codes(constraint, keys)
         wire_keys = self._permute_keys(keys, key_perm)
         width = entry.width if row_proj is None else len(row_proj)
-        replica = self._next_replica()
-        if replica is not None:
-            result = self._read_replica(
-                replica, cid, attached.relation_name, wire_keys,
-                row_proj, dedup, width)
-            if result is not None:
-                return result
         result = self._read_workers(cid, wire_keys, row_proj, dedup, width)
         if result is None:
             self._counters["local_reads_total"] += 1
@@ -737,7 +648,8 @@ class ProcessShardedBackend(StorageBackend):
     def _read_workers(self, cid: int, keys: Sequence, row_proj, dedup,
                       width: int):
         """Fan an encoded batch out across the shard workers; one
-        respawn-and-retry on a dead worker, None (fall back) after.
+        respawn-and-retry on a failed worker, None (fall back to the
+        store) after, or when the replacement cannot be rebuilt.
 
         Keys are bucketed by placement and answered bucket after
         bucket, so the result names its key order instead of paying a
@@ -756,9 +668,7 @@ class ProcessShardedBackend(StorageBackend):
             for key in keys:
                 appends[hash(key) % workers](key)
         touched = [w for w in range(workers) if buckets[w]]
-        attempts = max(2, self._retry.attempts)
-        delays = self._retry.delays()
-        for attempt in range(attempts):
+        for attempt in (0, 1):
             requests = [
                 (self._worker_peers[w],
                  ("read", cid, buckets[w], row_proj, dedup),
@@ -774,17 +684,9 @@ class ProcessShardedBackend(StorageBackend):
                     # health: no respawn, no retry, no local fallback —
                     # surface the typed abort to the caller.
                     raise DeadlineExceeded("procshard_rpc") from failure
-                if attempt == attempts - 1:
+                if attempt or not self._retry_on_rebuilt(
+                        failure.peer.index):
                     return None
-                self._counters["worker_respawns_total"] += 1
-                self._counters["rpc_retries_total"] += 1
-                backoff = next(delays, 0.0)
-                if backoff:
-                    time.sleep(backoff)
-                dead = failure.peer
-                with self._write_lock:
-                    self._bootstrap_worker(
-                        dead.index if dead is not None else 0)
         self._counters["worker_reads_total"] += 1
         cols = [int_column() for _ in range(width)]
         counts: list[int] = []
@@ -796,87 +698,6 @@ class ProcessShardedBackend(StorageBackend):
             len(cols[0]) * width * 8)
         return cols, counts, list(chain.from_iterable(
             buckets[w] for w in touched))
-
-    def _read_replica(self, i: int, cid: int, relation: str,
-                      keys: Sequence, row_proj, dedup, width: int):
-        """Serve one whole batch from replica ``i`` iff its circuit
-        breaker admits traffic and it has caught up to the writer's
-        generation for ``relation``; None means the caller should use
-        the writer path instead.  Failures feed the breaker, so a
-        flapping replica degrades to writer-local reads (a counter
-        bump per read) instead of a bootstrap storm."""
-        breaker = self._breakers[i]
-        if not breaker.allow():
-            self._counters["replica_breaker_skips_total"] += 1
-            return None
-        peer = self._replica_peers[i]
-        needed = self._generations[relation]
-        if (peer is None or peer.poisoned
-                or peer.gens.get(relation, -1) < needed):
-            if not self._catch_up_replica(i):
-                breaker.record_failure()
-                return None
-            peer = self._replica_peers[i]
-            if peer is None or peer.gens.get(relation, -1) < needed:
-                breaker.record_failure()
-                return None
-        try:
-            with span("rpc_replica_fetch"):
-                cols, counts = self._request(
-                    peer, ("read", cid, keys, row_proj, dedup),
-                    self._key_bytes(keys))
-        except _PeerFailure as failure:
-            if failure.deadline:
-                raise DeadlineExceeded("procshard_replica_rpc") from failure
-            breaker.record_failure()
-            return None
-        breaker.record_success()
-        self._counters["replica_reads_total"] += 1
-        self._counters["rpc_bytes_received_total"] += (
-            len(cols[0]) * width * 8)
-        return cols, counts, None
-
-    def _catch_up_replica(self, i: int) -> bool:
-        """Ship the WAL tail (or re-bootstrap after a writer
-        compaction) so replica ``i`` reaches the writer's generations."""
-        with self._write_lock:
-            store = self._store
-            if not isinstance(store, DiskBackend):
-                return False
-            peer = self._replica_peers[i]
-            if (peer is None or peer.poisoned
-                    or not peer.process.is_alive()
-                    or peer.snapshot_id != store._snapshot_id):
-                return self._bootstrap_replica(i)
-            try:
-                with open(store._wal_path, "rb") as handle:
-                    handle.seek(peer.wal_offset)
-                    chunk = handle.read()
-            except OSError:
-                return self._bootstrap_replica(i)
-            fault = fault_hook("wal_ship")
-            if fault is not None and fault.kind == "torn_tail":
-                # Ship a chunk cut mid-frame: the replica must consume
-                # only up to its last intact record and the remainder
-                # re-ships on the next catch-up.
-                chunk = chunk[:max(0, len(chunk) - int(fault.arg))]
-            delta = self.dictionary.values_from(peer.known_values)
-            try:
-                result = self._request(
-                    peer, ("wal", chunk, delta), len(chunk))
-            except _PeerFailure as failure:
-                if failure.deadline:
-                    # Out of request time, not a replica fault: leave
-                    # the (poisoned) peer for the housekeeping probe
-                    # instead of re-bootstrapping on a dead budget.
-                    return False
-                return self._bootstrap_replica(i)
-            peer.known_values += len(delta)
-            peer.wal_offset += result["consumed"]
-            peer.gens = result["generations"]
-            self._counters["replica_catchups_total"] += 1
-            self._counters["replica_wal_bytes_shipped_total"] += len(chunk)
-            return True
 
     # -- the value plane delegates to the authoritative store --------------
 
@@ -897,8 +718,7 @@ class ProcessShardedBackend(StorageBackend):
         return self._store.indexes_for(relation_name)
 
     def snapshot(self):
-        """Compact the durable writer (replicas re-bootstrap on their
-        next read — the snapshot id is the epoch of the shipped WAL)."""
+        """Compact the durable writer."""
         if not isinstance(self._store, DiskBackend):
             raise StorageError(
                 "snapshot() needs a durable procshard (data_dir=...)")
@@ -912,8 +732,6 @@ class ProcessShardedBackend(StorageBackend):
         merged.update({key: round(value, 6) if isinstance(value, float)
                        else value
                        for key, value in self._counters.items()})
-        merged["replica_breaker_opens_total"] = sum(
-            breaker.opens_total for breaker in self._breakers)
         return merged
 
     def gauges(self) -> dict:
@@ -921,12 +739,6 @@ class ProcessShardedBackend(StorageBackend):
         levels["workers_alive"] = sum(
             1 for peer in self._worker_peers
             if peer is not None and peer.process.is_alive())
-        levels["replicas_alive"] = sum(
-            1 for peer in self._replica_peers
-            if peer is not None and peer.process.is_alive())
-        for i, breaker in enumerate(self._breakers):
-            # 0=closed, 1=open, 2=half-open (resilience module encoding).
-            levels[f"replica_breaker_state_r{i}"] = breaker.state
         return levels
 
     def histograms(self) -> list:
@@ -934,7 +746,6 @@ class ProcessShardedBackend(StorageBackend):
 
     def describe(self) -> str:
         return (f"procshard(workers={self.workers}, "
-                f"replicas={self.replicas}, "
                 f"store={self._store.describe()}, "
                 f"threshold={self.fanout_threshold})")
 
@@ -942,46 +753,18 @@ class ProcessShardedBackend(StorageBackend):
 
     def health_check(self) -> dict:
         """One housekeeping pass over the fleet: respawn dead or
-        poisoned workers off the request path, and probe half-open
-        replica breakers with a ping so a recovered replica re-closes
-        without waiting for live read traffic to gamble on it.
-
-        Safe to call from a background thread at any cadence; returns
-        a summary the serving tier logs."""
-        report = {"workers_respawned": 0, "replicas_probed": 0,
-                  "replicas_reclosed": 0}
+        poisoned workers off the request path.  Safe to call from a
+        background thread at any cadence; returns a summary the
+        serving tier logs."""
+        report = {"workers_respawned": 0}
         if self._closed or not self._specs:
             return report
         for i, peer in enumerate(self._worker_peers):
             if (peer is None or peer.poisoned
                     or not peer.process.is_alive()):
-                with self._write_lock:
-                    try:
-                        self._bootstrap_worker(i)
-                    except _PeerFailure:
-                        continue
-                self._counters["worker_respawns_total"] += 1
-                report["workers_respawned"] += 1
-        for i, breaker in enumerate(self._breakers):
-            if breaker.state != HALF_OPEN:
-                continue
-            report["replicas_probed"] += 1
-            peer = self._replica_peers[i]
-            try:
-                if (peer is None or peer.poisoned
-                        or not peer.process.is_alive()):
-                    with self._write_lock:
-                        healthy = self._bootstrap_replica(i)
-                else:
-                    healthy = self._request(
-                        peer, ("ping",), 0, use_deadline=False) == "pong"
-            except _PeerFailure:
-                healthy = False
-            if healthy:
-                breaker.record_success()
-                report["replicas_reclosed"] += 1
-            else:
-                breaker.record_failure()
+                if self._rebuild_worker(i):
+                    self._counters["worker_respawns_total"] += 1
+                    report["workers_respawned"] += 1
         return report
 
     # -- lifecycle ---------------------------------------------------------
@@ -997,11 +780,9 @@ class ProcessShardedBackend(StorageBackend):
             if self._closed:
                 return
             self._closed = True
-            peers = [peer for peer
-                     in (*self._worker_peers, *self._replica_peers)
+            peers = [peer for peer in self._worker_peers
                      if peer is not None]
             self._worker_peers = [None] * self.workers
-            self._replica_peers = [None] * self.replicas
         budget = Deadline.after(self.close_timeout_s)
         for peer in peers:
             self._shutdown_peer(peer, budget)
@@ -1044,11 +825,9 @@ class ProcessShardedBackend(StorageBackend):
         coordinator abandoned without ``close()`` cannot orphan its
         children."""
         self._closed = True
-        peers = [peer for peer
-                 in (*self._worker_peers, *self._replica_peers)
+        peers = [peer for peer in self._worker_peers
                  if peer is not None]
         self._worker_peers = [None] * self.workers
-        self._replica_peers = [None] * self.replicas
         for peer in peers:
             try:
                 peer.conn.close()

@@ -87,10 +87,11 @@ class WorkerState:
         raise ValueError(f"unknown worker op {op!r}")
 
 
-def serve_loop(conn, handler) -> None:
-    """The shared request loop for worker and replica processes: recv,
-    dispatch, reply ``("ok", payload)`` / ``("err", message)``; exit on
-    ``("stop",)`` or when the pipe closes (coordinator death)."""
+def worker_main(conn) -> None:
+    """Process entry point: recv, dispatch, reply ``("ok", payload)`` /
+    ``("err", message)``; exit on ``("stop",)`` or when the pipe closes
+    (coordinator death)."""
+    handle = WorkerState().handle
     while True:
         try:
             request = conn.recv()
@@ -103,13 +104,8 @@ def serve_loop(conn, handler) -> None:
                 pass
             return
         try:
-            payload = handler(request)
+            payload = handle(request)
         except Exception as error:  # ship the failure, keep serving
             conn.send(("err", f"{type(error).__name__}: {error}"))
         else:
             conn.send(("ok", payload))
-
-
-def worker_main(conn) -> None:
-    """Process entry point: serve requests until ``stop`` or EOF."""
-    serve_loop(conn, WorkerState().handle)

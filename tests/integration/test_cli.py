@@ -100,7 +100,7 @@ def test_run_procshard_backend_same_answers(db_dir, capsys):
     assert main(["run", "--db", db_dir, "--backend", "procshard",
                  "--shard-workers", "2", Q0]) == 0
     out = capsys.readouterr().out
-    assert "storage: procshard(workers=2, replicas=0" in out
+    assert "storage: procshard(workers=2, store=memory" in out
     assert "(34,)" in out and "(51,)" in out
     assert "2 answer(s)" in out
     # Identical access accounting across process boundaries.
@@ -108,21 +108,13 @@ def test_run_procshard_backend_same_answers(db_dir, capsys):
         out.split("\n", 1)[1].splitlines()[0]
 
 
-def test_run_procshard_with_replicas(db_dir, tmp_path, capsys):
+def test_run_procshard_with_data_dir(db_dir, tmp_path, capsys):
     data_dir = str(tmp_path / "durable")
     assert main(["run", "--db", db_dir, "--backend", "procshard",
-                 "--shard-workers", "2", "--replicas", "1",
-                 "--data-dir", data_dir, Q0]) == 0
+                 "--shard-workers", "2", "--data-dir", data_dir, Q0]) == 0
     out = capsys.readouterr().out
-    assert "replicas=1" in out and "store=disk" in out
+    assert "store=disk" in out
     assert "(34,)" in out and "(51,)" in out
-
-
-def test_run_procshard_replicas_without_data_dir_is_actionable(
-        db_dir, capsys):
-    assert main(["run", "--db", db_dir, "--backend", "procshard",
-                 "--replicas", "1", Q0]) == 2
-    assert "--data-dir" in capsys.readouterr().err
 
 
 def test_run_procshard_zero_workers_is_rejected(db_dir, capsys):
@@ -135,10 +127,12 @@ def test_run_procshard_zero_workers_is_rejected(db_dir, capsys):
     ["--backend", "sharded"],
     ["--shards", "4"],
     ["--shard-threads", "2"],
-], ids=["backend-sharded", "shards", "shard-threads"])
-def test_run_rejects_removed_thread_sharded_options(db_dir, capsys, args):
-    """The thread-sharded engine and its flags are gone: argparse
-    refuses them with its usage error rather than ignoring them."""
+    ["--replicas", "1"],
+], ids=["backend-sharded", "shards", "shard-threads", "replicas"])
+def test_run_rejects_removed_options(db_dir, capsys, args):
+    """The thread-sharded engine, procshard's read replicas and their
+    flags are gone: argparse refuses them with its usage error rather
+    than ignoring them."""
     with pytest.raises(SystemExit) as exit_info:
         main(["run", "--db", db_dir, *args, Q0])
     assert exit_info.value.code == 2

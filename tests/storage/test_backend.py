@@ -262,10 +262,8 @@ class TestBackendFactoryAndFacade:
         from repro.storage.procshard import ProcessShardedBackend
         procshard = make_backend("procshard", schema, workers=1)
         assert isinstance(procshard, ProcessShardedBackend)
-        assert procshard.workers == 1 and procshard.replicas == 0
+        assert procshard.workers == 1
         procshard.close()
-        with pytest.raises(StorageError, match="durable writer"):
-            make_backend("procshard", schema, workers=1, replicas=1)
         with pytest.raises(StorageError, match="worker process"):
             ProcessShardedBackend(schema, workers=0)
         # Passed through, not silently replaced by the default of 4.

@@ -105,7 +105,7 @@ steps = st.sampled_from(("insert", "insert", "delete", "clear", "attach"))
 
 
 @pytest.fixture(scope="module",
-                params=["memory", "disk", "procshard", "procshard-replica"])
+                params=["memory", "disk", "procshard", "procshard-disk"])
 def engine(request, tmp_path_factory):
     if request.param == "memory":
         backend = MemoryBackend(SCHEMA)
@@ -118,11 +118,10 @@ def engine(request, tmp_path_factory):
                                         fanout_threshold=0)
     else:
         from repro.storage.procshard import ProcessShardedBackend
-        # A durable writer plus a WAL-shipped replica: encoded reads are
-        # load-balanced between the shard workers and the replica.
+        # A durable disk writer behind the same worker fleet.
         backend = ProcessShardedBackend(
-            SCHEMA, workers=2, replicas=1, fanout_threshold=0,
-            data_dir=tmp_path_factory.mktemp("conformance-replica"))
+            SCHEMA, workers=2, fanout_threshold=0,
+            data_dir=tmp_path_factory.mktemp("conformance-procshard"))
     yield backend
     backend.close()
 

@@ -212,113 +212,12 @@ class TestKillPoints:
         records, valid = scan_frames(tmp_path / "wal.log")
         assert records == [["i", "R", 1, [[1], [2]]]]
         assert valid == (tmp_path / "wal.log").stat().st_size
+        # A torn suffix is invisible: the valid prefix ends before it.
+        data = (tmp_path / "wal.log").read_bytes()
+        path.write_bytes(data + b"08x torn")
+        assert scan_frames(path) == (records, len(data))
         path.write_bytes(b"deadbeef not-json\n")
         assert scan_frames(path) == ([], 0)
-
-    def test_scan_frame_bytes_matches_scan_frames(self, tmp_path):
-        """The byte-range scanner (what replication ships) and the file
-        scanner (what recovery reads) are the same function."""
-        from repro.storage.disk import scan_frame_bytes
-        backend = DiskBackend(Schema.from_dict({"R": ("A",)}), tmp_path)
-        backend.insert_rows("R", [(1,), (2,)])
-        backend.delete_rows("R", [(1,)])
-        backend.close()
-        data = (tmp_path / "wal.log").read_bytes()
-        assert scan_frame_bytes(data) == scan_frames(tmp_path / "wal.log")
-        # A torn suffix is invisible to both.
-        assert scan_frame_bytes(data + b"08x torn") == \
-            (scan_frame_bytes(data)[0], len(data))
-
-
-def wal_bootstrap_payload(backend: DiskBackend, aschema) -> dict:
-    """A WAL-only replica bootstrap payload (no snapshot yet) — the
-    shape ProcessShardedBackend._bootstrap_replica ships."""
-    specs = []
-    for cid, constraint in enumerate(aschema):
-        index = backend._indexes[id(constraint)]
-        specs.append((cid, constraint.relation_name,
-                      list(index.x_positions), list(index.y_positions)))
-    return {"segments": {},
-            "generations": {name: 0
-                            for name in backend.schema.relation_names()},
-            "wal": b"", "values": backend.dictionary.values_from(0),
-            "specs": specs, "snapshot_id": backend._snapshot_id}
-
-
-class TestReplicationKillPoints:
-    """The kill-point harness pointed at WAL *shipping*: a replica fed
-    a chunk torn at any byte must land in exactly the state a crashed
-    writer would recover to at the same truncation point, and converge
-    once the remainder arrives."""
-
-    def test_torn_ship_equals_torn_recovery_at_every_offset(
-            self, schema, aschema, tmp_path):
-        from repro.storage.procshard import ReplicaState
-        source = tmp_path / "source"
-        states = TestKillPoints()._write_ops(schema, aschema, source)
-        wal_bytes = (source / "wal.log").read_bytes()
-        record_ends = [i + 1 for i, byte in enumerate(wal_bytes)
-                       if byte == ord("\n")]
-        reference = DiskBackend(schema, source)
-        reference.attach_access_schema(aschema)
-        # A live coordinator's dictionary is append-only, so it still
-        # holds codes for rows deleted before the ship; the recovered
-        # reference dropped them — re-encode the full WAL history.
-        for record in scan_frames(source / "wal.log")[0]:
-            if record[0] in ("i", "d"):
-                for row in record[3]:
-                    reference.dictionary.encode_row(tuple(row))
-        payload = wal_bootstrap_payload(reference, aschema)
-
-        for cut in range(len(wal_bytes) + 1):
-            complete = sum(1 for end in record_ends if end <= cut)
-            replica = ReplicaState()
-            replica.bootstrap(payload)
-            first = replica.apply_wal(wal_bytes[:cut], [])
-            # Consumed exactly the intact prefix — byte-identical to
-            # what recovery would keep after a crash at this offset.
-            assert first["consumed"] == \
-                (record_ends[complete - 1] if complete else 0)
-            assert {name: set(store)
-                    for name, store in replica.stores.items()} == \
-                states[complete], f"shipping torn at byte {cut}"
-            # The re-shipped remainder completes the log.
-            replica.apply_wal(wal_bytes[first["consumed"]:], [])
-            assert {name: set(store)
-                    for name, store in replica.stores.items()} == \
-                states[-1]
-        reference.close()
-
-    def test_generations_monotone_across_replica_fleet(
-            self, schema, aschema, tmp_path):
-        """Replicas at different ship offsets order by generation: the
-        further-shipped replica's generation map dominates, and no
-        replica ever exceeds the writer."""
-        from repro.storage.procshard import ReplicaState
-        source = tmp_path / "source"
-        TestKillPoints()._write_ops(schema, aschema, source)
-        wal_bytes = (source / "wal.log").read_bytes()
-        record_ends = [i + 1 for i, byte in enumerate(wal_bytes)
-                       if byte == ord("\n")]
-        reference = DiskBackend(schema, source)
-        reference.attach_access_schema(aschema)
-        for record in scan_frames(source / "wal.log")[0]:
-            if record[0] in ("i", "d"):  # append-only writer dictionary
-                for row in record[3]:
-                    reference.dictionary.encode_row(tuple(row))
-        payload = wal_bootstrap_payload(reference, aschema)
-
-        fleet = []
-        for end in [0, *record_ends]:
-            replica = ReplicaState()
-            replica.bootstrap(payload)
-            replica.apply_wal(wal_bytes[:end], [])
-            fleet.append(replica)
-        for behind, ahead in zip(fleet, fleet[1:]):
-            for name in schema.relation_names():
-                assert behind.generations[name] <= ahead.generations[name]
-        assert fleet[-1].generations == reference._generations
-        reference.close()
 
 
 class TestDurabilityContract:

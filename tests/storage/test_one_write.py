@@ -28,7 +28,7 @@ KEYS = [(a,) for a in range(4)]
 
 
 @pytest.fixture(scope="module", params=[
-    "memory", "disk", "procshard", "procshard-disk", "procshard-replica"])
+    "memory", "disk", "procshard", "procshard-disk"])
 def backend(request, tmp_path_factory):
     if request.param == "memory":
         engine = MemoryBackend(SCHEMA)
@@ -37,11 +37,9 @@ def backend(request, tmp_path_factory):
     else:
         from repro.storage.procshard import ProcessShardedBackend
         durable = request.param != "procshard"
-        # A zero fan-out threshold sends every read through the workers
-        # (or, with a replica, alternately through the replica).
+        # A zero fan-out threshold sends every read through the workers.
         engine = ProcessShardedBackend(
             SCHEMA, workers=2,
-            replicas=1 if request.param == "procshard-replica" else 0,
             data_dir=tmp_path_factory.mktemp("one-write") if durable else None,
             fanout_threshold=0)
     engine.attach_access_schema(AccessSchema(SCHEMA, [CONSTRAINT]))

@@ -1,12 +1,12 @@
-"""Process-sharded storage: the code-space worker protocol, WAL-shipped
-replicas (driven in-process against a MemoryBackend oracle) and the
-coordinator's failure handling (worker death, replica staleness,
-writer compaction).
+"""Process-sharded storage: the code-space worker protocol (driven
+in-process against a MemoryBackend oracle) and the coordinator's
+routing and failure handling (worker death, a durable writer's writes,
+clears, compaction and concurrent inserts).
 
-The backend-conformance suite in ``test_backend.py`` already runs the
-full contract against a live ``procshard`` fleet; this file covers
+The backend-conformance suite in ``test_conformance.py`` already runs
+the full contract against a live ``procshard`` fleet; this file covers
 what conformance cannot see — the wire protocol itself and the
-recovery/replication edges.
+recovery edges.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from repro.storage.disk import DiskBackend
 from repro.storage.encoding import ValueDictionary
 from repro.storage.indexes import AccessIndex, gather_codes
 from repro.storage.procshard import (CodeIndex, ProcessShardedBackend,
-                                     ReplicaState, WorkerState)
-from repro.storage.procshard.replica import ReplicaError
+                                     WorkerState)
 
 
 @pytest.fixture
@@ -87,8 +86,8 @@ def witnesses(index: CodeIndex) -> Counter:
 
 class TestCodeIndex:
     """One witness-counted code-group index serves the in-process
-    engines (inside AccessIndex), the shard workers and the replicas,
-    all read by the same ``gather_codes``."""
+    engines (inside AccessIndex) and the shard workers, both read by
+    the same ``gather_codes``."""
 
     def _pair(self, schema):
         constraint = AccessConstraint("R", ("A",), ("B", "C"), 64)
@@ -112,12 +111,11 @@ class TestCodeIndex:
     @settings(max_examples=40, deadline=None)
     def test_every_user_of_the_index_matches_a_row_set_model(self, ops):
         """Random inserts and deletes on a small domain, applied to a
-        disk writer (its indexes are the memory engine's), a shard
-        worker fed the coordinator's shipments and a replica fed the
-        writer's WAL.  After every write each one's code groups hold
-        exactly the distinct projections of the model's rows, each with
-        as many witnesses as model rows produce it, and all three
-        answer a read of every key alike.  ``R(A -> B)`` and
+        disk writer (its indexes are the memory engine's) and a shard
+        worker fed the coordinator's shipments.  After every write each
+        one's code groups hold exactly the distinct projections of the
+        model's rows, each with as many witnesses as model rows produce
+        it, and both answer a read of every key alike.  ``R(A -> B)`` and
         ``R(B -> A)`` drop ``C``, so witness counts exceed 1."""
         schema = Schema.from_dict({"R": ("A", "B", "C")})
         relation = schema.relation("R")
@@ -138,15 +136,8 @@ class TestCodeIndex:
                 (cid, len(constraint.x), len(layout))
                 for cid, (constraint, layout)
                 in enumerate(zip(access, layouts))], {}, []))
-            replica = ReplicaState()
-            replica.bootstrap({
-                "segments": {}, "generations": {"R": 0}, "wal": b"",
-                "values": [], "snapshot_id": 0,
-                "specs": [(cid, "R", list(constraint.x_positions(relation)),
-                           list(constraint.y_positions(relation)))
-                          for cid, constraint in enumerate(access)]})
             model: set = set()
-            shipped_values = wal_offset = 0
+            shipped_values = 0
             for inserting, row in ops:
                 effective = (row in model) != inserting
                 write = writer.insert_rows if inserting \
@@ -161,22 +152,19 @@ class TestCodeIndex:
                 worker.handle(("write", [
                     (cid, not inserting, [tuple(coded[p] for p in layout)])
                     for cid, layout in enumerate(layouts)], delta))
-                wal = writer._wal_path.read_bytes()[wal_offset:]
-                wal_offset += replica.apply_wal(wal, delta)["consumed"]
                 for cid, (constraint, layout) in enumerate(
                         zip(access, layouts)):
                     expected = Counter(
                         tuple(dictionary.encode(row[p]) for p in layout)
                         for row in model)
                     users = (writer._indexes[id(constraint)].codes,
-                             worker.indexes[cid],
-                             replica.indexes[cid][2])
+                             worker.indexes[cid])
                     for index in users:
                         assert witnesses(index) == expected, constraint
                     keys = list(users[0].encoded)
                     answers = [gather_codes(index.encoded, index.width, keys)
                                for index in users]
-                    assert answers[1:] == answers[:1] * 2
+                    assert answers[1] == answers[0]
             writer.close()
 
     @given(ops=st.lists(st.tuples(st.booleans(),
@@ -291,138 +279,9 @@ class TestWorkerProtocol:
             WorkerState().handle(("warp-core-breach",))
 
 
-def disk_fixture(schema, aschema, tmp_path, rows=ROWS):
-    backend = DiskBackend(schema, tmp_path / "writer")
-    backend.attach_access_schema(aschema)
-    backend.insert_rows("R", rows)
-    return backend
-
-
-def bootstrap_payload(backend: DiskBackend, aschema, *,
-                      after_snapshot: bool) -> dict:
-    """Build the coordinator's bootstrap payload by hand, from the
-    writer's real on-disk state — the same bytes _bootstrap_replica
-    ships."""
-    import json
-    if after_snapshot:
-        current = (backend.data_dir / "CURRENT").read_text().strip()
-        snap_dir = backend.data_dir / current
-        manifest = json.loads((snap_dir / "manifest.json").read_text())
-        segments = {name: (snap_dir / f"{name}.seg").read_bytes()
-                    for name in backend.schema.relation_names()}
-        generations = manifest["generations"]
-    else:
-        segments = {}
-        generations = {name: 0 for name in backend.schema.relation_names()}
-    wal = (backend._wal_path.read_bytes()
-           if backend._wal_path.is_file() else b"")
-    specs = []
-    for cid, constraint in enumerate(aschema):
-        index = backend._indexes[id(constraint)]
-        specs.append((cid, constraint.relation_name,
-                      list(index.x_positions), list(index.y_positions)))
-    return {"segments": segments, "generations": generations,
-            "wal": wal, "values": backend.dictionary.values_from(0),
-            "specs": specs, "snapshot_id": backend._snapshot_id}
-
-
-class TestReplicaState:
-    """The replication protocol, driven file-free and process-free
-    against the writer's real WAL bytes and a MemoryBackend oracle."""
-
-    def test_bootstrap_from_wal_only(self, schema, aschema, tmp_path):
-        writer = disk_fixture(schema, aschema, tmp_path)
-        replica = ReplicaState()
-        result = replica.bootstrap(
-            bootstrap_payload(writer, aschema, after_snapshot=False))
-        assert result["generations"] == writer._generations
-        assert sorted(replica.stores["R"]) == sorted(ROWS)
-        assert result["wal_offset"] == writer._wal_path.stat().st_size
-        writer.close()
-
-    def test_bootstrap_from_snapshot_plus_tail(self, schema, aschema,
-                                               tmp_path):
-        writer = disk_fixture(schema, aschema, tmp_path)
-        writer.snapshot()
-        tail_rows = [(100 + i, i, i) for i in range(10)]
-        writer.insert_rows("R", tail_rows)
-        writer.delete_rows("R", ROWS[:5])
-        replica = ReplicaState()
-        replica.bootstrap(
-            bootstrap_payload(writer, aschema, after_snapshot=True))
-        assert sorted(replica.stores["R"]) == sorted(writer.scan("R"))
-        assert replica.generations == writer._generations
-        assert replica.snapshot_id == writer._snapshot_id == 1
-        writer.close()
-
-    def test_generation_monotonicity_and_convergent_reapply(
-            self, schema, aschema, tmp_path):
-        """Re-shipping an already-applied byte range must be a no-op
-        (membership checks make application convergent) and can never
-        move a generation backwards."""
-        writer = disk_fixture(schema, aschema, tmp_path, rows=ROWS[:10])
-        wal = writer._wal_path.read_bytes()
-        replica = ReplicaState()
-        replica.bootstrap(
-            bootstrap_payload(writer, aschema, after_snapshot=False))
-        before = dict(replica.generations)
-        rows_before = sorted(replica.stores["R"])
-        replica.apply_wal(wal, [])  # the whole log, again
-        assert replica.generations == before
-        assert sorted(replica.stores["R"]) == rows_before
-        writer.close()
-
-    def test_missed_dictionary_delta_is_a_replica_error(
-            self, schema, aschema, tmp_path):
-        writer = disk_fixture(schema, aschema, tmp_path, rows=ROWS[:5])
-        replica = ReplicaState()
-        replica.bootstrap(
-            bootstrap_payload(writer, aschema, after_snapshot=False))
-        offset = writer._wal_path.stat().st_size
-        writer.insert_rows("R", [(999, "unseen-value", 1)])
-        chunk = writer._wal_path.read_bytes()[offset:]
-        with pytest.raises(ReplicaError, match="re-bootstrap"):
-            replica.apply_wal(chunk, [])  # delta withheld on purpose
-        writer.close()
-
-    def test_clear_record_replicates(self, schema, aschema, tmp_path):
-        writer = disk_fixture(schema, aschema, tmp_path, rows=ROWS[:8])
-        replica = ReplicaState()
-        replica.bootstrap(
-            bootstrap_payload(writer, aschema, after_snapshot=False))
-        offset = writer._wal_path.stat().st_size
-        writer.clear()
-        chunk = writer._wal_path.read_bytes()[offset:]
-        replica.apply_wal(chunk, [])
-        assert not replica.stores["R"]
-        assert replica.generations == writer._generations
-        writer.close()
-
-    def test_bootstrap_replays_rows_whose_values_were_never_interned(
-            self, schema, aschema, tmp_path):
-        """S rows written and cleared while S had no index were never
-        interned by the writer; a later schema indexing S must still
-        bootstrap, from the rows that survive."""
-        r_only = AccessSchema(schema, [aschema.constraints[0]])
-        writer = disk_fixture(schema, r_only, tmp_path, rows=ROWS[:3])
-        writer.insert_rows("S", [("never-interned",)])
-        writer.clear()
-        writer.insert_rows("R", ROWS[3:5])
-        writer.attach_access_schema(aschema)
-        assert "never-interned" not in writer.dictionary
-        replica = ReplicaState()
-        replica.bootstrap(
-            bootstrap_payload(writer, aschema, after_snapshot=False))
-        assert sorted(replica.stores["R"]) == sorted(ROWS[3:5])
-        assert not replica.stores["S"]
-        assert witnesses(replica.indexes[0][2]) == witnesses(
-            writer._indexes[id(aschema.constraints[0])].codes)
-        writer.close()
-
-
 class TestProcessShardedBackend:
     """End-to-end coordinator behaviour that conformance cannot reach:
-    routing decisions, worker death, replica staleness and compaction."""
+    routing decisions and worker death."""
 
     def test_small_batches_stay_local(self, schema, aschema):
         backend = procshard(schema, fanout_threshold=1000)
@@ -486,7 +345,6 @@ class TestProcessShardedBackend:
         backend.attach_access_schema(aschema)
         gauges = backend.gauges()
         assert gauges["workers_alive"] == 2
-        assert gauges["replicas_alive"] == 0
         assert gauges["dictionary_bytes"] > 0
         names = [h.name for h in backend.histograms()]
         assert names == ["repro_storage_rpc_roundtrip_seconds"]
@@ -516,22 +374,21 @@ class TestProcessShardedBackend:
         backend.close()
 
 
-class TestReplicatedBackend:
-    """Writer + live replica processes: staleness, catch-up, and the
-    generation-epoch contract under concurrent writes."""
+class TestDurableBackend:
+    """A disk writer with its worker fleet: writes, clears, compaction
+    and the generation-epoch contract under concurrent writes, every
+    read served by the workers."""
 
-    def _replicated(self, schema, aschema, tmp):
-        backend = ProcessShardedBackend(
-            schema, workers=1, replicas=1, data_dir=tmp.name,
-            fanout_threshold=0)
+    def _durable(self, schema, aschema, tmp):
+        backend = procshard(schema, data_dir=tmp.name)
         backend._test_tmpdir = tmp  # pin the directory to the backend
         backend.attach_access_schema(aschema)
         return backend
 
-    def test_replica_reads_identical_to_writer_across_writes(
+    def test_worker_reads_identical_to_writer_across_writes(
             self, schema, aschema):
         tmp = tempfile.TemporaryDirectory(prefix="repro-procshard-")
-        backend = self._replicated(schema, aschema, tmp)
+        backend = self._durable(schema, aschema, tmp)
         truth = MemoryBackend(schema)
         truth.attach_access_schema(aschema)
         constraint = aschema.constraints[0]
@@ -542,28 +399,24 @@ class TestReplicatedBackend:
             truth.insert_rows("R", rows)
             keys = [backend.dictionary.encode(k) for k in range(7)]
             want = norm_flat(truth.fetch_flat_encoded(constraint, keys))
-            # Cycle through every round-robin slot (writer + replica):
-            # all of them must answer with the post-write state.
-            for _ in range(backend.replicas + 1):
-                assert norm_flat(backend.fetch_flat_encoded(
-                    constraint, keys)) == want
+            assert norm_flat(backend.fetch_flat_encoded(
+                constraint, keys)) == want
         counters = backend.counters()
-        assert counters["replica_reads_total"] > 0
-        assert counters["replica_catchups_total"] > 0
-        assert counters["replica_wal_bytes_shipped_total"] > 0
-        assert backend.gauges()["replicas_alive"] == 1
+        assert counters["worker_reads_total"] == 4
+        assert counters["local_reads_total"] == 0
+        assert backend.gauges()["workers_alive"] == 2
         backend.close()
 
     def test_reattach_never_serves_rows_a_clear_removed(self, schema,
                                                         aschema):
         """The shrunk sequence of an intermittent conformance failure:
         R rows, S rows written while S had no index, a clear, then two
-        attaches, the second indexing S.  The replica's bootstrap used
-        to fail on the never-interned S values, and the replica served
-        the half-replayed R rows the clear had removed."""
+        attaches, the second indexing S.  The re-attach rebuilds every
+        worker from the store, which must not bring back the R rows
+        the clear removed nor trip over the never-interned S values."""
         tmp = tempfile.TemporaryDirectory(prefix="repro-procshard-")
         r_only = AccessSchema(schema, [aschema.constraints[0]])
-        backend = self._replicated(schema, r_only, tmp)
+        backend = self._durable(schema, r_only, tmp)
         backend.insert_rows("R", ROWS[:3])
         backend.insert_rows("S", [("never-interned",)])
         backend.clear()
@@ -571,42 +424,36 @@ class TestReplicatedBackend:
         backend.attach_access_schema(aschema)
         constraint = aschema.constraints[0]
         keys = sorted({(row[0],) for row in ROWS[:3]})
-        for _ in range(2 * (backend.replicas + 1)):
-            assert backend.fetch_flat(constraint, keys) == []
-        assert backend.counters()["replica_reads_total"] > 0
+        assert backend.fetch_flat(constraint, keys) == []
+        assert backend.counters()["worker_reads_total"] == 1
         backend.close()
 
-    def test_writer_compaction_forces_replica_rebootstrap(
+    def test_writer_compaction_keeps_worker_reads_exact(
             self, schema, aschema):
         tmp = tempfile.TemporaryDirectory(prefix="repro-procshard-")
-        backend = self._replicated(schema, aschema, tmp)
+        backend = self._durable(schema, aschema, tmp)
         backend.insert_rows("R", ROWS)
         constraint = aschema.constraints[0]
         keys = [backend.dictionary.encode(k) for k in range(7)]
-        for _ in range(2):  # reach the replica slot at least once
-            backend.fetch_flat_encoded(constraint, keys)
-        boots_before = backend.counters()["replica_bootstraps_total"]
-        backend.snapshot()  # truncates the WAL: shipped offsets die
+        backend.snapshot()  # compacts the store; the workers are untouched
+        assert backend._store._wal_path.stat().st_size == 0
         backend.insert_rows("R", [(3, 888888, 1)])
         truth = MemoryBackend(schema)
         truth.attach_access_schema(aschema)
         truth.insert_rows("R", ROWS + [(3, 888888, 1)])
-        want = norm_flat(truth.fetch_flat_encoded(constraint, keys))
-        for _ in range(backend.replicas + 1):
-            assert norm_flat(backend.fetch_flat_encoded(
-                constraint, keys)) == want
-        assert backend.counters()["replica_bootstraps_total"] > \
-            boots_before
+        assert norm_flat(backend.fetch_flat_encoded(constraint, keys)) == \
+            norm_flat(truth.fetch_flat_encoded(constraint, keys))
+        assert backend.counters()["worker_reads_total"] == 1
         backend.close()
 
     def test_generation_epoch_under_concurrent_inserts(self, schema,
                                                        aschema):
-        """The acceptance contract: while a writer thread inserts,
-        every replica-served read must reflect a generation at least as
-        fresh as the one the reader observed before fetching — rows can
-        only ever appear *early*, never late."""
+        """While a writer thread inserts, every worker-served read must
+        reflect a generation at least as fresh as the one the reader
+        observed before fetching — rows can only ever appear *early*,
+        never late."""
         tmp = tempfile.TemporaryDirectory(prefix="repro-procshard-")
-        backend = self._replicated(schema, aschema, tmp)
+        backend = self._durable(schema, aschema, tmp)
         constraint = aschema.constraints[0]
         backend.insert_rows("R", [(1, 0, 0)])
         failures: list[str] = []
@@ -640,5 +487,5 @@ class TestReplicatedBackend:
         for thread in threads:
             thread.join(timeout=60)
         assert not failures, failures[:3]
-        assert backend.counters()["replica_reads_total"] > 0
+        assert backend.counters()["worker_reads_total"] > 0
         backend.close()

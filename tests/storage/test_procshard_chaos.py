@@ -1,7 +1,8 @@
 """Chaos and resilience integration for the process-sharded backend:
-deterministic fault injection, deadline propagation across the RPC
-boundary, breaker-gated replica degradation, bounded close() under a
-hung worker, and the interpreter-exit orphan sweep.
+deterministic fault injection, the one respawn-and-retry rule (and
+what happens when the replacement fails too), deadline propagation
+across the RPC boundary, bounded close() under a hung worker, and the
+interpreter-exit orphan sweep.
 
 Every failure here is *injected deterministically* (fault plans count
 hook ordinals; nothing fires on wall clock or randomness), and every
@@ -25,7 +26,6 @@ from repro.errors import DeadlineExceeded, StorageError
 from repro.faults import Fault, FaultPlan, clear_fault_plan, install_fault_plan
 from repro.storage.backend import MemoryBackend, make_backend
 from repro.storage.procshard import ProcessShardedBackend
-from repro.storage.procshard.resilience import CLOSED, OPEN
 
 
 @pytest.fixture(autouse=True)
@@ -77,6 +77,17 @@ def oracle(schema, aschema, rows=ROWS):
 
 def keys_for(backend, count=7):
     return [backend.dictionary.encode(k) for k in range(count)]
+
+
+def per_key(entries):
+    """``fetch_many_encoded`` entries as plain lists, row order kept."""
+    return [[list(column) for column in cols] for cols, _ in entries]
+
+
+#: The first send kills its worker and so does the replacement's
+#: bootstrap send: the one retry never gets a live worker.
+KILL_WORKER_AND_REPLACEMENT = [Fault("rpc_send", at=1, kind="kill_peer"),
+                               Fault("rpc_send", at=2, kind="kill_peer")]
 
 
 class TestWorkerChaos:
@@ -150,6 +161,84 @@ class TestWorkerChaos:
         assert not any(peer is not None and peer.poisoned
                        for peer in backend._worker_peers)
         assert backend.counters()["worker_respawns_total"] >= 1
+        backend.close()
+
+    def test_failed_replacement_on_read_falls_back_to_the_store(
+            self, schema, aschema):
+        backend = procshard(schema, aschema)
+        constraint = aschema.constraints[0]
+        keys = keys_for(backend)
+        want = per_key(backend._store.fetch_many_encoded(constraint, keys))
+        plan = FaultPlan(KILL_WORKER_AND_REPLACEMENT)
+        install_fault_plan(plan)
+        try:
+            got = per_key(backend.fetch_many_encoded(constraint, keys))
+        finally:
+            clear_fault_plan()
+        assert got == want
+        assert len(plan.fired) == 2
+        assert any(peer.poisoned for peer in backend._worker_peers)
+        counters = backend.counters()
+        assert counters["local_reads_total"] == 1
+        assert counters["worker_reads_total"] == 0
+        # The next read replaces the poisoned worker and is served by
+        # the fleet again.
+        assert per_key(backend.fetch_many_encoded(constraint, keys)) == want
+        assert backend.counters()["worker_reads_total"] == 1
+        assert not any(peer.poisoned for peer in backend._worker_peers)
+        backend.close()
+
+    def test_failed_replacement_on_write_raises_and_applies_nothing(
+            self, schema, aschema):
+        backend = procshard(schema, aschema)
+        constraint = aschema.constraints[0]
+        rows = sorted(backend.scan("R"))
+        generation = backend.generation("R")
+        install_fault_plan(FaultPlan(KILL_WORKER_AND_REPLACEMENT))
+        try:
+            with pytest.raises(StorageError, match="write shipping"):
+                backend.insert_rows("R", [(k, 5000 + k, 0) for k in range(7)])
+        finally:
+            clear_fault_plan()
+        assert sorted(backend.scan("R")) == rows
+        assert backend.generation("R") == generation
+        # The fleet was rebuilt from the unchanged store: worker reads
+        # equal the store's, and the write goes through on a retry.
+        keys = keys_for(backend)
+        assert per_key(backend.fetch_many_encoded(constraint, keys)) == \
+            per_key(backend._store.fetch_many_encoded(constraint, keys))
+        assert backend.insert_rows("R", [(1, 5001, 0)]) == 1
+        assert per_key(backend.fetch_many_encoded(constraint, keys)) == \
+            per_key(backend._store.fetch_many_encoded(constraint, keys))
+        assert backend.counters()["worker_reads_total"] == 2
+        backend.close()
+
+    def test_worker_churn_mid_write_storm_stays_bit_identical(
+            self, schema, aschema):
+        """Kill a worker while writes stream into a disk writer: every
+        read matches the MemoryBackend oracle, and the housekeeping
+        pass leaves the fleet whole."""
+        tmp = tempfile.TemporaryDirectory(prefix="repro-chaos-")
+        backend = procshard(schema, aschema, rows=None, data_dir=tmp.name)
+        backend._test_tmpdir = tmp  # pin the directory to the backend
+        truth = oracle(schema, aschema, rows=None)
+        constraint = aschema.constraints[0]
+        for round_no in range(6):
+            rows = [(i % 7, i + round_no * 1000, round_no)
+                    for i in range(30)]
+            backend.insert_rows("R", rows)
+            truth.insert_rows("R", rows)
+            if round_no in (2, 4):  # churn: SIGKILL a worker mid-storm
+                peer = backend._worker_peers[round_no % 2]
+                peer.process.kill()
+                peer.process.join(timeout=5.0)
+            keys = keys_for(backend)
+            assert norm_flat(backend.fetch_flat_encoded(
+                constraint, keys)) == norm_flat(
+                    truth.fetch_flat_encoded(constraint, keys))
+        backend.health_check()
+        assert backend.gauges()["workers_alive"] == 2
+        assert backend.counters()["worker_respawns_total"] == 2
         backend.close()
 
 
@@ -234,169 +323,11 @@ class TestConfigurableTimeouts:
         backend.close()
 
 
-class TestReplicaResilience:
-    def _replicated(self, schema, aschema, tmp, **kwargs):
-        kwargs.setdefault("workers", 1)
-        kwargs.setdefault("replicas", 1)
-        kwargs.setdefault("fanout_threshold", 0)
-        backend = ProcessShardedBackend(schema, data_dir=tmp.name,
-                                        **kwargs)
-        backend._test_tmpdir = tmp
-        backend.attach_access_schema(aschema)
-        return backend
-
-    def test_flapping_replica_opens_breaker_and_degrades_to_writer(
-            self, schema, aschema):
-        tmp = tempfile.TemporaryDirectory(prefix="repro-chaos-")
-        backend = self._replicated(schema, aschema, tmp,
-                                   breaker_failure_threshold=2,
-                                   breaker_reset_after_s=60.0)
-        backend.insert_rows("R", ROWS)
-        truth = oracle(schema, aschema)
-        constraint = aschema.constraints[0]
-        keys = keys_for(backend)
-        want = norm_flat(truth.fetch_flat_encoded(constraint, keys))
-        # Warm up through the replica slot once, then kill the replica
-        # process outright so every replica attempt fails.
-        for _ in range(2):
-            assert norm_flat(backend.fetch_flat_encoded(
-                constraint, keys)) == want
-        peer = backend._replica_peers[0]
-        peer.process.kill()
-        peer.process.join(timeout=5.0)
-        # Also break re-bootstrap deterministically: tear the WAL ship.
-        # (Not strictly needed — a killed peer already fails — but it
-        # exercises the torn-tail path under repeated catch-up.)
-        for _ in range(8):
-            assert norm_flat(backend.fetch_flat_encoded(
-                constraint, keys)) == want
-        counters = backend.counters()
-        # A dead replica re-bootstraps (catch-up path) — the reads
-        # keep succeeding either way; what must NOT happen is a wrong
-        # answer or an exception above.
-        assert counters["replica_reads_total"] >= 1
-        backend.close()
-
-    def test_unbootstrappable_replica_trips_breaker_to_writer_local(
-            self, schema, aschema, monkeypatch):
-        tmp = tempfile.TemporaryDirectory(prefix="repro-chaos-")
-        backend = self._replicated(schema, aschema, tmp,
-                                   breaker_failure_threshold=2,
-                                   breaker_reset_after_s=60.0)
-        backend.insert_rows("R", ROWS)
-        truth = oracle(schema, aschema)
-        constraint = aschema.constraints[0]
-        keys = keys_for(backend)
-        want = norm_flat(truth.fetch_flat_encoded(constraint, keys))
-        # Make every replica recovery fail: kill the peer and block
-        # both catch-up and re-bootstrap.
-        peer = backend._replica_peers[0]
-        peer.process.kill()
-        peer.process.join(timeout=5.0)
-        monkeypatch.setattr(backend, "_bootstrap_replica",
-                            lambda i: False)
-        monkeypatch.setattr(backend, "_catch_up_replica",
-                            lambda i: False)
-        for _ in range(12):
-            assert norm_flat(backend.fetch_flat_encoded(
-                constraint, keys)) == want
-        assert backend._breakers[0].state == OPEN
-        counters = backend.counters()
-        assert counters["replica_breaker_opens_total"] >= 1
-        assert counters["replica_breaker_skips_total"] >= 1
-        assert backend.gauges()["replica_breaker_state_r0"] == OPEN
-        backend.close()
-
-    def test_health_check_probes_half_open_breaker_back_closed(
-            self, schema, aschema):
-        tmp = tempfile.TemporaryDirectory(prefix="repro-chaos-")
-        backend = self._replicated(schema, aschema, tmp,
-                                   breaker_failure_threshold=1,
-                                   breaker_reset_after_s=0.05)
-        backend.insert_rows("R", ROWS)
-        peer = backend._replica_peers[0]
-        peer.process.kill()
-        peer.process.join(timeout=5.0)
-        backend._breakers[0].record_failure()  # open (threshold 1)
-        assert backend._breakers[0].state == OPEN
-        time.sleep(0.1)  # quiet period elapses -> half-open
-        report = backend.health_check()
-        assert report["replicas_probed"] == 1
-        assert report["replicas_reclosed"] == 1  # re-bootstrapped + pinged
-        assert backend._breakers[0].state == CLOSED
-        assert backend.gauges()["replicas_alive"] == 1
-        backend.close()
-
-    def test_replica_churn_mid_write_storm_stays_bit_identical(
-            self, schema, aschema):
-        """The satellite acceptance test: kill and restart the replica
-        while writes stream in; every read must match the MemoryBackend
-        oracle bit for bit, and the fleet must end healthy."""
-        tmp = tempfile.TemporaryDirectory(prefix="repro-chaos-")
-        backend = self._replicated(schema, aschema, tmp,
-                                   breaker_failure_threshold=2,
-                                   breaker_reset_after_s=0.05)
-        truth = oracle(schema, aschema, rows=None)
-        constraint = aschema.constraints[0]
-        for round_no in range(6):
-            rows = [(i % 7, i + round_no * 1000, round_no)
-                    for i in range(30)]
-            backend.insert_rows("R", rows)
-            truth.insert_rows("R", rows)
-            if round_no == 2:  # churn: SIGKILL the replica mid-storm
-                peer = backend._replica_peers[0]
-                if peer is not None:
-                    peer.process.kill()
-                    peer.process.join(timeout=5.0)
-            keys = keys_for(backend)
-            want = norm_flat(truth.fetch_flat_encoded(constraint, keys))
-            for _ in range(backend.replicas + 1):  # all RR slots
-                assert norm_flat(backend.fetch_flat_encoded(
-                    constraint, keys)) == want
-        # Give the breaker's quiet period a chance, then let the
-        # housekeeping probe restore the fleet.
-        time.sleep(0.1)
-        backend.health_check()
-        assert backend.gauges()["replicas_alive"] == 1
-        assert backend._breakers[0].state == CLOSED
-        assert backend.counters()["replica_reads_total"] >= 1
-        backend.close()
-
-    def test_torn_wal_ship_reships_cleanly(self, schema, aschema):
-        tmp = tempfile.TemporaryDirectory(prefix="repro-chaos-")
-        backend = self._replicated(schema, aschema, tmp)
-        backend.insert_rows("R", ROWS)
-        truth = oracle(schema, aschema)
-        constraint = aschema.constraints[0]
-        keys = keys_for(backend)
-        want = norm_flat(truth.fetch_flat_encoded(constraint, keys))
-        for _ in range(2):  # replica bootstraps on its first slot
-            assert norm_flat(backend.fetch_flat_encoded(
-                constraint, keys)) == want
-        # New rows make the replica stale; the catch-up chunk ships
-        # torn 7 bytes short, so the replica consumes only whole
-        # frames and the remainder re-ships on the next catch-up.
-        extra = [(3, 777000 + i, 9) for i in range(5)]
-        backend.insert_rows("R", extra)
-        truth.insert_rows("R", extra)
-        want = norm_flat(truth.fetch_flat_encoded(constraint, keys))
-        plan = FaultPlan([Fault("wal_ship", at=1, kind="torn_tail",
-                                arg=7)])
-        install_fault_plan(plan)
-        try:
-            for _ in range(4):
-                assert norm_flat(backend.fetch_flat_encoded(
-                    constraint, keys)) == want
-        finally:
-            clear_fault_plan()
-        assert plan.fired == [("wal_ship", 1, "torn_tail")]
-        backend.close()
-
-
 class TestBoundedClose:
     def test_close_with_hung_worker_returns_within_budget(
             self, schema, aschema):
-        backend = procshard(schema, aschema, close_timeout_s=1.0)
+        backend = procshard(schema, aschema)
+        backend.close_timeout_s = 1.0
         # Wedge worker 0 in a long request; its reply will never be
         # consumed, so the polite stop handshake cannot work.
         peer = backend._worker_peers[0]

@@ -1,13 +1,13 @@
 """The process-sharded write race, pinned shut.
 
-With a disk writer and a WAL-shipped replica, ``ProcessShardedBackend``
-ships each write batch to its shard workers *before* the inner store
-applies it and bumps the generation, and the workers hold the batch in
-between.  A read that overlaps a write is repeated with writes held off,
-so a reader that observes generation ``g`` throughout its read sees
-exactly ``truth[g]``, and once the writer stops, a read through the
-shared fetch cache equals the final state exactly, so no cache entry
-outlives its epoch.  Serving the overlapping read, or shipping after the
+With a disk writer, ``ProcessShardedBackend`` ships each write batch
+to its shard workers *before* the inner store applies it and bumps the
+generation, and the workers hold the batch in between.  A read that
+overlaps a write is repeated with writes held off, so a reader that
+observes generation ``g`` throughout its read sees exactly
+``truth[g]``, and once the writer stops, a read through the shared
+fetch cache equals the final state exactly, so no cache entry outlives
+its epoch.  Serving the overlapping read, or shipping after the
 bump, breaks this.
 """
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -38,8 +39,8 @@ def rows_of(db, cols, length) -> set:
 def test_readers_see_exactly_the_generation_they_observe(tmp_path):
     schema = Schema.from_dict({"R": ("A", "B")})
     access = AccessSchema(schema, [AccessConstraint("R", ("A",), ("B",), 8)])
-    backend = ProcessShardedBackend(schema, workers=2, replicas=1,
-                                    data_dir=tmp_path, fanout_threshold=0)
+    backend = ProcessShardedBackend(schema, workers=2, data_dir=tmp_path,
+                                    fanout_threshold=0)
     db = Database(schema, access, backend=backend)
     rng = random.Random(5)
     state = {(a, rng.choice(VALUES)) for a in KEYS}
@@ -47,7 +48,7 @@ def test_readers_see_exactly_the_generation_they_observe(tmp_path):
     constraint = db.access_schema.constraints[0]
     codes = [db.dictionary.encode(a) for a in KEYS]
     # Fewer entries than keys: fills, evictions and bypassed steps keep
-    # sending reads to the workers and the replica.
+    # sending reads to the workers.
     cache = FetchCache(capacity=4)
     cache.attach_maintenance(db)
     truth = {db.generation("R"): frozenset(state)}
@@ -66,6 +67,10 @@ def test_readers_see_exactly_the_generation_they_observe(tmp_path):
                     db.insert("R", row)
                     state.add(row)
                 truth[db.generation("R")] = frozenset(state)
+                # A write takes ~0.3 ms: unpaced, every read overlaps
+                # one and none is checked.  The pause lets reads fall
+                # both inside and between writes.
+                time.sleep(0.001)
         except BaseException as error:  # noqa: BLE001
             errors.append(error)
         finally:

@@ -40,8 +40,8 @@ class TestFaultPlan:
 
     def test_unscheduled_site_still_counts(self):
         plan = FaultPlan([])
-        assert plan.hit("wal_ship") is None
-        assert plan.hits("wal_ship") == 1
+        assert plan.hit("wal_append") is None
+        assert plan.hits("wal_append") == 1
 
     def test_duplicate_ordinal_per_site_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
