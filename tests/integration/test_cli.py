@@ -117,6 +117,23 @@ def test_run_procshard_with_data_dir(db_dir, tmp_path, capsys):
     assert "(34,)" in out and "(51,)" in out
 
 
+def test_run_procshard_with_data_dir_recovers_across_runs(db_dir, tmp_path,
+                                                       capsys):
+    """A second run reopens the disk writer's directory (WAL replay),
+    bootstraps the workers from it, and answers identically."""
+    data_dir = str(tmp_path / "durable")
+    args = ["run", "--db", db_dir, "--backend", "procshard",
+            "--shard-workers", "2", "--data-dir", data_dir, Q0]
+    assert main(args) == 0
+    first = capsys.readouterr().out
+    assert main(args) == 0
+    second = capsys.readouterr().out
+    assert "(34,)" in second and "(51,)" in second
+    assert "2 answer(s)" in second
+    # Same access accounting and answers; row order is not part of it.
+    assert sorted(second.splitlines()) == sorted(first.splitlines())
+
+
 def test_run_procshard_zero_workers_is_rejected(db_dir, capsys):
     assert main(["run", "--db", db_dir, "--backend", "procshard",
                  "--shard-workers", "0", Q0]) == 2

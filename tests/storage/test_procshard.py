@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import AccessConstraint, AccessSchema, Schema
 from repro.errors import StorageError
-from repro.storage.backend import MemoryBackend
+from repro.storage.backend import MemoryBackend, make_backend
 from repro.storage.disk import DiskBackend
 from repro.storage.encoding import ValueDictionary
 from repro.storage.indexes import AccessIndex, gather_codes
@@ -278,6 +278,60 @@ class TestWorkerProtocol:
         with pytest.raises(ValueError, match="unknown worker op"):
             WorkerState().handle(("warp-core-breach",))
 
+    def test_attach_replaces_every_index_and_the_value_mirror(self):
+        """A bootstrap is a full rebuild: constraint ids and rows of the
+        previous attach are gone, not merged."""
+        state = self._attached()
+        state.handle(("attach", [(3, 0, 1)], {3: [(6,)]}, ["w0"]))
+        assert state.values == ["w0"]
+        assert set(state.indexes) == {3}
+        with pytest.raises(KeyError):
+            state.handle(("read", 0, [1], None, False))
+        assert state.handle(("read", 3, [()], None, False))[1] == [1]
+
+    def test_projected_read_with_dedup_collapses_equal_rows_per_key(self):
+        state = self._attached()
+        state.handle(("write", [(0, False, [(1, 2, 9), (8, 2, 9)])], []))
+        cols, counts = state.handle(("read", 0, [1, 8], (1,), True))
+        assert (list(cols[0]), counts) == ([2, 4, 2], [2, 1])
+        cols, counts = state.handle(("read", 0, [1, 8], (1,), False))
+        assert (sorted(cols[0]), counts) == ([2, 2, 2, 4], [3, 1])
+
+    def test_write_to_an_unattached_constraint_is_an_error(self):
+        with pytest.raises(KeyError):
+            self._attached().handle(("write", [(5, False, [(1,)])], []))
+
+    def _serve(self):
+        """Run worker_main on a thread over a real pipe."""
+        import multiprocessing
+
+        from repro.storage.procshard.worker import worker_main
+        parent, child = multiprocessing.Pipe()
+        thread = threading.Thread(target=worker_main, args=(child,),
+                                  daemon=True)
+        thread.start()
+        return parent, thread
+
+    def test_worker_main_replies_err_and_keeps_serving(self):
+        conn, thread = self._serve()
+        conn.send(("read", 0, [1], None, False))  # nothing attached
+        kind, message = conn.recv()
+        assert kind == "err" and message.startswith("KeyError")
+        conn.send(("ping",))
+        assert conn.recv() == ("ok", "pong")
+        conn.send(("stop",))
+        assert conn.recv() == ("ok", True)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+
+    def test_worker_main_returns_when_the_coordinator_goes_away(self):
+        conn, thread = self._serve()
+        conn.send(("ping",))
+        assert conn.recv() == ("ok", "pong")
+        conn.close()  # EOF on the worker's end
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+
 
 class TestProcessShardedBackend:
     """End-to-end coordinator behaviour that conformance cannot reach:
@@ -371,6 +425,111 @@ class TestProcessShardedBackend:
         backend = procshard(schema)
         with pytest.raises(StorageError, match="durable"):
             backend.snapshot()
+        backend.close()
+
+    @pytest.mark.parametrize("knob", [
+        "replicas", "retry_policy", "breaker_failure_threshold",
+        "breaker_reset_after_s", "close_timeout_s"])
+    def test_retired_constructor_knobs_are_refused(self, schema, knob):
+        """Read replicas, their retry/breaker tuning and the close
+        budget knob are gone; passing one is a TypeError, not a silent
+        no-op (``close_timeout_s`` stays a class attribute)."""
+        with pytest.raises(TypeError, match=knob):
+            ProcessShardedBackend(schema, workers=1, **{knob: 1})
+        with pytest.raises(TypeError, match=knob):
+            make_backend("procshard", schema, workers=1, **{knob: 1})
+
+    def test_writes_before_attach_ship_nothing_and_attach_bootstraps(
+            self, schema, aschema):
+        backend = procshard(schema)
+        backend.insert_rows("R", ROWS)
+        assert backend.counters()["rpc_requests_total"] == 0
+        assert backend.gauges()["workers_alive"] == 0
+        backend.attach_access_schema(aschema)
+        constraint = aschema.constraints[0]
+        keys = [backend.dictionary.encode(k) for k in range(7)]
+        assert norm_flat(backend.fetch_flat_encoded(constraint, keys)) == \
+            norm_flat(oracle(schema, aschema).fetch_flat_encoded(
+                constraint, keys))
+        assert backend.counters()["worker_reads_total"] == 1
+        backend.close()
+
+    def test_writes_without_effective_rows_ship_nothing(self, schema,
+                                                        aschema):
+        """Only a write's effective rows cross a pipe: re-inserting
+        present rows or deleting absent ones sends no RPC and moves no
+        generation."""
+        backend = procshard(schema)
+        backend.attach_access_schema(aschema)
+        backend.insert_rows("R", ROWS)
+        sent = backend.counters()["rpc_requests_total"]
+        generation = backend.generation("R")
+        assert backend.insert_rows("R", ROWS[:10]) == 0
+        assert backend.delete_rows("R", [(99, 99, 99)]) == 0
+        assert backend.counters()["rpc_requests_total"] == sent
+        assert backend.generation("R") == generation
+        backend.close()
+
+    def test_replica_reads_total_is_reported_and_always_zero(
+            self, schema, aschema):
+        """The traced ledger runs sum this key into procshard's
+        remote-read share, so it stays in the counters at 0."""
+        backend = procshard(schema)
+        backend.attach_access_schema(aschema)
+        backend.insert_rows("R", ROWS)
+        keys = [backend.dictionary.encode(k) for k in range(7)]
+        backend.fetch_flat_encoded(aschema.constraints[0], keys)
+        counters = backend.counters()
+        assert counters["worker_reads_total"] == 1
+        assert counters["replica_reads_total"] == 0
+        backend.close()
+
+    def test_describe_names_workers_store_and_threshold(self, schema,
+                                                         tmp_path):
+        backend = procshard(schema, workers=3, fanout_threshold=5,
+                            data_dir=tmp_path)
+        assert backend.describe().startswith(
+            "procshard(workers=3, store=disk(")
+        assert backend.describe().endswith("threshold=5)")
+        backend.close()
+
+    def _worker_stats(self, backend) -> list[dict]:
+        return [backend._request(peer, ("stats",), 0)
+                for peer in backend._worker_peers]
+
+    def test_worker_value_mirrors_track_the_dictionary_across_respawns(
+            self, schema, aschema):
+        """Every write ships each worker the dictionary delta it has not
+        seen; a respawned worker restarts from the full list, and the
+        next delta continues from there."""
+        backend = procshard(schema)
+        backend.attach_access_schema(aschema)
+        backend.insert_rows("R", ROWS)
+        assert [s["dictionary_size"] for s in self._worker_stats(backend)] \
+            == [len(backend.dictionary)] * 2
+        backend._worker_peers[0].process.kill()
+        backend._worker_peers[0].process.join()
+        # Rows for both shards, values the dictionary has never held.
+        fresh = [(k, f"new-{k}", -k) for k in range(7)]
+        backend.insert_rows("R", fresh)
+        backend.insert_rows("R", [(k, f"newer-{k}", 0) for k in range(7)])
+        stats = self._worker_stats(backend)
+        assert [s["dictionary_size"] for s in stats] == \
+            [len(backend.dictionary)] * 2
+        assert backend.counters()["worker_respawns_total"] == 1
+        backend.close()
+
+    def test_clear_empties_every_worker_shard(self, schema, aschema):
+        backend = procshard(schema)
+        backend.attach_access_schema(aschema)
+        backend.insert_rows("R", ROWS)
+        backend.insert_rows("S", [(1,), (2,)])
+        assert all(s["groups"] > 0 for s in self._worker_stats(backend))
+        backend.clear()
+        assert [s["groups"] for s in self._worker_stats(backend)] == [0, 0]
+        keys = [backend.dictionary.encode(k) for k in range(7)]
+        assert backend.fetch_flat_encoded(aschema.constraints[0], keys)[1] \
+            == 0
         backend.close()
 
 
@@ -489,3 +648,127 @@ class TestDurableBackend:
         assert not failures, failures[:3]
         assert backend.counters()["worker_reads_total"] > 0
         backend.close()
+
+    # -- reopening a durable directory: the fleet bootstraps from recovery --
+
+    def _reopened(self, schema, aschema, data_dir):
+        backend = procshard(schema, data_dir=data_dir)
+        backend.attach_access_schema(aschema)
+        return backend
+
+    @staticmethod
+    def _rows(backend, aschema) -> tuple:
+        """Every R and S row, read by value through the constraints."""
+        r, s = aschema.constraints
+        return (sorted(backend.fetch_flat(r, [(k,) for k in range(8)])),
+                sorted(backend.fetch_flat(s, [()])))
+
+    def _served(self, backend, aschema) -> tuple:
+        """:meth:`_rows`, checked to be served by the workers."""
+        before = backend.counters()["worker_reads_total"]
+        served = self._rows(backend, aschema)
+        assert backend.counters()["worker_reads_total"] == before + 2
+        return served
+
+    def _expected(self, schema, aschema, rows_r, rows_s=()) -> tuple:
+        truth = MemoryBackend(schema)
+        truth.attach_access_schema(aschema)
+        truth.insert_rows("R", rows_r)
+        truth.insert_rows("S", rows_s)
+        return self._rows(truth, aschema)
+
+    def test_reopen_from_wal_only_bootstraps_the_fleet(self, schema,
+                                                      aschema, tmp_path):
+        backend = self._reopened(schema, aschema, tmp_path)
+        backend.insert_rows("R", ROWS)
+        backend.delete_rows("R", ROWS[:5])
+        backend.insert_rows("S", [(1,), (2,)])
+        generations = dict(backend._generations)
+        backend.close()
+        reopened = self._reopened(schema, aschema, tmp_path)
+        assert reopened._generations == generations
+        assert self._served(reopened, aschema) == \
+            self._expected(schema, aschema, ROWS[5:], [(1,), (2,)])
+        reopened.close()
+
+    def test_reopen_from_snapshot_plus_tail_bootstraps_the_fleet(
+            self, schema, aschema, tmp_path):
+        backend = self._reopened(schema, aschema, tmp_path)
+        backend.insert_rows("R", ROWS)
+        backend.snapshot()
+        tail = [(100 + i, i, i) for i in range(10)]
+        backend.insert_rows("R", tail)
+        backend.delete_rows("R", ROWS[:5])
+        generations = dict(backend._generations)
+        backend.close()
+        reopened = self._reopened(schema, aschema, tmp_path)
+        assert reopened._store._snapshot_id == 1
+        assert reopened._generations == generations
+        assert self._served(reopened, aschema) == \
+            self._expected(schema, aschema, ROWS[5:] + tail)
+        reopened.close()
+
+    def test_reopen_after_a_clear_serves_nothing(self, schema, aschema,
+                                                 tmp_path):
+        backend = self._reopened(schema, aschema, tmp_path)
+        backend.insert_rows("R", ROWS[:8])
+        backend.insert_rows("S", [(1,)])
+        backend.clear()
+        generations = dict(backend._generations)
+        backend.close()
+        reopened = self._reopened(schema, aschema, tmp_path)
+        assert reopened._generations == generations
+        assert self._served(reopened, aschema) == ([], [])
+        reopened.close()
+
+    def test_reopen_bootstraps_past_values_that_were_never_interned(
+            self, schema, aschema, tmp_path):
+        """S rows written and cleared while S had no index were never
+        interned; a reopened fleet indexing S still bootstraps, from
+        the rows that survive."""
+        r_only = AccessSchema(schema, [aschema.constraints[0]])
+        backend = self._reopened(schema, r_only, tmp_path)
+        backend.insert_rows("R", ROWS[:3])
+        backend.insert_rows("S", [("never-interned",)])
+        backend.clear()
+        backend.insert_rows("R", ROWS[3:5])
+        assert "never-interned" not in backend.dictionary
+        backend.close()
+        reopened = self._reopened(schema, aschema, tmp_path)
+        assert self._served(reopened, aschema) == \
+            self._expected(schema, aschema, ROWS[3:5])
+        reopened.close()
+
+    def test_torn_wal_reopens_to_a_record_prefix_on_the_workers(
+            self, schema, aschema, tmp_path):
+        """A WAL cut at a record boundary, or one byte short of it,
+        reopens to exactly the complete records, and the fleet serves
+        that state and nothing of the torn record."""
+        import shutil
+        source = tmp_path / "source"
+        writer = DiskBackend(schema, source)
+        batches = [("R", [(1, 10, 11), (2, 20, 21)]), ("S", [(5,)]),
+                   ("R", [(3, 30, 31)])]
+        for relation, rows in batches:
+            writer.insert_rows(relation, rows)
+        writer.delete_rows("R", [(1, 10, 11)])
+        writer.close()
+        wal = (source / "wal.log").read_bytes()
+        ends = [i + 1 for i, byte in enumerate(wal) if byte == ord("\n")]
+        assert len(ends) == 4
+        for cut in sorted({0, *ends, *(end - 1 for end in ends)}):
+            complete = sum(1 for end in ends if end <= cut)
+            rows = {"R": set(), "S": set()}
+            for relation, batch in batches[:complete]:
+                rows[relation].update(batch)
+            if complete == 4:
+                rows["R"].discard((1, 10, 11))
+            work = tmp_path / f"cut-{cut}"
+            shutil.copytree(source, work)
+            (work / "wal.log").write_bytes(wal[:cut])
+            reopened = self._reopened(schema, aschema, work)
+            assert self._served(reopened, aschema) == self._expected(
+                schema, aschema, sorted(rows["R"]), sorted(rows["S"])), \
+                f"WAL cut at byte {cut}"
+            reopened.close()
+

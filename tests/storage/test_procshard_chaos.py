@@ -241,6 +241,192 @@ class TestWorkerChaos:
         assert backend.counters()["worker_respawns_total"] == 2
         backend.close()
 
+    def test_one_failure_costs_exactly_one_respawn_and_one_retry(
+            self, schema, aschema):
+        backend = procshard(schema, aschema)
+        constraint = aschema.constraints[0]
+        keys = keys_for(backend)
+        want = per_key(backend._store.fetch_many_encoded(constraint, keys))
+        install_fault_plan(FaultPlan([Fault("rpc_send", 1, "kill_peer")]))
+        try:
+            got = per_key(backend.fetch_many_encoded(constraint, keys))
+        finally:
+            clear_fault_plan()
+        assert got == want
+        counters = backend.counters()
+        assert counters["worker_respawns_total"] == 1
+        assert counters["rpc_retries_total"] == 1
+        assert counters["worker_reads_total"] == 1
+        assert counters["local_reads_total"] == 0
+        backend.close()
+
+    def test_flapping_worker_never_changes_an_answer(self, schema, aschema):
+        """Kills land on reads, bootstraps and retries alike; whichever
+        path each one takes (retry on the replacement or fall back to
+        the store), every answer equals the oracle's."""
+        backend = procshard(schema, aschema)
+        truth = oracle(schema, aschema)
+        constraint = aschema.constraints[0]
+        keys = keys_for(backend)
+        want = per_key(truth.fetch_many_encoded(constraint, keys))
+        plan = FaultPlan([Fault("rpc_send", at, "kill_peer")
+                          for at in range(1, 40, 3)])
+        install_fault_plan(plan)
+        try:
+            for _ in range(10):
+                assert per_key(
+                    backend.fetch_many_encoded(constraint, keys)) == want
+        finally:
+            clear_fault_plan()
+        assert len(plan.fired) >= 5
+        counters = backend.counters()
+        assert counters["worker_respawns_total"] >= 5
+        assert counters["worker_reads_total"] + \
+            counters["local_reads_total"] == 10
+        backend.health_check()
+        assert backend.gauges()["workers_alive"] == 2
+        assert per_key(backend.fetch_many_encoded(constraint, keys)) == want
+        backend.close()
+
+    def test_dropped_reply_during_write_shipping_applies_the_write_once(
+            self, schema, aschema):
+        """The worker applied the batch but its reply was lost: the
+        retry lands on a replacement rebuilt from the pre-batch store,
+        so the batch is applied exactly once."""
+        backend = procshard(schema, aschema)
+        truth = oracle(schema, aschema)
+        constraint = aschema.constraints[0]
+        extra = [(k, 9000 + k, 0) for k in range(7)]
+        install_fault_plan(FaultPlan([Fault("rpc_recv", 1, "drop_reply")]))
+        try:
+            assert backend.insert_rows("R", extra) == 7
+        finally:
+            clear_fault_plan()
+        truth.insert_rows("R", extra)
+        keys = keys_for(backend)
+        assert norm_flat(backend.fetch_flat_encoded(constraint, keys)) == \
+            norm_flat(truth.fetch_flat_encoded(constraint, keys))
+        counters = backend.counters()
+        assert counters["rpc_timeouts_total"] == 1
+        assert counters["rpc_retries_total"] == 1
+        assert counters["worker_reads_total"] == 1
+        backend.close()
+
+    @pytest.mark.parametrize("op", ["delete", "clear"])
+    def test_worker_killed_during_shipping_still_applies_the_write(
+            self, schema, aschema, op):
+        backend = procshard(schema, aschema)
+        truth = oracle(schema, aschema)
+        constraint = aschema.constraints[0]
+        write = {"delete": lambda engine: engine.delete_rows("R", ROWS[:20]),
+                 "clear": lambda engine: engine.clear()}[op]
+        install_fault_plan(FaultPlan([Fault("rpc_send", 1, "kill_peer")]))
+        try:
+            write(backend)
+        finally:
+            clear_fault_plan()
+        write(truth)
+        keys = keys_for(backend)
+        assert norm_flat(backend.fetch_flat_encoded(constraint, keys)) == \
+            norm_flat(truth.fetch_flat_encoded(constraint, keys))
+        assert sorted(backend.scan("R")) == sorted(truth.scan("R"))
+        counters = backend.counters()
+        assert counters["worker_respawns_total"] == 1
+        assert counters["worker_reads_total"] == 1
+        backend.close()
+
+    def test_slow_link_within_the_timeout_costs_no_respawn(self, schema,
+                                                          aschema):
+        backend = procshard(schema, aschema)
+        constraint = aschema.constraints[0]
+        keys = keys_for(backend)
+        want = per_key(backend._store.fetch_many_encoded(constraint, keys))
+        plan = FaultPlan([Fault("rpc_send", 1, "delay", arg=0.02),
+                          Fault("rpc_recv", 2, "delay", arg=0.02)])
+        install_fault_plan(plan)
+        try:
+            got = per_key(backend.fetch_many_encoded(constraint, keys))
+        finally:
+            clear_fault_plan()
+        assert got == want
+        assert len(plan.fired) == 2
+        counters = backend.counters()
+        assert counters["worker_respawns_total"] == 0
+        assert counters["rpc_retries_total"] == 0
+        assert counters["rpc_timeouts_total"] == 0
+        assert counters["worker_reads_total"] == 1
+        backend.close()
+
+    def test_crash_mid_wal_append_after_shipping_leaves_workers_on_the_store(
+            self, schema, aschema, tmp_path):
+        """The batch reached the workers, then the disk writer's WAL
+        append tore: the store is unchanged, the fleet is rebuilt to
+        match it, and the directory reopens to the pre-write state."""
+        backend = procshard(schema, aschema, data_dir=tmp_path)
+        constraint = aschema.constraints[0]
+        keys = keys_for(backend)
+        before = sorted(backend.scan("R"))
+        generation = backend.generation("R")
+        want = per_key(backend._store.fetch_many_encoded(constraint, keys))
+        sent = backend.counters()["rpc_requests_total"]
+        install_fault_plan(FaultPlan([
+            Fault("wal_append", 1, "torn_tail", arg=4)]))
+        try:
+            with pytest.raises(StorageError, match="simulated crash"):
+                backend.insert_rows("R", [(k, 7000 + k, 1) for k in range(7)])
+        finally:
+            clear_fault_plan()
+        assert backend.counters()["rpc_requests_total"] > sent  # shipped
+        assert sorted(backend.scan("R")) == before
+        assert backend.generation("R") == generation
+        assert per_key(backend.fetch_many_encoded(constraint, keys)) == want
+        assert backend.counters()["worker_reads_total"] == 1
+        backend.close()
+        reopened = ProcessShardedBackend(schema, workers=2,
+                                         data_dir=tmp_path)
+        assert sorted(reopened.scan("R")) == before
+        reopened.close()
+
+
+class TestHealthCheck:
+    def test_restores_a_worker_whose_replacement_failed(self, schema,
+                                                        aschema):
+        backend = procshard(schema, aschema)
+        constraint = aschema.constraints[0]
+        keys = keys_for(backend)
+        install_fault_plan(FaultPlan(KILL_WORKER_AND_REPLACEMENT))
+        try:
+            backend.fetch_many_encoded(constraint, keys)
+        finally:
+            clear_fault_plan()
+        assert backend.gauges()["workers_alive"] == 1
+        assert backend.health_check() == {"workers_respawned": 1}
+        assert backend.gauges()["workers_alive"] == 2
+        assert not any(peer.poisoned for peer in backend._worker_peers)
+        backend.fetch_many_encoded(constraint, keys)
+        counters = backend.counters()
+        assert counters["worker_reads_total"] == 1
+        assert counters["worker_respawns_total"] == 2
+        backend.close()
+
+    def test_a_healthy_fleet_is_left_alone(self, schema, aschema):
+        backend = procshard(schema, aschema)
+        processes = [peer.process for peer in backend._worker_peers]
+        assert backend.health_check() == {"workers_respawned": 0}
+        assert [peer.process for peer in backend._worker_peers] == processes
+        assert backend.counters()["worker_respawns_total"] == 0
+        backend.close()
+
+    def test_before_attach_and_after_close_nothing_spawns(self, schema,
+                                                          aschema):
+        backend = ProcessShardedBackend(schema, workers=2)
+        assert backend.health_check() == {"workers_respawned": 0}
+        assert backend.gauges()["workers_alive"] == 0
+        backend.attach_access_schema(aschema)
+        backend.close()
+        assert backend.health_check() == {"workers_respawned": 0}
+        assert backend.gauges()["workers_alive"] == 0
+
 
 class TestDeadlinePropagation:
     def test_expired_deadline_aborts_rpc_with_typed_error(

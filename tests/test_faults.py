@@ -87,3 +87,21 @@ class TestGlobalHook:
         assert fault_hook("wal_append") is None
         # The plan keeps its history after uninstall (for assertions).
         assert plan.fired == [("wal_append", 1, "torn_tail")]
+
+
+def test_documented_sites_are_exactly_the_compiled_hooks():
+    """The module docstring's site list names every ``fault_hook`` call
+    in the source tree, and nothing that is no longer compiled in."""
+    import pathlib
+    import re
+
+    import repro
+    import repro.faults
+
+    root = pathlib.Path(repro.__file__).parent
+    compiled = {site for path in root.rglob("*.py")
+                for site in re.findall(r'fault_hook\("(\w+)"\)',
+                                       path.read_text())}
+    sites_doc = repro.faults.__doc__.split("Sites compiled into the tree")[1]
+    documented = set(re.findall(r"^``(\w+)``$", sites_doc, re.MULTILINE))
+    assert compiled == documented == {"rpc_send", "rpc_recv", "wal_append"}
